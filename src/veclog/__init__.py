@@ -12,7 +12,6 @@ from veclog.assoc import (
     best_match,
     diagnose,
     feasible_mask,
-    load_table,
     parse_table,
     parse_ternary_rows,
     restrict,
@@ -31,7 +30,6 @@ from veclog.cover import (
     coverage_of,
     exact_cover_oracle,
     greedy_cover,
-    load_repair_instance,
     parse_repair_instance,
     repair_plan,
     run_test,
@@ -66,10 +64,8 @@ from veclog.metric import (
     quality_arith,
     quality_counts,
     quality_vector,
-    xor_distance,
 )
 from veclog.vlcore import (
-    ArityError,
     BitVector,
     EmptyInput,
     EmptyIntersection,
@@ -79,7 +75,6 @@ from veclog.vlcore import (
     TernaryVector,
     classify_interaction,
     devectorize,
-    logic_op,
     slc,
     ternary_intersect,
     vectorize,

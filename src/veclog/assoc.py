@@ -10,21 +10,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from veclog.metric import (
-    Choice,
-    CompactedQuality,
-    better_of,
-    compact_quality,
-    quality_vector,
-)
-from veclog.vlcore import (
-    BitVector,
-    LengthMismatch,
-    ParseError,
-    TernaryVector,
-    devectorize,
-    vectorize,
-)
+from veclog.metric import CompactedQuality, compact_quality, quality_vector
+from veclog.vlcore import BitVector, LengthMismatch, ParseError, TernaryVector
 
 
 class AssociativeTable:
@@ -55,12 +42,6 @@ class AssociativeTable:
     @property
     def width(self) -> int:
         return self.rows[0].length
-
-    def column(self, j: int) -> BitVector:
-        """Column j (1-based) read top to bottom."""
-        if not 1 <= j <= self.width:
-            raise IndexError(f"column {j} out of 1..{self.width}")
-        return vectorize(row.bit(j) for row in self.rows)
 
     def widened(self, width: int) -> "AssociativeTable":
         """Copy with zero columns appended on the right up to ``width``."""
@@ -121,7 +102,9 @@ def feasible_mask(table: AssociativeTable, query: BitVector) -> BitVector:
     if query.length != table.width:
         raise LengthMismatch(
             f"query width {query.length} vs table width {table.width}")
-    return vectorize(devectorize((query & row) ^ query) for row in table.rows)
+    q = query.value
+    flags = ["0" if q & row.value == q else "1" for row in table.rows]
+    return BitVector(int("".join(flags), 2), table.height)
 
 
 def restrict(table: AssociativeTable, query: BitVector) -> AssociativeTable:
@@ -147,17 +130,17 @@ def diagnose(table: AssociativeTable, response: BitVector,
     if response.length != table.height:
         raise LengthMismatch(
             f"response width {response.length} vs table height {table.height}")
-    width = table.width
-    hits = BitVector.ones(width) if mode is DiagnosisMode.SINGLE \
-        else BitVector.zeros(width)
-    misses = BitVector.zeros(width)
-    for i, row in enumerate(table.rows):
-        if response.bit(i + 1):
-            hits = hits & row if mode is DiagnosisMode.SINGLE else hits | row
+    single = mode is DiagnosisMode.SINGLE
+    hits = (1 << table.width) - 1 if single else 0
+    misses = 0
+    for flag, row in zip(str(response), table.rows):
+        if flag == "1":
+            hits = hits & row.value if single else hits | row.value
         else:
-            misses = misses | row
+            misses |= row.value
     candidates = hits & ~misses
-    return DiagnosisResult(candidates, mode, devectorize(candidates) == 1)
+    return DiagnosisResult(BitVector(candidates, table.width), mode,
+                           candidates != 0)
 
 
 def best_match(query: BitVector,
@@ -165,24 +148,20 @@ def best_match(query: BitVector,
     """Rows with the minimal compacted quality against the query.
 
     Returns (row numbers, quality); row numbers are 1-based in table order.
-    Minimality is established purely with compacted-vector comparisons.
+    By the reduction theorem the quality vector of a pair is their xor, and
+    one compacted run is contained in another exactly when it has no more
+    1s, so the minimum is taken over xor popcounts and the quality of the
+    first winning row is built once.
     """
     if query.length != table.width:
         raise LengthMismatch(
             f"query width {query.length} vs table width {table.width}")
-    best_rows: list[int] = []
-    best: Optional[CompactedQuality] = None
-    for number, row in enumerate(table.rows, start=1):
-        cq = compact_quality(quality_vector(query, row))
-        if best is None:
-            best, best_rows = cq, [number]
-        elif better_of(cq, best) is Choice.FIRST:
-            if better_of(best, cq) is Choice.FIRST:
-                best_rows.append(number)  # tie
-            else:
-                best, best_rows = cq, [number]
-    assert best is not None
-    return best_rows, best
+    q = query.value
+    ones = [(q ^ row.value).bit_count() for row in table.rows]
+    least = min(ones)
+    best_rows = [k for k, n in enumerate(ones, start=1) if n == least]
+    winner = table.rows[best_rows[0] - 1]
+    return best_rows, compact_quality(quality_vector(query, winner))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +175,8 @@ def best_match(query: BitVector,
 def parse_table(text: str) -> AssociativeTable:
     """Parse the text table format into a binary table."""
     rows, row_labels, col_labels = _parse_rows(text, ternary=False)
-    return AssociativeTable([BitVector.from_string(r) for r in rows],
+    width = len(rows[0])
+    return AssociativeTable([BitVector(int(r, 2), width) for r in rows],
                             row_labels, col_labels)
 
 
@@ -208,13 +188,9 @@ def parse_ternary_rows(
     return [TernaryVector.from_string(r) for r in rows], row_labels
 
 
-def load_table(path: str) -> AssociativeTable:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_table(fh.read())
-
-
 def _parse_rows(text: str, ternary: bool):
     alphabet = "01x" if ternary else "01"
+    symbols = str.maketrans("", "", alphabet)  # deletes every valid symbol
     lines = text.splitlines()
     body = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not body:
@@ -236,12 +212,14 @@ def _parse_rows(text: str, ternary: bool):
         if len(row) != width:
             raise ParseError(f"row has {len(row)} symbols, expected {width}",
                              line=lineno)
-        for col, ch in enumerate(row, start=1):
-            if ch not in alphabet:
-                raise ParseError(f"invalid symbol {ch!r}", line=lineno,
-                                 column=col)
+        if row.translate(symbols):  # only a rejected row is scanned by symbol
+            for col, ch in enumerate(row, start=1):
+                if ch not in alphabet:
+                    raise ParseError(f"invalid symbol {ch!r}", line=lineno,
+                                     column=col)
         rows.append(row)
-    row_labels = col_labels = None
+    labels: dict[str, tuple[str, ...]] = {}
+    shape = {"rows": (height, "row"), "cols": (width, "column")}
     trailer = body[1 + height:]
     if trailer:
         lineno, sentinel = trailer[0]
@@ -249,11 +227,14 @@ def _parse_rows(text: str, ternary: bool):
             raise ParseError("unexpected content after table rows "
                              "(expecting '#labels')", line=lineno)
         for lineno, entry in trailer[1:]:
-            if entry.startswith("rows:"):
-                row_labels = tuple(entry[len("rows:"):].split())
-            elif entry.startswith("cols:"):
-                col_labels = tuple(entry[len("cols:"):].split())
-            else:
+            key, _, names = entry.partition(":")
+            if key not in shape:
                 raise ParseError("label lines must start with 'rows:' or "
                                  "'cols:'", line=lineno)
-    return rows, row_labels, col_labels
+            labels[key] = tuple(names.split())
+            if not ternary:  # the ternary reader has never checked labels
+                try:
+                    _checked_labels(labels[key], *shape[key])
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+    return rows, labels.get("rows"), labels.get("cols")

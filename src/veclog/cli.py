@@ -26,17 +26,17 @@ class InputError(Exception):
     """Bad file or argument; maps to exit code 2."""
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()[:12]
-
-
-def _read(path: str) -> str:
+def _read(path: str) -> tuple[str, str]:
+    """The file's text and the digest of the same bytes, from one read."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("ascii")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return text, "sha256:" + hashlib.sha256(data).hexdigest()[:12]
 
 
 def _bits(vector: BitVector, dots: bool = False) -> str:
@@ -74,11 +74,11 @@ def _parse_vector(text: str, what: str) -> BitVector:
 # query
 
 def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
-    text = _read(args.table)
+    text, digest = _read(args.table)
     report: Report = [
         ("command", " ".join(args.echo)),
         ("table", args.table),
-        ("table-digest", _digest(args.table)),
+        ("table-digest", digest),
         ("query", args.query),
     ]
     if args.arith:
@@ -94,14 +94,13 @@ def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
     report += [("rows", table.height), ("width", table.width)]
     mask = assoc.feasible_mask(table, query)
     feasible = []
-    for k in range(1, table.height + 1):
+    for k, flag in enumerate(str(mask), start=1):
         name = f"row-{k}"
         if table.row_labels:
             name += f" ({table.row_labels[k - 1]})"
-        word = "contradictory" if mask.bit(k) else "feasible"
-        if not mask.bit(k):
+        if flag == "0":
             feasible.append(k)
-        report.append((name, word))
+        report.append((name, "contradictory" if flag == "1" else "feasible"))
     report.append(("feasible-rows",
                    " ".join(str(k) for k in feasible) or "(none)"))
     rows, quality = assoc.best_match(query, table)
@@ -152,8 +151,9 @@ def _query_arith(text: str, args: argparse.Namespace,
 # diagnose
 
 def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
+    text, digest = _read(args.table)
     try:
-        table = assoc.parse_table(_read(args.table))
+        table = assoc.parse_table(text)
     except ParseError as exc:
         raise InputError(f"bad table{_position(exc)}: {exc}") from exc
     response = _parse_vector(args.response, "response")
@@ -164,12 +164,12 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     result = assoc.diagnose(table, response, mode)
     labels = table.col_labels or tuple(f"c{j}" for j in
                                        range(1, table.width + 1))
-    named = [labels[j - 1] for j in range(1, table.width + 1)
-             if result.candidates.bit(j)]
+    named = [label for label, flag in zip(labels, str(result.candidates))
+             if flag == "1"]
     report: Report = [
         ("command", " ".join(args.echo)),
         ("table", args.table),
-        ("table-digest", _digest(args.table)),
+        ("table-digest", digest),
         ("response", args.response),
         ("mode", mode.value),
         ("candidate-vector", _bits(result.candidates)),
@@ -183,14 +183,15 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
 # repair
 
 def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
+    text, digest = _read(args.instance)
     try:
-        instance = cover.load_repair_instance(args.instance)
+        instance = cover.parse_repair_instance(text)
     except ParseError as exc:
         raise InputError(f"bad instance{_position(exc)}: {exc}") from exc
     report: Report = [
         ("command", " ".join(args.echo)),
         ("instance", args.instance),
-        ("instance-digest", _digest(args.instance)),
+        ("instance-digest", digest),
         ("memory", f"{instance.rows}x{instance.cols}"),
         ("spare-budget", f"rows {instance.spare_rows} "
                          f"cols {instance.spare_cols}"),
@@ -272,20 +273,26 @@ def _parse_reg_presets(items: Sequence[str], width: int) -> dict:
     return presets
 
 
-def _load_cell(program_path: str, data_path: str,
-               reg_specs: Sequence[str]) -> tuple[lamp.Program,
-                                                  lamp.SequencerState]:
+def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str]
+               ) -> tuple[lamp.Program, lamp.SequencerState, Report]:
+    """The cell's program and start state, and the report lines naming its
+    two files; program errors are raised before data errors."""
+    program_text, program_digest = _read(program_path)
     try:
-        program = lamp.assemble(_read(program_path))
+        program = lamp.assemble(program_text)
     except (lamp.AssemblyError, EmptyInput) as exc:
         raise InputError(f"{program_path}: {exc}") from exc
+    data_text, data_digest = _read(data_path)
     try:
-        table = assoc.parse_table(_read(data_path))
+        table = assoc.parse_table(data_text)
     except ParseError as exc:
         raise InputError(f"bad table {data_path}{_position(exc)}: "
                          f"{exc}") from exc
     presets = _parse_reg_presets(reg_specs, table.width)
-    return program, lamp.SequencerState.fresh(table, **presets)
+    files: Report = [("program", program_path),
+                     ("program-digest", program_digest),
+                     ("data", data_path), ("data-digest", data_digest)]
+    return program, lamp.SequencerState.fresh(table, **presets), files
 
 
 def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
@@ -295,13 +302,9 @@ def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
     if not args.program or not args.data:
         raise InputError("sim needs a program file and a data file "
                          "(or --grid MANIFEST)")
-    report += [
-        ("program", args.program),
-        ("program-digest", _digest(args.program)),
-        ("data", args.data),
-        ("data-digest", _digest(args.data)),
-    ]
-    program, state = _load_cell(args.program, args.data, args.reg or [])
+    program, state, files = _load_cell(args.program, args.data,
+                                       args.reg or [])
+    report += files
     try:
         final = lamp.run_sequencer(state, program, args.max_steps)
     except lamp.SimulationError as exc:
@@ -319,7 +322,7 @@ def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
 
 def _sim_grid(args: argparse.Namespace, report: Report) -> tuple[Report, int]:
     base = os.path.dirname(os.path.abspath(args.grid))
-    lines = [ln.strip() for ln in _read(args.grid).splitlines()
+    lines = [ln.strip() for ln in _read(args.grid)[0].splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
     if len(lines) != lamp.GRID_CELLS:
         raise InputError(f"grid manifest needs {lamp.GRID_CELLS} lines, "
@@ -335,7 +338,7 @@ def _sim_grid(args: argparse.Namespace, report: Report) -> tuple[Report, int]:
         paths = [p if os.path.isabs(p) else os.path.join(base, p)
                  for p in parts[:2]]
         try:
-            program, state = _load_cell(paths[0], paths[1], parts[2:])
+            program, state, _ = _load_cell(paths[0], paths[1], parts[2:])
         except InputError as exc:
             raise InputError(f"cell ({row},{col}): {exc}") from exc
         programs.append(program)
@@ -380,6 +383,14 @@ def cmd_quality(args: argparse.Namespace) -> tuple[Report, int]:
 
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)  # argparse reports a ValueError by this type's name
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="veclog",
@@ -421,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "line per cell")
     s.add_argument("--reg", action="append", metavar="NAME=BITS",
                    help="preset a register (repeatable)")
-    s.add_argument("--max-steps", type=int, default=lamp.DEFAULT_MAX_STEPS)
+    s.add_argument("--max-steps", type=positive_int,
+                   default=lamp.DEFAULT_MAX_STEPS)
     s.add_argument("--dump-memory", action="store_true")
     s.add_argument("--dots", action="store_true",
                    help="render 0 coordinates as dots")

@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from veclog.assoc import AssociativeTable
-from veclog.vlcore import BitVector, ParseError, devectorize, vectorize
+from veclog.vlcore import BitVector, LengthMismatch, ParseError
 
 
 class TooLarge(ValueError):
@@ -136,31 +136,31 @@ def greedy_cover(instance: CoverageInstance) -> BitVector:
     at least one not-yet-covered column.  Columns nothing covers simply stay
     uncovered; inspect them with ``coverage_of``.
     """
-    width = instance.table.width
-    covered = BitVector.zeros(width)
+    covered = 0
     taken = []
     for row in instance.table.rows:
-        gain = (covered | row) & ~covered
-        bit = devectorize(gain)
-        taken.append(bit)
-        if bit:
-            covered = covered | row
-    return vectorize(taken)
+        gain = row.value & ~covered
+        taken.append("1" if gain else "0")
+        covered |= gain
+    return BitVector(int("".join(taken), 2), len(taken))
 
 
 def coverage_of(instance: CoverageInstance, taken: BitVector) -> BitVector:
     """Columns covered by the rows marked 1 in ``taken``."""
-    width = instance.table.width
-    covered = BitVector.zeros(width)
-    for k, row in enumerate(instance.table.rows, start=1):
-        if taken.bit(k):
-            covered = covered | row
-    return covered
+    table = instance.table
+    if taken.length != table.height:
+        raise LengthMismatch(
+            f"selection width {taken.length} vs table height {table.height}")
+    covered = 0
+    for flag, row in zip(str(taken), table.rows):
+        if flag == "1":
+            covered |= row.value
+    return BitVector(covered, table.width)
 
 
 def selected_rows(taken: BitVector) -> tuple[int, ...]:
     """1-based row numbers marked 1 in a row-selection vector."""
-    return tuple(k for k in range(1, taken.length + 1) if taken.bit(k))
+    return tuple(k for k, flag in enumerate(str(taken), start=1) if flag == "1")
 
 
 EXHAUSTIVE_LIMIT = 24
@@ -222,20 +222,20 @@ def build_repair_table(instance: RepairInstance,
     if not instance.faults:
         raise ValueError("repair instance has no faults")
     faults = sorted(instance.faults)
+    n = len(faults)
+    # axis -> line -> the faults on that line, as a bitmask over ``faults``
+    lines: dict[str, dict[int, int]] = {"row": {}, "column": {}}
+    for k, (r, c) in enumerate(faults):
+        bit = 1 << (n - 1 - k)
+        lines["row"][r] = lines["row"].get(r, 0) | bit
+        lines["column"][c] = lines["column"].get(c, 0) | bit
     if spare_order is None:
-        spares = [Spare("column", c) for c in sorted({c for _, c in faults})]
-        spares += [Spare("row", r) for r in sorted({r for r, _ in faults})]
+        spares = [Spare("column", c) for c in sorted(lines["column"])]
+        spares += [Spare("row", r) for r in sorted(lines["row"])]
     else:
         spares = list(spare_order)
-    rows = []
-    for spare in spares:
-        if spare.axis == "column":
-            bits = [1 if c == spare.index else 0 for _, c in faults]
-        else:
-            bits = [1 if r == spare.index else 0 for r, _ in faults]
-        rows.append(vectorize(bits))
     table = AssociativeTable(
-        rows,
+        [BitVector(lines[s.axis].get(s.index, 0), n) for s in spares],
         row_labels=[s.label for s in spares],
         col_labels=[f"F{r},{c}" for r, c in faults],
     )
@@ -280,7 +280,9 @@ def run_test(uut: AssociativeTable, mut: AssociativeTable) -> BitVector:
         raise DimensionMismatch(
             f"unit is {uut.height}x{uut.width}, model is "
             f"{mut.height}x{mut.width}")
-    return vectorize(devectorize(u ^ m) for u, m in zip(uut.rows, mut.rows))
+    flags = ["0" if u.value == m.value else "1"
+             for u, m in zip(uut.rows, mut.rows)]
+    return BitVector(int("".join(flags), 2), uut.height)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +313,3 @@ def parse_repair_instance(text: str) -> RepairInstance:
                               spare_rows, spare_cols)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def load_repair_instance(path: str) -> RepairInstance:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_repair_instance(fh.read())

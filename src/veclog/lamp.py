@@ -108,7 +108,6 @@ class Instruction:
 @dataclass(frozen=True)
 class Program:
     instructions: tuple[Instruction, ...]
-    labels: Mapping[str, int] = field(default_factory=dict)
     loop_end: Mapping[int, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -164,7 +163,7 @@ def assemble(source: str) -> Program:
     if not source.strip():
         raise EmptyInput("empty program source")
     instructions: list[Instruction] = []
-    labels: dict[str, int] = {}
+    labels: set[str] = set()
     loop_end: dict[int, int] = {}
     open_loop: Optional[int] = None
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -178,7 +177,7 @@ def assemble(source: str) -> Program:
                 raise AssemblyError(f"bad label {tokens[0]!r}", lineno)
             if name in labels:
                 raise AssemblyError(f"duplicate label {name!r}", lineno)
-            labels[name] = len(instructions)
+            labels.add(name)
             tokens = tokens[1:]
         if not tokens:
             continue
@@ -249,7 +248,7 @@ def assemble(source: str) -> Program:
     if open_loop is not None:
         raise AssemblyError("LOOP never closed",
                             instructions[open_loop].line)
-    return Program(tuple(instructions), labels, loop_end)
+    return Program(tuple(instructions), loop_end)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +400,6 @@ class GridState:
         if len(self.cells) != GRID_CELLS:
             raise ValueError(f"grid needs {GRID_CELLS} cells, "
                              f"got {len(self.cells)}")
-
-    @classmethod
-    def uniform(cls, cell: SequencerState) -> "GridState":
-        return cls((cell,) * GRID_CELLS)
 
     def cell(self, row: int, col: int) -> SequencerState:
         if not (1 <= row <= GRID_SIDE and 1 <= col <= GRID_SIDE):

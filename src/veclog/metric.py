@@ -164,11 +164,6 @@ def better_of(first: CompactedQuality, second: CompactedQuality) -> Choice:
     return Choice.FIRST if devectorize(excess) == 0 else Choice.SECOND
 
 
-def xor_distance(a: BitVector, b: BitVector) -> BitVector:
-    """Coordinatewise xor; the vector-valued distance between binary points."""
-    return a ^ b
-
-
 def beta_cycle_check(points: Sequence[BitVector]) -> BitVector:
     """XOR of the distances along a closed cycle of points (last connects
     back to first).  Always the all-zero vector; kept as a checkable value
@@ -179,5 +174,5 @@ def beta_cycle_check(points: Sequence[BitVector]) -> BitVector:
     acc = BitVector.zeros(first.length)
     for i, point in enumerate(points):
         nxt = points[(i + 1) % len(points)]
-        acc = acc ^ xor_distance(point, nxt)
+        acc = acc ^ (point ^ nxt)
     return acc

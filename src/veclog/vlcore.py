@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
-
-MAX_LEN = 1 << 16
+from typing import Iterable, Optional
 
 _BIT_CHARS = {"0": 0, "1": 1}
 _TERNARY_CHARS = ("0", "1", "x")
@@ -18,10 +16,6 @@ _TERNARY_CHARS = ("0", "1", "x")
 
 class LengthMismatch(ValueError):
     """Binary operation applied to vectors of different lengths."""
-
-
-class ArityError(ValueError):
-    """Operand count does not match the requested operation kind."""
 
 
 class EmptyInput(ValueError):
@@ -39,8 +33,8 @@ class ParseError(ValueError):
 
 
 def _check_length(n: int) -> None:
-    if not 1 <= n <= MAX_LEN:
-        raise ValueError(f"vector length must be in 1..{MAX_LEN}, got {n}")
+    if n < 1:
+        raise ValueError(f"vector length must be at least 1, got {n}")
 
 
 class BitVector:
@@ -100,12 +94,6 @@ class BitVector:
 
     def __len__(self) -> int:
         return self.length
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits()[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVector):
@@ -240,26 +228,6 @@ class InteractionType(Enum):
     TARGET_SUBSET = "target-subset"
     OVERLAP = "overlap"
     DISJOINT = "disjoint"
-
-
-def logic_op(kind: str, a: BitVector, b: Optional[BitVector] = None) -> BitVector:
-    """Apply one of the five vector operations: and, or, xor, not, nop.
-
-    Binary kinds require b of equal length; unary kinds forbid b.
-    """
-    if kind in ("and", "or", "xor"):
-        if b is None:
-            raise ArityError(f"{kind} needs a second operand")
-        if kind == "and":
-            return a & b
-        if kind == "or":
-            return a | b
-        return a ^ b
-    if kind in ("not", "nop"):
-        if b is not None:
-            raise ArityError(f"{kind} takes a single operand")
-        return ~a if kind == "not" else a
-    raise ValueError(f"unknown operation kind {kind!r}")
 
 
 def slc(a: BitVector) -> BitVector:

@@ -5,7 +5,7 @@ import random
 from itertools import product
 
 from veclog.assoc import AssociativeTable
-from veclog.vlcore import BitVector, TernaryVector
+from veclog.vlcore import BitVector, TernaryVector, vectorize
 
 
 def rand_bitvector(rng: random.Random, width: int) -> BitVector:
@@ -14,6 +14,11 @@ def rand_bitvector(rng: random.Random, width: int) -> BitVector:
 
 def rand_table(rng: random.Random, height: int, width: int) -> AssociativeTable:
     return AssociativeTable([rand_bitvector(rng, width) for _ in range(height)])
+
+
+def vectorize_column(table: AssociativeTable, j: int) -> BitVector:
+    """Column j (1-based) of a table, read top to bottom."""
+    return vectorize(row.bit(j) for row in table.rows)
 
 
 def ternary_space(v: TernaryVector) -> set[str]:

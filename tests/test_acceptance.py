@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from helpers import rand_bitvector, rand_table
+from helpers import rand_bitvector, rand_table, vectorize_column
 from veclog.assoc import AssociativeTable, DiagnosisMode, diagnose, feasible_mask
 from veclog.cover import (
     CoverageInstance,
@@ -248,10 +248,6 @@ def test_diagnosis_matches_oracle():
             checked += 1
     print(f"  diagnosis agreed with the oracle on {checked} "
           f"(table, response) pairs{' [full sweep]' if full else ''}")
-
-
-def vectorize_column(table: AssociativeTable, j: int) -> BitVector:
-    return table.column(j)
 
 
 @criterion(8, "greedy soundness on 10^3 random coverable instances, "

@@ -49,11 +49,6 @@ class TestTable:
         with pytest.raises(ValueError):
             table("10", "01", row_labels=["a", "a"])
 
-    def test_column(self):
-        t = table("110", "011", "100")
-        assert t.column(1) == bv("101")
-        assert t.column(3) == bv("010")
-
     def test_widened(self):
         t = table("11", "01")
         wide = t.widened(4)
@@ -253,6 +248,16 @@ class TestTableParsing:
         with pytest.raises(ParseError) as err:
             parse_table("1 4\n101\n")
         assert err.value.line == 2
+
+    def test_label_line_must_fit_the_table(self):
+        for trailer, line in (("rows: a b\n", 6), ("cols: x y\n", 6),
+                              ("cols: a b c d\nrows: a a b\n", 7)):
+            with pytest.raises(ParseError) as err:
+                parse_table("3 4\n1100\n1111\n0011\n#labels\n" + trailer)
+            assert err.value.line == line
+        # the ternary reader keeps taking label lines as they are
+        _, labels = parse_ternary_rows("2 2\n1x\n00\n#labels\nrows: a\n")
+        assert labels == ("a",)
 
     def test_ternary_rows(self):
         rows, labels = parse_ternary_rows("2 3\n1x0\nxx1\n")

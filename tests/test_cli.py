@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from veclog.cli import main
 from veclog.lamp import quality_source
@@ -78,6 +81,21 @@ class TestQuery:
         doc = json.loads(out)
         assert doc["best-quality"] == "(0/4)"
         assert doc["status"] == "ok"
+
+    def test_digest_is_of_the_file_bytes(self, capsys, tmp_path):
+        table = write(tmp_path, "t.tbl", QUERY_TABLE)
+        _, out, _ = run(capsys, "query", table, "1100")
+        want = hashlib.sha256(QUERY_TABLE.encode("ascii")).hexdigest()[:12]
+        assert value_of(out, "table-digest") == "sha256:" + want
+
+    def test_more_rows_than_any_vector_cap(self, capsys, tmp_path):
+        height = (1 << 16) + 1
+        table = write(tmp_path, "t.tbl", f"{height} 1\n" + "1\n0\n" * (
+            height // 2) + "1\n")
+        code, out, _ = run(capsys, "query", table, "1")
+        assert code == 0
+        assert value_of(out, f"row-{height}") == "feasible"
+        assert value_of(out, "best-quality") == "(0/1)"
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         table = write(tmp_path, "t.tbl", QUERY_TABLE)
@@ -236,10 +254,87 @@ class TestSim:
         code, _, err = run(capsys, "sim", "--grid", manifest)
         assert code == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-3", "ten"])
+    def test_max_steps_must_be_positive(self, capsys, tmp_path, steps):
+        program = write(tmp_path, "p.lamp", "HALT\n")
+        data = write(tmp_path, "d.tbl", "1 2\n00\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", program, data, "--max-steps", steps])
+        assert exc.value.code == 2
+        assert "--max-steps" in capsys.readouterr().err
+
     def test_sim_needs_both_files(self, capsys, tmp_path):
         program = write(tmp_path, "p.lamp", "HALT\n")
         code, _, err = run(capsys, "sim", program)
         assert code == 2
+
+
+class TestUnreadableInput:
+    """Missing and non-ASCII files exit 2 with one ``cannot read`` line."""
+
+    def test_missing_repair_instance(self, capsys, tmp_path):
+        path = str(tmp_path / "absent.rep")
+        code, out, err = run(capsys, "repair", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_missing_program(self, capsys, tmp_path):
+        path = str(tmp_path / "absent.lamp")
+        data = write(tmp_path, "d.tbl", "1 2\n00\n")
+        code, _, err = run(capsys, "sim", path, data)
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_missing_data(self, capsys, tmp_path):
+        program = write(tmp_path, "p.lamp", "HALT\n")
+        path = str(tmp_path / "absent.tbl")
+        code, _, err = run(capsys, "sim", program, path)
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_program_error_precedes_data_error(self, capsys, tmp_path):
+        program = write(tmp_path, "p.lamp", "FROB ma\n")
+        code, _, err = run(capsys, "sim", program, str(tmp_path / "absent"))
+        assert code == 2
+        assert "line 1" in err and "cannot read" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("query", "{bad}", "1100"),
+        ("query", "{bad}", "1x", "--arith"),
+        ("diagnose", "{bad}", "110"),
+        ("repair", "{bad}"),
+        ("sim", "{bad}", "{table}"),
+        ("sim", "{program}", "{bad}"),
+        ("sim", "--grid", "{bad}"),
+    ])
+    def test_non_ascii_byte(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(QUERY_TABLE.encode("ascii") + b"\xc3\xa9\n")
+        paths = {"bad": str(bad),
+                 "table": write(tmp_path, "t.tbl", QUERY_TABLE),
+                 "program": write(tmp_path, "p.lamp", "HALT\n")}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+
+
+class TestLabelTrailer:
+    @pytest.mark.parametrize("trailer, line", [
+        ("rows: r1 r2\n", 6),
+        ("rows: r1 r2 r1\n", 6),
+        ("cols: a b c d\nrows: r1 r2 r3 r4\n", 7),
+        ("cols: a b c\n", 6),
+        ("cols: a b c c\n", 6),
+    ])
+    @pytest.mark.parametrize("command", ["query", "diagnose"])
+    def test_bad_label_line_is_input_error(self, capsys, tmp_path, trailer,
+                                           line, command):
+        text = "3 4\n1100\n1111\n0011\n#labels\n" + trailer
+        table = write(tmp_path, "t.tbl", text)
+        arg = "1100" if command == "query" else "110"
+        code, out, err = run(capsys, command, table, arg)
+        assert code == 2 and out == ""
+        assert f"at line {line}: " in err and "labels" in err
 
 
 class TestQuality:

@@ -23,7 +23,7 @@ from veclog.cover import (
     run_test,
     selected_rows,
 )
-from veclog.vlcore import BitVector, ParseError
+from veclog.vlcore import BitVector, LengthMismatch, ParseError
 
 MEMORY_FAULTS = frozenset({(2, 2), (2, 5), (2, 8), (4, 3), (5, 5),
                            (5, 8), (7, 2), (8, 5), (9, 3), (9, 7)})
@@ -80,6 +80,12 @@ class TestGreedy:
                 if mask.bit(k):
                     assert row.value & ~covered, "row added nothing new"
                     covered |= row.value
+
+    def test_coverage_selection_must_match_height(self):
+        instance = generic_instance("100", "110")
+        for taken in (bv("1"), bv("101")):
+            with pytest.raises(LengthMismatch):
+                coverage_of(instance, taken)
 
     def test_uncoverable_columns_reported(self):
         instance = generic_instance("100", "110")

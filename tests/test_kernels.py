@@ -1,0 +1,194 @@
+"""Differential tests: each int-native table kernel against the vector-logic
+reference formulation it replaces, at word-boundary widths and on tables
+taller than 2**16 rows."""
+import random
+
+import pytest
+
+from helpers import rand_bitvector, rand_table
+from veclog.assoc import (
+    AssociativeTable,
+    DiagnosisMode,
+    best_match,
+    diagnose,
+    feasible_mask,
+)
+from veclog.cover import (
+    CoverageInstance,
+    RepairInstance,
+    Spare,
+    build_repair_table,
+    coverage_of,
+    greedy_cover,
+)
+from veclog.metric import Choice, better_of, compact_quality, quality_vector
+from veclog.vlcore import BitVector, devectorize, vectorize
+
+WIDTHS = (1, 63, 64, 65, 256)
+
+
+# ---------------------------------------------------------------------------
+# Reference formulations: vector operations on BitVector values only.
+
+def ref_best_match(query, table):
+    best_rows, best = [], None
+    for number, row in enumerate(table.rows, start=1):
+        cq = compact_quality(quality_vector(query, row))
+        if best is None:
+            best, best_rows = cq, [number]
+        elif better_of(cq, best) is Choice.FIRST:
+            if better_of(best, cq) is Choice.FIRST:
+                best_rows.append(number)
+            else:
+                best, best_rows = cq, [number]
+    return best_rows, best
+
+
+def ref_feasible_mask(table, query):
+    return vectorize(devectorize((query & row) ^ query) for row in table.rows)
+
+
+def ref_diagnose(table, response, mode):
+    width = table.width
+    single = mode is DiagnosisMode.SINGLE
+    hits = BitVector.ones(width) if single else BitVector.zeros(width)
+    misses = BitVector.zeros(width)
+    for i, row in enumerate(table.rows):
+        if response.bit(i + 1):
+            hits = hits & row if single else hits | row
+        else:
+            misses = misses | row
+    candidates = hits & ~misses
+    return candidates, devectorize(candidates) == 1
+
+
+def ref_greedy_cover(instance):
+    covered = BitVector.zeros(instance.table.width)
+    taken = []
+    for row in instance.table.rows:
+        bit = devectorize((covered | row) & ~covered)
+        taken.append(bit)
+        if bit:
+            covered = covered | row
+    return vectorize(taken)
+
+
+def ref_coverage_of(instance, taken):
+    covered = BitVector.zeros(instance.table.width)
+    for k, row in enumerate(instance.table.rows, start=1):
+        if taken.bit(k):
+            covered = covered | row
+    return covered
+
+
+def ref_default_spares(instance):
+    faults = sorted(instance.faults)
+    spares = [Spare("column", c) for c in sorted({c for _, c in faults})]
+    return spares + [Spare("row", r) for r in sorted({r for r, _ in faults})]
+
+
+def ref_repair_rows(instance, spares):
+    faults = sorted(instance.faults)
+    rows = []
+    for spare in spares:
+        if spare.axis == "column":
+            bits = [1 if c == spare.index else 0 for _, c in faults]
+        else:
+            bits = [1 if r == spare.index else 0 for r, _ in faults]
+        rows.append(vectorize(bits))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+
+def tables(seed, width):
+    """Random tables of the width, one with repeated rows so that best-match
+    ties occur, and the all-zero and all-one extremes."""
+    rng = random.Random(f"{seed}/{width}")
+    for height in (1, 2, 7, 40):
+        yield rng, rand_table(rng, height, width)
+    pool = [rand_bitvector(rng, width) for _ in range(3)]
+    yield rng, AssociativeTable([rng.choice(pool) for _ in range(30)])
+    yield rng, AssociativeTable([BitVector.zeros(width),
+                                 BitVector.ones(width)] * 3)
+
+
+def queries(rng, table):
+    """A stored row, a subset of one, a random word and the extremes."""
+    width = table.width
+    row = rng.choice(table.rows)
+    return (row, row & rand_bitvector(rng, width), rand_bitvector(rng, width),
+            BitVector.zeros(width), BitVector.ones(width))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_best_match(width):
+    ties = 0
+    for rng, table in tables(1, width):
+        for query in queries(rng, table):
+            got = best_match(query, table)
+            assert got == ref_best_match(query, table)
+            ties += len(got[0]) > 1
+    assert ties  # the tie order was exercised
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_feasible_mask(width):
+    for rng, table in tables(2, width):
+        for query in queries(rng, table):
+            assert feasible_mask(table, query) == \
+                ref_feasible_mask(table, query)
+
+
+def test_feasible_mask_taller_than_two_to_the_sixteen():
+    rng = random.Random(3)
+    table = rand_table(rng, (1 << 16) + 1, 8)
+    query = table.rows[-1] & table.rows[0]
+    got = feasible_mask(table, query)
+    assert got.length == table.height
+    assert got == ref_feasible_mask(table, query)
+
+
+@pytest.mark.parametrize("mode", list(DiagnosisMode))
+@pytest.mark.parametrize("width", WIDTHS)
+def test_diagnose(width, mode):
+    for rng, table in tables(4, width):
+        height = table.height
+        for response in (rand_bitvector(rng, height), BitVector.zeros(height),
+                         BitVector.ones(height)):
+            result = diagnose(table, response, mode)
+            assert (result.candidates, result.consistent) == \
+                ref_diagnose(table, response, mode)
+            assert result.mode is mode
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_greedy_cover(width):
+    for rng, table in tables(5, width):
+        instance = CoverageInstance(table)
+        taken = greedy_cover(instance)
+        assert taken == ref_greedy_cover(instance)
+        for selection in (taken, rand_bitvector(rng, table.height)):
+            assert coverage_of(instance, selection) == \
+                ref_coverage_of(instance, selection)
+
+
+@pytest.mark.parametrize("faults", [1, 63, 64, 65, 256])
+def test_build_repair_table(faults):
+    rng = random.Random(6 + faults)
+    side = 40
+    cells = set()
+    while len(cells) < faults:
+        cells.add((rng.randint(1, side), rng.randint(1, side)))
+    instance = RepairInstance(side, side, frozenset(cells), 3, 3)
+    got = build_repair_table(instance)
+    assert got.kinds == tuple(ref_default_spares(instance))
+    assert list(got.table.rows) == ref_repair_rows(instance, got.kinds)
+    # a caller's order, including lines that hold no fault
+    order = [Spare(axis, k) for axis in ("row", "column")
+             for k in range(1, side + 1)]
+    rng.shuffle(order)
+    got = build_repair_table(instance, order)
+    assert got.kinds == tuple(order)
+    assert list(got.table.rows) == ref_repair_rows(instance, order)
+    assert got.table.width == faults

@@ -15,7 +15,6 @@ from veclog.metric import (
     quality_arith,
     quality_counts,
     quality_vector,
-    xor_distance,
 )
 from veclog.vlcore import BitVector, LengthMismatch, TernaryVector, slc
 
@@ -180,7 +179,7 @@ class TestQualityVector:
     @given(bit_pair(max_len=256))
     def test_reduction_to_xor_random(self, pair):
         a, b = pair
-        assert quality_vector(a, b).quality == xor_distance(a, b)
+        assert quality_vector(a, b).quality == a ^ b
 
 
 class TestCompactedComparison:
@@ -235,15 +234,15 @@ class TestCompactedComparison:
 class TestXorDistanceAndBeta:
     def test_identity(self):
         v = bv("10101")
-        assert xor_distance(v, v) == bv("00000")
+        assert v ^ v == bv("00000")
 
     def test_simple(self):
-        assert xor_distance(bv("1100"), bv("0110")) == bv("1010")
+        assert bv("1100") ^ bv("0110") == bv("1010")
 
     @given(bit_pair())
     def test_equals_quality_vector(self, pair):
         a, b = pair
-        assert xor_distance(a, b) == quality_vector(a, b).quality
+        assert a ^ b == quality_vector(a, b).quality
 
     def test_two_point_cycle(self):
         a, b = bv("1010"), bv("0111")

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from helpers import all_ternary, ternary_space
 from veclog.vlcore import (
-    ArityError,
     BitVector,
     EmptyInput,
     EmptyIntersection,
@@ -14,7 +13,6 @@ from veclog.vlcore import (
     TernaryVector,
     classify_interaction,
     devectorize,
-    logic_op,
     slc,
     ternary_intersect,
     vectorize,
@@ -67,36 +65,23 @@ class TestBitVector:
 
 
 class TestLogicOp:
+    """The vector logic operations, which are the BitVector operators."""
+
     def test_worked_xor(self):
         # coordinatewise evaluation, frozen from by-hand computation
-        assert logic_op("xor", bv("110011001100"), bv("000011110101")) == \
-            bv("110000111001")
+        assert bv("110011001100") ^ bv("000011110101") == bv("110000111001")
 
     def test_and_idempotent(self):
         a = bv("101101")
-        assert logic_op("and", a, a) == a
+        assert a & a == a
 
     def test_not_of_zero(self):
-        assert logic_op("not", bv("0000")) == bv("1111")
-
-    def test_nop_returns_operand(self):
-        a = bv("0110")
-        assert logic_op("nop", a) == a
-
-    def test_arity_errors(self):
-        with pytest.raises(ArityError):
-            logic_op("and", bv("10"))
-        with pytest.raises(ArityError):
-            logic_op("not", bv("10"), bv("10"))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            logic_op("nand", bv("1"), bv("1"))
+        assert ~bv("0000") == bv("1111")
 
     @given(bit_pair())
     def test_xor_is_involution(self, pair):
         a, b = pair
-        assert logic_op("xor", logic_op("xor", a, b), b) == a
+        assert (a ^ b) ^ b == a
 
 
 class TestSlc:
