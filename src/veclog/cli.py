@@ -126,6 +126,11 @@ def _query_arith(text: str, args: argparse.Namespace,
     if query.length != rows[0].length:
         raise InputError(f"query width {query.length} does not match table "
                          f"width {rows[0].length}")
+    if labels and len(labels) < len(rows):  # longer lists are still taken
+        line = max(n for n, ln in enumerate(text.splitlines(), start=1)
+                   if ln.strip().startswith("rows:"))
+        raise InputError(f"bad table at line {line}: {len(labels)} row "
+                         f"labels for {len(rows)} rows")
     report += [("rows", len(rows)), ("width", rows[0].length)]
     best: Optional[Fraction] = None
     best_rows: list[int] = []

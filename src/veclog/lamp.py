@@ -24,13 +24,15 @@ Execution is a pure function of (state, program): rerunning is bit-identical.
 """
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 from veclog.assoc import AssociativeTable, DiagnosisMode
-from veclog.vlcore import BitVector, EmptyInput, devectorize, slc
+from veclog.vlcore import BitVector, EmptyInput, slc
 
 REGISTERS = ("ma", "mb", "mc", "md")
 DEFAULT_MAX_STEPS = 1_000_000
@@ -92,14 +94,11 @@ class RowRef:
     index: Optional[int]
 
 
-Operand = Union[str, RowRef, None]
-
-
 @dataclass(frozen=True)
 class Instruction:
     opcode: Opcode
-    dst: Operand = None
-    src1: Operand = None
+    dst: Union[str, RowRef, None] = None
+    src1: Union[str, RowRef, None] = None
     src2: Optional[str] = None
     imm: Optional[int] = None  # LOOP count (None = *), DEVOR index (None = @)
     line: int = 0
@@ -108,10 +107,35 @@ class Instruction:
 @dataclass(frozen=True)
 class Program:
     instructions: tuple[Instruction, ...]
-    loop_end: Mapping[int, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+
+# ---------------------------------------------------------------------------
+# Opcode table.  A shape has one letter per operand: r register, s register
+# or row, R row, k coordinate (1.. or @), n count (1.. or *); a trailing ?
+# makes the last operand optional, repeating the first.  Registers and rows
+# fill dst, src1 and src2 in order, k and n fill imm.  An "apply" step sets
+# dst to meaning(src1, src2), an absent source reading as all ones.
+
+_OPS = {  # opcode: (shape, step kind, meaning on ints)
+    Opcode.AND: ("rsr", "apply", operator.and_),
+    Opcode.OR: ("rsr", "apply", operator.or_),
+    Opcode.XOR: ("rsr", "apply", operator.xor),
+    Opcode.NOT: ("rs?", "apply", operator.xor),
+    Opcode.SLC: ("rs?", "apply",
+                 lambda a, ones: slc(BitVector(a, ones.bit_length())).value),
+    Opcode.NOP: ("rs?", "apply", lambda a, ones: a),
+    Opcode.LOADROW: ("rR", "apply", lambda a, ones: a),
+    Opcode.STOREROW: ("Rr", "store", None),
+    Opcode.DEVOR: ("rks", "devor", None),
+    Opcode.SETALL: ("r", "apply", lambda ones, _: ones),
+    Opcode.CLRALL: ("r", "apply", lambda ones, _: 0),
+    Opcode.LOOP: ("n", "loop", None),
+    Opcode.ENDLOOP: ("", "endloop", None),
+    Opcode.HALT: ("", None, None),  # no step: the run stops
+}
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +144,8 @@ class Program:
 _ROW_RE = re.compile(r"^a\[(\d+|@)\]$", re.IGNORECASE)
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-_ARITY = {
-    Opcode.AND: (3,), Opcode.OR: (3,), Opcode.XOR: (3,), Opcode.DEVOR: (3,),
-    Opcode.NOT: (1, 2), Opcode.SLC: (1, 2), Opcode.NOP: (1, 2),
-    Opcode.LOADROW: (2,), Opcode.STOREROW: (2,),
-    Opcode.SETALL: (1,), Opcode.CLRALL: (1,), Opcode.LOOP: (1,),
-    Opcode.ENDLOOP: (0,), Opcode.HALT: (0,),
-}
 
-
-def _register(token: str, line: int) -> str:
+def _register(token: str, line: int, in_loop: bool = False) -> str:
     name = token.lower()
     if name not in REGISTERS:
         raise UnknownRegister(f"unknown register {token!r}", line)
@@ -152,10 +168,26 @@ def _row(token: str, line: int, in_loop: bool) -> RowRef:
     return RowRef(index)
 
 
-def _register_or_row(token: str, line: int, in_loop: bool) -> Operand:
-    if _ROW_RE.match(token):
-        return _row(token, line, in_loop)
-    return _register(token, line)
+def _number(token: str, line: int, in_loop: bool, wildcard: str,
+            what: str) -> Optional[int]:
+    """A positive integer, or None for the wildcard (@ needs a LOOP)."""
+    if token == wildcard:
+        if wildcard == "@" and not in_loop:
+            raise AssemblyError("@ is only meaningful inside a LOOP", line)
+        return None
+    if token.isdecimal() and int(token) >= 1:
+        return int(token)
+    raise AssemblyError(f"{what} must be a positive integer or {wildcard}, "
+                        f"got {token!r}", line)
+
+
+_KINDS = {
+    "r": _register, "R": _row,
+    "s": lambda token, line, in_loop: (_row if _ROW_RE.match(token)
+                                       else _register)(token, line, in_loop),
+    "k": partial(_number, wildcard="@", what="DEVOR index"),
+    "n": partial(_number, wildcard="*", what="LOOP count"),
+}
 
 
 def assemble(source: str) -> Program:
@@ -164,13 +196,9 @@ def assemble(source: str) -> Program:
         raise EmptyInput("empty program source")
     instructions: list[Instruction] = []
     labels: set[str] = set()
-    loop_end: dict[int, int] = {}
-    open_loop: Optional[int] = None
+    loop_line: Optional[int] = None  # line of the open LOOP
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = raw.split(";", 1)[0].strip()
-        if not text:
-            continue
-        tokens = text.split()
+        tokens = raw.split(";", 1)[0].split()
         while tokens and tokens[0].endswith(":"):
             name = tokens[0][:-1]
             if not _LABEL_RE.match(name):
@@ -185,70 +213,33 @@ def assemble(source: str) -> Program:
             opcode = Opcode(tokens[0].lower())
         except ValueError:
             raise AssemblyError(f"unknown operation {tokens[0]!r}", lineno) from None
+        shape = _OPS[opcode][0]
+        kinds, optional = shape.rstrip("?"), shape.endswith("?")
         operands = tokens[1:]
-        if len(operands) not in _ARITY[opcode]:
-            wanted = " or ".join(str(n) for n in _ARITY[opcode])
+        if optional and len(operands) == len(kinds) - 1:
+            operands.append(operands[0])  # operate on a register in place
+        if len(operands) != len(kinds):
+            wanted = f"{len(kinds) - 1} or {len(kinds)}" if optional \
+                else len(kinds)
             raise BadArity(f"{opcode.value} expects {wanted} "
                            f"operands, got {len(operands)}", lineno)
-        in_loop = open_loop is not None
-        if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-            ins = Instruction(opcode, dst=_register(operands[0], lineno),
-                              src1=_register_or_row(operands[1], lineno, in_loop),
-                              src2=_register(operands[2], lineno), line=lineno)
-        elif opcode in (Opcode.NOT, Opcode.SLC, Opcode.NOP):
-            # one operand: operate on a register in place
-            dst = _register(operands[0], lineno)
-            src = dst if len(operands) == 1 else \
-                _register_or_row(operands[1], lineno, in_loop)
-            ins = Instruction(opcode, dst=dst, src1=src, line=lineno)
-        elif opcode is Opcode.LOADROW:
-            ins = Instruction(opcode, dst=_register(operands[0], lineno),
-                              src1=_row(operands[1], lineno, in_loop), line=lineno)
-        elif opcode is Opcode.STOREROW:
-            ins = Instruction(opcode, dst=_row(operands[0], lineno, in_loop),
-                              src1=_register(operands[1], lineno), line=lineno)
-        elif opcode is Opcode.DEVOR:
-            if operands[1] == "@":
-                if not in_loop:
-                    raise AssemblyError("@ is only meaningful inside a LOOP",
-                                        lineno)
-                imm = None
-            elif operands[1].isdigit() and int(operands[1]) >= 1:
-                imm = int(operands[1])
+        in_loop = loop_line is not None
+        if opcode in (Opcode.LOOP, Opcode.ENDLOOP):
+            if in_loop == (opcode is Opcode.LOOP):
+                raise AssemblyError("LOOP does not nest" if in_loop
+                                    else "ENDLOOP without LOOP", lineno)
+            loop_line = None if in_loop else lineno
+        fields, imm = [], None
+        for kind, token in zip(kinds, operands):
+            value = _KINDS[kind](token, lineno, in_loop)
+            if kind in "kn":
+                imm = value
             else:
-                raise AssemblyError(f"DEVOR index must be a positive integer "
-                                    f"or @, got {operands[1]!r}", lineno)
-            ins = Instruction(opcode, dst=_register(operands[0], lineno),
-                              src1=_register_or_row(operands[2], lineno, in_loop),
-                              imm=imm, line=lineno)
-        elif opcode in (Opcode.SETALL, Opcode.CLRALL):
-            ins = Instruction(opcode, dst=_register(operands[0], lineno),
-                              line=lineno)
-        elif opcode is Opcode.LOOP:
-            if open_loop is not None:
-                raise AssemblyError("LOOP does not nest", lineno)
-            if operands[0] == "*":
-                imm = None
-            elif operands[0].isdigit() and int(operands[0]) >= 1:
-                imm = int(operands[0])
-            else:
-                raise AssemblyError(f"LOOP count must be a positive integer "
-                                    f"or *, got {operands[0]!r}", lineno)
-            open_loop = len(instructions)
-            ins = Instruction(opcode, imm=imm, line=lineno)
-        elif opcode is Opcode.ENDLOOP:
-            if open_loop is None:
-                raise AssemblyError("ENDLOOP without LOOP", lineno)
-            loop_end[open_loop] = len(instructions)
-            open_loop = None
-            ins = Instruction(opcode, line=lineno)
-        else:  # HALT
-            ins = Instruction(opcode, line=lineno)
-        instructions.append(ins)
-    if open_loop is not None:
-        raise AssemblyError("LOOP never closed",
-                            instructions[open_loop].line)
-    return Program(tuple(instructions), loop_end)
+                fields.append(value)
+        instructions.append(Instruction(opcode, *fields, imm=imm, line=lineno))
+    if loop_line is not None:
+        raise AssemblyError("LOOP never closed", loop_line)
+    return Program(tuple(instructions))
 
 
 # ---------------------------------------------------------------------------
@@ -289,91 +280,93 @@ class SequencerState:
 def run_sequencer(state: SequencerState, program: Program,
                   max_steps: int = DEFAULT_MAX_STEPS) -> SequencerState:
     """Execute until HALT or the end of the program; the input state is
-    never mutated."""
-    width = state.memory.width
-    regs = dict(state.regs)
-    rows = list(state.memory.rows)
-    height = len(rows)
-    modified = False
-    code = program.instructions
-    pc = state.pc
-    steps = 0
-    halted = False
-    loop: Optional[list] = None  # [loop_pc, end_pc, count, current_row]
+    never mutated.  Each instruction is decoded once into a step function
+    on int registers and rows, which returns the pc to jump to or None to go
+    on; BitVectors are built only for the returned state."""
+    width, ones = state.memory.width, (1 << state.memory.width) - 1
+    regs = {name: reg.value for name, reg in state.regs.items()}
+    rows = [row.value for row in state.memory.rows]
+    loop = [0, 0, 0]  # row (0 while no loop runs), count, body pc
+    stored = False
 
-    def row_index(ref: RowRef, line: int) -> int:
-        number = ref.index
-        if number is None:
-            assert loop is not None
-            number = loop[3]
-        if not 1 <= number <= height:
-            raise RowOutOfRange(f"row {number} out of 1..{height} "
-                                f"(line {line})")
-        return number - 1
+    def number(index, bound, error, noun, line):
+        # a row or coordinate number (None: the loop row), checked when read
+        def read() -> int:
+            k = loop[0] if index is None else index
+            if 0 < k <= bound:
+                return k
+            if index is None and not k:
+                raise SimulationError(f"@ with no LOOP running (line {line})")
+            raise error(f"{noun} {k} out of 1..{bound} (line {line})")
+        return read
 
-    def resolve(operand: Operand, line: int) -> BitVector:
+    def reader(operand, line):
         if isinstance(operand, RowRef):
-            return rows[row_index(operand, line)]
-        return regs[operand]
+            at = number(operand.index, len(rows), RowOutOfRange, "row", line)
+            return lambda: rows[at() - 1]
+        return (lambda: ones) if operand is None else (lambda: regs[operand])
 
-    while not halted and pc < len(code):
+    def apply(ins, pc, f):
+        dst, line = ins.dst, ins.line
+        a, b = reader(ins.src1, line), reader(ins.src2, line)
+        def step() -> None:
+            regs[dst] = f(a(), b())
+        return step
+
+    def store(ins, pc, f):
+        src, at = ins.src1, number(ins.dst.index, len(rows), RowOutOfRange,
+                                   "row", ins.line)
+        def step() -> None:
+            nonlocal stored
+            rows[at() - 1], stored = regs[src], True
+        return step
+
+    def devor(ins, pc, f):
+        dst, a = ins.dst, reader(ins.src1, ins.line)
+        k = number(ins.imm, width, BitOutOfRange, "coordinate", ins.line)
+        def step() -> None:
+            bit = 1 << (width - k())
+            regs[dst] = regs[dst] | bit if a() else regs[dst] & ~bit
+        return step
+
+    def start_loop(ins, pc, f):
+        count = len(rows) if ins.imm is None else ins.imm
+        def step() -> None:
+            loop[:] = 1, count, pc + 1
+        return step
+
+    def end_loop(ins, pc, f):
+        def step() -> Optional[int]:
+            row, count, body = loop
+            if not row:
+                raise SimulationError(f"ENDLOOP with no LOOP running "
+                                      f"(line {ins.line})")
+            loop[0] = row + 1 if row < count else 0
+            return body if row < count else None
+        return step
+
+    build = {"apply": apply, "store": store, "devor": devor,
+             "loop": start_loop, "endloop": end_loop}
+    code = [kind and build[kind](ins, pc, meaning)
+            for pc, ins in enumerate(program.instructions)
+            for _, kind, meaning in [_OPS[ins.opcode]]]
+    end, pc, steps = len(code), state.pc, 0
+    while pc < end:
         if steps >= max_steps:
             raise StepLimitExceeded(f"exceeded {max_steps} steps")
-        ins = code[pc]
         steps += 1
-        op = ins.opcode
-        next_pc = pc + 1
-        if op is Opcode.HALT:
-            halted = True
-        elif op is Opcode.AND:
-            regs[ins.dst] = resolve(ins.src1, ins.line) & regs[ins.src2]
-        elif op is Opcode.OR:
-            regs[ins.dst] = resolve(ins.src1, ins.line) | regs[ins.src2]
-        elif op is Opcode.XOR:
-            regs[ins.dst] = resolve(ins.src1, ins.line) ^ regs[ins.src2]
-        elif op is Opcode.NOT:
-            regs[ins.dst] = ~resolve(ins.src1, ins.line)
-        elif op is Opcode.SLC:
-            regs[ins.dst] = slc(resolve(ins.src1, ins.line))
-        elif op is Opcode.NOP:
-            regs[ins.dst] = resolve(ins.src1, ins.line)
-        elif op is Opcode.LOADROW:
-            regs[ins.dst] = rows[row_index(ins.src1, ins.line)]
-        elif op is Opcode.STOREROW:
-            rows[row_index(ins.dst, ins.line)] = regs[ins.src1]
-            modified = True
-        elif op is Opcode.DEVOR:
-            k = ins.imm
-            if k is None:
-                assert loop is not None
-                k = loop[3]
-            if not 1 <= k <= width:
-                raise BitOutOfRange(f"coordinate {k} out of 1..{width} "
-                                    f"(line {ins.line})")
-            bit = devectorize(resolve(ins.src1, ins.line))
-            regs[ins.dst] = regs[ins.dst].with_bit(k, bit)
-        elif op is Opcode.SETALL:
-            regs[ins.dst] = BitVector.ones(width)
-        elif op is Opcode.CLRALL:
-            regs[ins.dst] = BitVector.zeros(width)
-        elif op is Opcode.LOOP:
-            count = ins.imm if ins.imm is not None else height
-            loop = [pc, program.loop_end[pc], count, 1]
-        elif op is Opcode.ENDLOOP:
-            assert loop is not None
-            if loop[3] < loop[2]:
-                loop[3] += 1
-                next_pc = loop[0] + 1
-            else:
-                loop = None
-        pc = next_pc
-    if pc >= len(code):
-        halted = True
+        step = code[pc]
+        if step is None:  # HALT
+            pc += 1
+            break
+        pc = step() or pc + 1  # a jump target is never pc 0
     memory = state.memory
-    if modified:
-        memory = AssociativeTable(rows, state.memory.row_labels,
-                                  state.memory.col_labels)
-    return SequencerState(memory, regs, pc, halted, steps)
+    if stored:
+        memory = AssociativeTable([BitVector(row, width) for row in rows],
+                                  memory.row_labels, memory.col_labels)
+    final = {name: BitVector(value, width) for name, value in regs.items()}
+    # a run ends only at a HALT or past the last instruction
+    return SequencerState(memory, final, pc, True, steps)
 
 
 GRID_SIDE = 4
@@ -449,7 +442,8 @@ HALT
 
 def feasible_search_source() -> str:
     """Row-feasibility mask for the query in mb, accumulated in ma:
-    coordinate i is 0 when row i contains the query, 1 when it contradicts."""
+    coordinate i is 0 when row i contains the query, 1 when it contradicts.
+    Needs height <= width, else BitOutOfRange; see AssociativeTable.widened."""
     return """\
 ; feasibility of every stored row against the query (mb)
 CLRALL ma
@@ -464,7 +458,8 @@ HALT
 
 def coverage_search_source() -> str:
     """Greedy cover scan: rows taken are marked in ma; mb tracks the
-    columns covered so far."""
+    columns covered so far.  Needs height <= width, else BitOutOfRange; see
+    AssociativeTable.widened."""
     return """\
 ; quasi-optimal cover: one pass over the stored rows
 CLRALL mb
@@ -555,9 +550,8 @@ def with_response_column(table: AssociativeTable,
         raise ValueError(f"response width {response.length} vs table height "
                          f"{table.height}")
     width = table.width + 1
-    rows = [BitVector((row.value << 1) | response.bit(i + 1), width)
-            for i, row in enumerate(table.rows)]
-    cols = None
-    if table.col_labels is not None:
-        cols = list(table.col_labels) + ["response"]
+    rows = [BitVector((row.value << 1) | int(flag), width)
+            for flag, row in zip(str(response), table.rows)]
+    cols = None if table.col_labels is None \
+        else (*table.col_labels, "response")
     return AssociativeTable(rows, table.row_labels, cols)

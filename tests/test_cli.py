@@ -336,6 +336,20 @@ class TestLabelTrailer:
         assert code == 2 and out == ""
         assert f"at line {line}: " in err and "labels" in err
 
+    def test_arith_needs_a_label_per_row(self, capsys, tmp_path):
+        table = write(tmp_path, "t.tbl", "2 2\n1x\n00\n#labels\nrows: a\n")
+        code, out, err = run(capsys, "query", table, "1x", "--arith")
+        assert (code, out) == (2, "")
+        assert err == "error: bad table at line 5: 1 row labels for 2 rows\n"
+        # longer, repeated and empty lists are taken as before
+        for names, shown in (("a b c", "a"), ("a a", "a"), ("", None)):
+            table = write(tmp_path, "t.tbl", "2 2\n1x\n00\n#labels\n"
+                                             f"rows: {names}\n")
+            code, out, _ = run(capsys, "query", table, "1x", "--arith")
+            assert code == 0
+            row = "row-1" + (f" ({shown})" if shown else "")
+            assert value_of(out, row).startswith("quality ")
+
 
 class TestQuality:
     def test_reference_values(self, capsys):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rand_bitvector, rand_table
 from veclog.assoc import (
@@ -10,6 +14,7 @@ from veclog.assoc import (
     feasible_mask,
     restrict,
 )
+from veclog.cli import main
 from veclog.cover import CoverageInstance, greedy_cover
 from veclog.lamp import (
     AssemblyError,
@@ -20,7 +25,9 @@ from veclog.lamp import (
     Opcode,
     Program,
     RowOutOfRange,
+    RowRef,
     SequencerState,
+    SimulationError,
     StepLimitExceeded,
     UnknownRegister,
     assemble,
@@ -120,6 +127,11 @@ class TestAssemble:
             assemble("LOOP 0\nENDLOOP\n")
         with pytest.raises(AssemblyError):
             assemble("LOOP many\nENDLOOP\n")
+        # str.isdigit accepts a superscript digit that int() rejects
+        for source in ("LOOP \u00b2\nENDLOOP\n", "DEVOR ma \u00b2 mb\n"):
+            with pytest.raises(AssemblyError) as err:
+                assemble(source)
+            assert err.value.line == 1
 
     def test_empty_source(self):
         with pytest.raises(EmptyInput):
@@ -363,3 +375,209 @@ class TestGrid:
         grid = GridState((SequencerState.fresh(rand_table(rng, 1, 2)),) * 16)
         with pytest.raises(ValueError):
             run_grid(grid, [assemble("HALT\n")] * 15)
+
+
+class TestResponseColumn:
+    @pytest.mark.parametrize("height", [1, 64, 65, (1 << 16) + 3])
+    def test_matches_per_bit_construction(self, height):
+        rng = random.Random(rng_seed + height)
+        table = rand_table(rng, height, 3)
+        response = rand_bitvector(rng, height)
+        rows = [BitVector(row.value << 1 | response.bit(i + 1), 4)
+                for i, row in enumerate(table.rows)]
+        assert with_response_column(table, response).rows == tuple(rows)
+
+
+class TestResume:
+    @pytest.mark.parametrize("body, line, what", [
+        ("OR ma A[@] ma", 3, "@"),
+        ("DEVOR ma @ mb", 3, "@"),
+        ("NOP ma", 4, "ENDLOOP"),
+    ])
+    def test_resuming_inside_a_loop_body(self, body, line, what):
+        program = assemble(f"LOOP *\nHALT\n{body}\nENDLOOP\nHALT\n")
+        first = run_sequencer(fresh(["10", "01"]), program)
+        assert (first.pc, first.halted, first.steps) == (2, True, 2)
+        with pytest.raises(SimulationError) as err:
+            run_sequencer(first, program)
+        assert str(err.value) == f"{what} with no LOOP running (line {line})"
+
+    def test_rows_past_a_halt_are_never_read(self):
+        program = assemble("HALT\nLOADROW ma A[9]\nHALT\n")
+        out = run_sequencer(fresh(["10"]), program)
+        assert (out.pc, out.halted, out.steps) == (1, True, 1)
+        with pytest.raises(RowOutOfRange, match=r"^row 9 out of 1\.\.1 "
+                                                r"\(line 2\)$"):
+            run_sequencer(out, program)
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the decoded executor against a reference that applies
+# the BitVector operators one instruction at a time.
+
+_BINARY = {Opcode.AND: BitVector.__and__, Opcode.OR: BitVector.__or__,
+           Opcode.XOR: BitVector.__xor__}
+_UNARY = {Opcode.NOT: BitVector.__invert__, Opcode.SLC: slc,
+          Opcode.NOP: lambda v: v, Opcode.LOADROW: lambda v: v}
+
+
+def reference_run(state, program, max_steps):
+    width = state.memory.width
+    rows, regs = list(state.memory.rows), dict(state.regs)
+    code, pc, steps = program.instructions, state.pc, 0
+    loop = None  # [body pc, count, row]
+
+    def loop_row(ins):
+        if loop is None:
+            raise SimulationError(f"@ with no LOOP running (line {ins.line})")
+        return loop[2]
+
+    def row(ref, ins):
+        k = loop_row(ins) if ref.index is None else ref.index
+        if not 1 <= k <= len(rows):
+            raise RowOutOfRange(f"row {k} out of 1..{len(rows)} "
+                                f"(line {ins.line})")
+        return k - 1
+
+    def value(operand, ins):
+        if isinstance(operand, RowRef):
+            return rows[row(operand, ins)]
+        return regs[operand]
+
+    while pc < len(code):
+        if steps >= max_steps:
+            raise StepLimitExceeded(f"exceeded {max_steps} steps")
+        ins, steps, pc = code[pc], steps + 1, pc + 1
+        op = ins.opcode
+        if op is Opcode.HALT:
+            break
+        if op in _BINARY:
+            regs[ins.dst] = _BINARY[op](value(ins.src1, ins), regs[ins.src2])
+        elif op in _UNARY:
+            regs[ins.dst] = _UNARY[op](value(ins.src1, ins))
+        elif op is Opcode.STOREROW:
+            rows[row(ins.dst, ins)] = regs[ins.src1]
+        elif op is Opcode.DEVOR:
+            k = loop_row(ins) if ins.imm is None else ins.imm
+            if not 1 <= k <= width:
+                raise BitOutOfRange(f"coordinate {k} out of 1..{width} "
+                                    f"(line {ins.line})")
+            bit = value(ins.src1, ins) != BitVector.zeros(width)
+            regs[ins.dst] = regs[ins.dst].with_bit(k, bit)
+        elif op in (Opcode.SETALL, Opcode.CLRALL):
+            regs[ins.dst] = (BitVector.ones if op is Opcode.SETALL
+                             else BitVector.zeros)(width)
+        elif op is Opcode.LOOP:
+            loop = [pc, len(rows) if ins.imm is None else ins.imm, 1]
+        elif op is Opcode.ENDLOOP:
+            if loop is None:
+                raise SimulationError(f"ENDLOOP with no LOOP running "
+                                      f"(line {ins.line})")
+            if loop[2] < loop[1]:
+                loop[2] += 1
+                pc = loop[0]
+            else:
+                loop = None
+    memory = state.memory
+    if rows != list(memory.rows):
+        memory = AssociativeTable(rows, memory.row_labels, memory.col_labels)
+    return SequencerState(memory, regs, pc, True, steps)
+
+
+def random_source(rng, height, width):
+    """Straight-line code around one loop, over all 14 opcodes, with rows
+    and DEVOR coordinates both in and out of range."""
+    def reg():
+        return rng.choice(("ma", "mb", "mc", "md"))
+
+    def number(bound):  # now and then one or two past the bound
+        return rng.randint(1, bound) if rng.random() < 0.9 \
+            else bound + rng.randint(1, 2)
+
+    def row(in_loop):
+        if in_loop and rng.random() < 0.5:
+            return "A[@]"
+        return f"A[{number(height)}]"
+
+    def src(in_loop):
+        return row(in_loop) if rng.random() < 0.4 else reg()
+
+    def line(in_loop):
+        op = rng.choice(("AND", "OR", "XOR", "NOT", "SLC", "NOP", "LOADROW",
+                         "STOREROW", "DEVOR", "SETALL", "CLRALL", "HALT"))
+        if op in ("AND", "OR", "XOR"):
+            return f"{op} {reg()} {src(in_loop)} {reg()}"
+        if op in ("NOT", "SLC", "NOP"):
+            return f"{op} {reg()} {src(in_loop)}" if rng.random() < 0.7 \
+                else f"{op} {reg()}"
+        if op == "LOADROW":
+            return f"{op} {reg()} {row(in_loop)}"
+        if op == "STOREROW":
+            return f"{op} {row(in_loop)} {reg()}"
+        if op == "DEVOR":
+            k = "@" if in_loop and rng.random() < 0.5 else number(width)
+            return f"{op} {reg()} {k} {src(in_loop)}"
+        if op == "HALT":
+            return op if rng.random() < 0.3 else "NOP ma"
+        return f"{op} {reg()}"
+
+    count = rng.choice(["*", number(height)])
+    lines = [line(False) for _ in range(rng.randint(0, 4))]
+    lines += [f"LOOP {count}"] + [line(True) for _ in range(rng.randint(0, 5))]
+    lines += ["ENDLOOP"] + [line(False) for _ in range(rng.randint(0, 4))]
+    return "\n".join(lines) + "\n"
+
+
+def outcome(run, state, program, max_steps):
+    try:
+        return run(state, program, max_steps)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 160])
+def test_executor_matches_reference(width):
+    rng = random.Random(f"executor/{width}")
+    for _ in range(150):
+        height = rng.randint(1, 5)
+        state = SequencerState.fresh(
+            rand_table(rng, height, width),
+            **{name: rand_bitvector(rng, width) for name in ("ma", "mb")})
+        program = assemble(random_source(rng, height, width))
+        max_steps = rng.choice([1, 4, 20, 1000, 1000])
+        got = outcome(run_sequencer, state, program, max_steps)
+        assert got == outcome(reference_run, state, program, max_steps)
+        if isinstance(got, SequencerState) and got.pc < len(program):
+            # resume after a HALT, possibly inside the loop body
+            assert outcome(run_sequencer, got, program, max_steps) == \
+                outcome(reference_run, got, program, max_steps)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz of `veclog sim`: any program text ends in exit 0, 1 or 2, and reruns
+# print the same report.
+
+_TOKENS = [op.value for op in Opcode] + [op.name for op in Opcode] + [
+    "ma", "mb", "mc", "md", "MA", "me", "A[1]", "A[3]", "A[4]", "A[0]",
+    "A[@]", "a[@]", "A[", "@", "*", "0", "1", "2", "3", "4", "5", "99", "-1",
+    "1.5", "x:", "start:", "1x:", ";", "; note", "foo"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=5), max_size=12))
+def test_sim_never_escapes(tmp_path_factory, lines):
+    workdir = tmp_path_factory.getbasetemp()
+    program, data = workdir / "fuzz.lamp", workdir / "fuzz.tbl"
+    program.write_text("\n".join(" ".join(words) for words in lines) + "\n",
+                       encoding="ascii")
+    data.write_text("3 4\n1100\n0110\n1011\n")
+    argv = ["sim", str(program), str(data), "--max-steps", "1000"]
+    reports = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        reports.append(out.getvalue())
+    assert reports[0] == reports[1]
