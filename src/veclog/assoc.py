@@ -11,7 +11,8 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from veclog.metric import CompactedQuality, compact_quality, quality_vector
-from veclog.vlcore import BitVector, LengthMismatch, ParseError, TernaryVector
+from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
+                           TernaryVector, decimal)
 
 
 class AssociativeTable:
@@ -197,10 +198,10 @@ def _parse_rows(text: str, ternary: bool):
         raise ParseError("empty table")
     header_line, header = body[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ParseError("header must be two integers: height width",
                          line=header_line)
-    height, width = int(parts[0]), int(parts[1])
+    height, width = (decimal(p, header_line) for p in parts)
     if height < 1 or width < 1:
         raise ParseError("table dimensions must be at least 1x1",
                          line=header_line)

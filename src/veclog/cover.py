@@ -5,11 +5,10 @@ test/diagnose/repair pipeline pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from veclog.assoc import AssociativeTable
-from veclog.vlcore import BitVector, LengthMismatch, ParseError
+from veclog.vlcore import BitVector, LengthMismatch, ParseError, decimal
 
 
 class TooLarge(ValueError):
@@ -167,11 +166,17 @@ EXHAUSTIVE_LIMIT = 24
 
 
 def exact_cover_oracle(instance: CoverageInstance) -> tuple[tuple[int, ...], ...]:
-    """Every minimum-cardinality cover, found by exhaustive enumeration.
+    """Every minimum-cardinality cover, found by exhaustive search.
 
     Covers are returned as sorted tuples of 1-based row numbers, themselves
     sorted; budgets (when present) bound how many spare rows/columns a cover
     may use.  Only intended for tables of up to ``EXHAUSTIVE_LIMIT`` rows.
+
+    The search deepens a size limit from 1 upward and stops at the first
+    size that has a cover.  Each step branches only on the rows that cover
+    the lowest-order column still uncovered, and a row tried at a step is
+    left out of that step's later branches, so every cover is reached once.
+    A branch ends as soon as it overruns the size limit or a spare budget.
     """
     n = instance.table.height
     if n > EXHAUSTIVE_LIMIT:
@@ -185,26 +190,34 @@ def exact_cover_oracle(instance: CoverageInstance) -> tuple[tuple[int, ...], ...
         union |= m
     if union != full:
         raise Infeasible("some columns are covered by no row")
-    max_rows = instance.max_spare_rows
-    max_cols = instance.max_spare_cols
-    row_kind = [k is not None and k.axis == "row" for k in instance.kinds]
-    col_kind = [k is not None and k.axis == "column" for k in instance.kinds]
+    max_rows, max_cols = (n if cap is None else cap for cap in
+                          (instance.max_spare_rows, instance.max_spare_cols))
+    spares = [(k is not None and k.axis == "row",
+               k is not None and k.axis == "column") for k in instance.kinds]
+    found: list[tuple[int, ...]] = []
 
-    def admissible(combo: tuple[int, ...]) -> bool:
-        if max_rows is not None and sum(row_kind[i] for i in combo) > max_rows:
-            return False
-        if max_cols is not None and sum(col_kind[i] for i in combo) > max_cols:
-            return False
-        return True
+    def grow(chosen: list[int], uncovered: int, tried: int,
+             rows: int, cols: int) -> None:
+        if not uncovered:
+            found.append(tuple(sorted(i + 1 for i in chosen)))
+            return
+        if len(chosen) == limit:
+            return
+        low = uncovered & -uncovered
+        for i in range(n):
+            if not masks[i] & low or tried >> i & 1:
+                continue
+            tried |= 1 << i  # later branches here and below leave row i out
+            is_row, is_col = spares[i]
+            if rows + is_row > max_rows or cols + is_col > max_cols:
+                continue
+            chosen.append(i)
+            grow(chosen, uncovered & ~masks[i], tried,
+                 rows + is_row, cols + is_col)
+            chosen.pop()
 
-    for size in range(1, n + 1):
-        found = []
-        for combo in combinations(range(n), size):
-            u = 0
-            for i in combo:
-                u |= masks[i]
-            if u == full and admissible(combo):
-                found.append(tuple(i + 1 for i in combo))
+    for limit in range(1, n + 1):
+        grow([], full, 0, 0, 0)
         if found:
             return tuple(sorted(found))
     raise Infeasible("no cover fits the spare budget")
@@ -297,17 +310,18 @@ def parse_repair_instance(text: str) -> RepairInstance:
         raise ParseError("empty repair instance")
     header_line, header = lines[0]
     parts = header.split()
-    if len(parts) != 4 or not all(p.isdigit() for p in parts):
+    if len(parts) != 4 or not all(p.isdecimal() for p in parts):
         raise ParseError("header must be four integers: rows cols "
                          "spare_rows spare_cols", line=header_line)
-    rows, cols, spare_rows, spare_cols = (int(p) for p in parts)
+    rows, cols, spare_rows, spare_cols = (decimal(p, header_line)
+                                          for p in parts)
     faults = set()
     for lineno, entry in lines[1:]:
         coords = entry.split()
-        if len(coords) != 2 or not all(c.isdigit() for c in coords):
+        if len(coords) != 2 or not all(c.isdecimal() for c in coords):
             raise ParseError("fault line must be two integers: row col",
                              line=lineno)
-        faults.add((int(coords[0]), int(coords[1])))
+        faults.add(tuple(decimal(c, lineno) for c in coords))
     try:
         return RepairInstance(rows, cols, frozenset(faults),
                               spare_rows, spare_cols)

@@ -32,7 +32,7 @@ from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 from veclog.assoc import AssociativeTable, DiagnosisMode
-from veclog.vlcore import BitVector, EmptyInput, slc
+from veclog.vlcore import BitVector, EmptyInput, decimal, slc
 
 REGISTERS = ("ma", "mb", "mc", "md")
 DEFAULT_MAX_STEPS = 1_000_000
@@ -162,7 +162,7 @@ def _row(token: str, line: int, in_loop: bool) -> RowRef:
         if not in_loop:
             raise AssemblyError("A[@] is only meaningful inside a LOOP", line)
         return RowRef(None)
-    index = int(body)
+    index = decimal(body, line, AssemblyError)
     if index < 1:
         raise AssemblyError("row numbers start at 1", line)
     return RowRef(index)
@@ -175,8 +175,10 @@ def _number(token: str, line: int, in_loop: bool, wildcard: str,
         if wildcard == "@" and not in_loop:
             raise AssemblyError("@ is only meaningful inside a LOOP", line)
         return None
-    if token.isdecimal() and int(token) >= 1:
-        return int(token)
+    if token.isdecimal():
+        value = decimal(token, line, AssemblyError)
+        if value >= 1:
+            return value
     raise AssemblyError(f"{what} must be a positive integer or {wildcard}, "
                         f"got {token!r}", line)
 

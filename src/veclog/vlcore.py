@@ -6,6 +6,7 @@ printed register: coordinate 1 is the leftmost character.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -30,6 +31,19 @@ class ParseError(ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def decimal(token: str, line: Optional[int] = None,
+            error: type[ValueError] = ParseError) -> int:
+    """The value of ``token``, a string the caller has checked with
+    ``str.isdecimal``.  More digits than the interpreter converts
+    (``sys.get_int_max_str_digits()``, 4300 by default) raise
+    ``error(message, line)`` instead of a bare ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"number has {len(token)} digits, more than the "
+                    f"{sys.get_int_max_str_digits()} allowed", line) from None
 
 
 def _check_length(n: int) -> None:

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from veclog.assoc import AssociativeTable
+from veclog.cover import (EXHAUSTIVE_LIMIT, CoverageInstance, Infeasible,
+                          TooLarge)
 from veclog.vlcore import BitVector, TernaryVector, vectorize
 
 
@@ -31,3 +33,44 @@ def all_ternary(length: int):
     """Every ternary vector of the given length."""
     for symbols in product("01x", repeat=length):
         yield TernaryVector.from_string("".join(symbols))
+
+
+def reference_cover_oracle(
+        instance: CoverageInstance) -> tuple[tuple[int, ...], ...]:
+    """Every minimum-cardinality cover by brute force: each row subset of
+    each size from 1 upward, ORed from scratch (oracle use only)."""
+    n = instance.table.height
+    if n > EXHAUSTIVE_LIMIT:
+        raise TooLarge(f"{n} rows exceeds the exhaustive bound "
+                       f"{EXHAUSTIVE_LIMIT}")
+    width = instance.table.width
+    full = (1 << width) - 1
+    masks = [row.value for row in instance.table.rows]
+    union = 0
+    for m in masks:
+        union |= m
+    if union != full:
+        raise Infeasible("some columns are covered by no row")
+    max_rows = instance.max_spare_rows
+    max_cols = instance.max_spare_cols
+    row_kind = [k is not None and k.axis == "row" for k in instance.kinds]
+    col_kind = [k is not None and k.axis == "column" for k in instance.kinds]
+
+    def admissible(combo: tuple[int, ...]) -> bool:
+        if max_rows is not None and sum(row_kind[i] for i in combo) > max_rows:
+            return False
+        if max_cols is not None and sum(col_kind[i] for i in combo) > max_cols:
+            return False
+        return True
+
+    for size in range(1, n + 1):
+        found = []
+        for combo in combinations(range(n), size):
+            u = 0
+            for i in combo:
+                u |= masks[i]
+            if u == full and admissible(combo):
+                found.append(tuple(i + 1 for i in combo))
+        if found:
+            return tuple(sorted(found))
+    raise Infeasible("no cover fits the spare budget")

@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veclog.cli import main
 from veclog.lamp import quality_source
@@ -177,6 +181,25 @@ class TestRepair:
         assert code == 2
 
 
+    def test_every_line_faulty_at_the_oracle_bound(self, capsys, tmp_path):
+        # 24 candidate lines; no cover fits one spare row and one column
+        text = "12 12 1 1\n" + "".join(f"{k} {k}\n" for k in range(1, 13))
+        instance = write(tmp_path, "bound.rep", text)
+        code, out, _ = run(capsys, "repair", instance)
+        assert code == 1
+        assert value_of(out, "status") == "not-repairable"
+
+    def test_oracle_past_its_bound(self, capsys, tmp_path):
+        # 25 candidate lines: the oracle declines, the greedy plan stands
+        text = "13 12 13 12\n" + "".join(f"{k} {min(k, 12)}\n"
+                                          for k in range(1, 14))
+        instance = write(tmp_path, "past.rep", text)
+        code, out, _ = run(capsys, "repair", instance, "--oracle")
+        assert len(value_of(out, "spares").split()) == 25
+        assert value_of(out, "oracle") == "too-large"
+        assert code == 0 and value_of(out, "status") == "ok"
+
+
 class TestSim:
     def test_quality_program(self, capsys, tmp_path):
         program = write(tmp_path, "q.lamp", quality_source())
@@ -349,6 +372,106 @@ class TestLabelTrailer:
             assert code == 0
             row = "row-1" + (f" ({shown})" if shown else "")
             assert value_of(out, row).startswith("quality ")
+
+
+class TestHugeNumbers:
+    """A number of more digits than ``int()`` converts (4300 by default) is
+    an input error at its line, not a traceback."""
+
+    LONG = "1" * 4301
+
+    @pytest.mark.parametrize("argv, text, where", [
+        (("query", "{file}", "0101"), "{n} 4\n0101\n", "bad table at line 1"),
+        (("repair", "{file}"), "2 2 {n} 1\n1 1\n", "bad instance at line 1"),
+        (("repair", "{file}"), "2 2 1 1\n1 1\n{n} 2\n",
+         "bad instance at line 3"),
+        (("sim", "{file}", "{table}"), "LOOP {n}\nNOP\nENDLOOP\nHALT\n",
+         "line 1"),
+        (("sim", "{file}", "{table}"), "LOADROW ma A[{n}]\nHALT\n",
+         "line 1"),
+    ])
+    def test_input_error_at_its_line(self, capsys, tmp_path, argv, text,
+                                     where):
+        paths = {"file": write(tmp_path, "long.txt", text.format(n=self.LONG)),
+                 "table": write(tmp_path, "t.tbl", "1 4\n0101\n")}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2 and out == ""
+        assert f"{where}: number has 4301 digits, more than the 4300 " \
+               f"allowed" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzz of the table and repair-instance readers through `veclog`: any text
+# ends in exit 0, 1 or 2, and a rerun prints the same report.  Inputs start
+# well formed and have words swapped for, and junk lines drawn from, digits,
+# digit runs past int()'s 4300-digit limit and 0/1/x words.
+
+_WORD = st.sampled_from([*"0123456789", "x", "01", "1x0",
+                         "1" * 4301, "9" * 4302])
+
+
+def _garbled(draw, lines):
+    """The lines' words joined by spaces, about one word in twelve swapped
+    for a vocabulary word and a junk line after about one line in twelve."""
+    text = []
+    for words in lines:
+        text.append(" ".join(draw(_WORD) if draw(st.integers(0, 11)) == 11
+                             else str(w) for w in words))
+        if draw(st.integers(0, 11)) == 11:
+            text.append(" ".join(draw(st.lists(_WORD, max_size=4))))
+    return "\n".join(text) + "\n"
+
+
+@st.composite
+def _repair_text(draw):
+    # sizes up to 9x9 keep every memory within the oracle's 24 lines
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    header = [rows, cols, draw(st.integers(0, 9)), draw(st.integers(0, 9))]
+    faults = draw(st.lists(st.tuples(st.integers(1, rows),
+                                     st.integers(1, cols)), max_size=12))
+    return _garbled(draw, [header, *faults])
+
+
+@st.composite
+def _query_text(draw):
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    symbols = st.sampled_from(draw(st.sampled_from(["01", "01x"])))
+    rows = draw(st.lists(st.text(symbols, min_size=width, max_size=width),
+                         min_size=height, max_size=height))
+    query = draw(st.one_of(st.text(symbols, min_size=width, max_size=width),
+                           st.text("01x", max_size=4)))
+    return _garbled(draw, [[height, width], *([r] for r in rows)]), query
+
+
+def _never_escapes(path, text, argvs):
+    path.write_text(text, encoding="ascii")
+    for argv in argvs:
+        reports = []
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            reports.append(out.getvalue())
+        assert reports[0] == reports[1]
+
+
+@settings(max_examples=300)
+@given(_repair_text())
+def test_repair_never_escapes(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.rep"
+    _never_escapes(path, text, [["repair", str(path)],
+                                ["repair", str(path), "--oracle"]])
+
+
+@settings(max_examples=300)
+@given(_query_text())
+def test_query_never_escapes(tmp_path_factory, text_and_query):
+    text, query = text_and_query
+    path = tmp_path_factory.getbasetemp() / "fuzz.tbl"
+    _never_escapes(path, text, [["query", str(path), query],
+                                ["query", str(path), query, "--arith"]])
 
 
 class TestQuality:

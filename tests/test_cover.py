@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import rand_table
+from helpers import rand_table, reference_cover_oracle
 from veclog.assoc import AssociativeTable, DiagnosisMode, diagnose
 from veclog.cover import (
     BudgetExceeded,
@@ -166,6 +166,83 @@ class TestExactOracle:
                     got |= masks[k - 1]
                 if got == full:
                     assert combo in found
+
+
+def oracle_outcome(oracle, instance):
+    """The covers an oracle returns, or its exception's type and message."""
+    try:
+        return oracle(instance)
+    except (Infeasible, TooLarge) as exc:
+        return type(exc), str(exc)
+
+
+def benchmark_shaped(rng: random.Random, n: int = 10) -> RepairInstance:
+    """An n x n memory with a fault on every line at about 20% density and
+    budget n/n, so all 2n spare lines are candidates."""
+    while True:
+        faults = frozenset((r, c) for r in range(1, n + 1)
+                           for c in range(1, n + 1) if rng.random() < 0.2)
+        if len({r for r, _ in faults}) == len({c for _, c in faults}) == n:
+            return RepairInstance(n, n, faults, n, n)
+
+
+class TestOracleMatchesReference:
+    """The search against the brute-force enumeration: same covers in the
+    same order, or the same exception with the same message."""
+
+    def check(self, instance):
+        got = oracle_outcome(exact_cover_oracle, instance)
+        assert got == oracle_outcome(reference_cover_oracle, instance)
+        return got
+
+    def test_random_generic(self):
+        rng = random.Random("oracle/generic")
+        for _ in range(400):
+            n, w = rng.randint(1, 12), rng.randint(1, 10)
+            rows = [BitVector(rng.getrandbits(w) & rng.getrandbits(w), w)
+                    for _ in range(n)]
+            self.check(CoverageInstance(AssociativeTable(rows)))
+
+    def test_random_kinds_and_budgets(self):
+        rng = random.Random("oracle/budgets")
+        kinds = (None, Spare("row", 1), Spare("column", 1))
+        budgets = (None, 0, 1, 2, 3)
+        outcomes = set()
+        for _ in range(600):
+            n, w = rng.randint(1, 12), rng.randint(1, 8)
+            table = rand_table(rng, n, w)
+            got = self.check(CoverageInstance(
+                table, [rng.choice(kinds) for _ in range(n)],
+                max_spare_rows=rng.choice(budgets),
+                max_spare_cols=rng.choice(budgets)))
+            outcomes.add(got[1] if got[0] is Infeasible else "covers")
+        assert outcomes == {"covers", "some columns are covered by no row",
+                            "no cover fits the spare budget"}
+
+    def test_repair_tables_at_benchmark_shape(self):
+        rng = random.Random("oracle/20-spares")
+        for _ in range(3):
+            coverage = build_repair_table(benchmark_shaped(rng))
+            assert coverage.table.height == 20
+            covers = self.check(coverage)
+            assert len({len(c) for c in covers}) == 1
+
+    def test_memory_module_under_every_small_budget(self):
+        for spare_rows in range(4):
+            for spare_cols in range(6):
+                self.check(build_repair_table(RepairInstance(
+                    13, 15, MEMORY_FAULTS, spare_rows, spare_cols)))
+
+    def test_failures(self):
+        assert self.check(generic_instance("10", "10"))[0] is Infeasible
+        table = AssociativeTable([bv("10"), bv("01")])
+        assert self.check(CoverageInstance(
+            table, (Spare("row", 1), Spare("row", 2)),
+            max_spare_rows=1, max_spare_cols=0))[0] is Infeasible
+        assert self.check(CoverageInstance(
+            AssociativeTable([bv("1")] * 25)))[0] is TooLarge
+        at_bound = CoverageInstance(AssociativeTable([bv("1")] * 24))
+        assert self.check(at_bound) == tuple((k,) for k in range(1, 25))
 
 
 class TestBuildRepairTable:
