@@ -6,13 +6,12 @@ line order in the table file); Python sequences stay 0-indexed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from veclog.metric import CompactedQuality, compact_quality, quality_vector
 from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
-                           TernaryVector, decimal)
+                           TernaryVector, decimal, value_type)
 
 
 class AssociativeTable:
@@ -35,6 +34,19 @@ class AssociativeTable:
         self.rows = rows
         self.row_labels = _checked_labels(row_labels, len(rows), "row")
         self.col_labels = _checked_labels(col_labels, width, "column")
+
+    @classmethod
+    def _of_checked(cls, rows: tuple[BitVector, ...],
+                    row_labels: Optional[tuple[str, ...]],
+                    col_labels: Optional[tuple[str, ...]]
+                    ) -> "AssociativeTable":
+        """A table from a non-empty tuple of equal-width rows and labels
+        already checked against it, without repeating the checks."""
+        table = object.__new__(cls)
+        table.rows = rows
+        table.row_labels = row_labels
+        table.col_labels = col_labels
+        return table
 
     @property
     def height(self) -> int:
@@ -88,7 +100,7 @@ class DiagnosisMode(Enum):
     MULTIPLE = "multiple"
 
 
-@dataclass(frozen=True)
+@value_type
 class DiagnosisResult:
     """Candidate fault columns (1 = candidate) and whether any exist."""
 
@@ -177,8 +189,13 @@ def parse_table(text: str) -> AssociativeTable:
     """Parse the text table format into a binary table."""
     rows, row_labels, col_labels = _parse_rows(text, ternary=False)
     width = len(rows[0])
-    return AssociativeTable([BitVector(int(r, 2), width) for r in rows],
-                            row_labels, col_labels)
+    vectors = []
+    for row in rows:  # _parse_rows has checked its length and symbols
+        vector = object.__new__(BitVector)
+        vector.value, vector.length = int(row, 2), width
+        vectors.append(vector)
+    return AssociativeTable._of_checked(tuple(vectors), row_labels,
+                                        col_labels)
 
 
 def parse_ternary_rows(

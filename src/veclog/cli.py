@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from veclog import assoc, cover, dq, lamp, metric, vlcore
 from veclog.vlcore import BitVector, EmptyInput, LengthMismatch, ParseError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Report = list[tuple[str, object]]
 
@@ -46,6 +47,8 @@ def _bits(vector: BitVector, dots: bool = False) -> str:
 
 def _emit(report: Report, as_json: bool) -> None:
     if as_json:
+        import json  # only --json reports need it
+
         print(json.dumps(dict(report), indent=2))
     else:
         for key, value in report:

@@ -4,11 +4,11 @@ test/diagnose/repair pipeline pieces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from veclog.assoc import AssociativeTable
-from veclog.vlcore import BitVector, LengthMismatch, ParseError, decimal
+from veclog.vlcore import (BitVector, LengthMismatch, ParseError, decimal,
+                           value_type)
 
 
 class TooLarge(ValueError):
@@ -46,7 +46,7 @@ class DimensionMismatch(ValueError):
     """Unit and model tables disagree in shape."""
 
 
-@dataclass(frozen=True, order=True)
+@value_type(order=True)
 class Spare:
     """A spare line: a whole memory row or column identified by its index."""
 
@@ -98,7 +98,7 @@ class CoverageInstance:
         return not self.uncoverable_columns
 
 
-@dataclass(frozen=True)
+@value_type
 class RepairInstance:
     """A memory module with faulty cells and a spare-line budget."""
 
@@ -119,7 +119,7 @@ class RepairInstance:
                                  f"{self.rows}x{self.cols} memory")
 
 
-@dataclass(frozen=True)
+@value_type
 class RepairPlan:
     """Chosen spare lines plus the faulty-line -> spare-ordinal remap."""
 

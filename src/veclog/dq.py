@@ -5,14 +5,14 @@ tolerance rather than exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from veclog.vlcore import value_type
 
 
 class DomainError(ValueError):
     """Input outside its documented range."""
 
 
-@dataclass(frozen=True)
+@value_type
 class DesignQualityInput:
     """Inputs: fault-existence probability, undetected-fault count,
     testability grade, and the two complexity shares (assertion/boundary-scan
@@ -37,7 +37,7 @@ class DesignQualityInput:
             raise DomainError("total complexity must be positive")
 
 
-@dataclass(frozen=True)
+@value_type
 class DesignQualityOutput:
     """All five estimates lie in [0,1]; ``quality`` averages the last three."""
 

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 from veclog.assoc import AssociativeTable, DiagnosisMode
-from veclog.vlcore import BitVector, EmptyInput, decimal, slc
+from veclog.vlcore import BitVector, EmptyInput, decimal, slc, value_type
 
 REGISTERS = ("ma", "mb", "mc", "md")
 DEFAULT_MAX_STEPS = 1_000_000
@@ -87,14 +86,14 @@ class Opcode(Enum):
     HALT = "halt"
 
 
-@dataclass(frozen=True)
+@value_type
 class RowRef:
     """Reference to a stored row; index None means the current loop row."""
 
     index: Optional[int]
 
 
-@dataclass(frozen=True)
+@value_type
 class Instruction:
     opcode: Opcode
     dst: Union[str, RowRef, None] = None
@@ -104,7 +103,7 @@ class Instruction:
     line: int = 0
 
 
-@dataclass(frozen=True)
+@value_type
 class Program:
     instructions: tuple[Instruction, ...]
 
@@ -247,7 +246,7 @@ def assemble(source: str) -> Program:
 # ---------------------------------------------------------------------------
 # Execution
 
-@dataclass(frozen=True)
+@value_type
 class SequencerState:
     """One sequencer: data memory, the four registers, and run bookkeeping.
 
@@ -385,7 +384,7 @@ class GridCellError(SimulationError):
         super().__init__(f"cell ({row},{col}): {cause}")
 
 
-@dataclass(frozen=True)
+@value_type
 class GridState:
     """4x4 grid of independent sequencers, stored row-major."""
 

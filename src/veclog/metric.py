@@ -10,10 +10,8 @@ Three formulations of the same idea, from arithmetic to pure vector logic:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from veclog.vlcore import (
     BitVector,
@@ -23,10 +21,14 @@ from veclog.vlcore import (
     devectorize,
     slc,
     ternary_intersect,
+    value_type,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
+
+@value_type
 class ArithQuality:
     """Exact-rational interaction score of a ternary query/stored pair.
 
@@ -42,7 +44,7 @@ class ArithQuality:
     quality: Fraction
 
 
-@dataclass(frozen=True)
+@value_type
 class CountQuality:
     """Integer defect counts for a binary pair; total 0 iff vectors equal."""
 
@@ -52,7 +54,7 @@ class CountQuality:
     total: int
 
 
-@dataclass(slots=True)
+@value_type
 class QualityVector:
     """Per-coordinate defect vectors for a binary pair.
 
@@ -71,7 +73,7 @@ class Choice(Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True)
+@value_type
 class CompactedQuality:
     """Left-justified quality vector plus its 1-count; renders as (ones/len)."""
 
@@ -90,6 +92,8 @@ def quality_arith(query: TernaryVector, stored: TernaryVector) -> ArithQuality:
     both membership grades are zero; otherwise each grade is the ratio of
     the intersection space to the operand's own space.
     """
+    from fractions import Fraction  # loaded by the one path that needs it
+
     if query.length != stored.length:
         raise LengthMismatch(
             f"operand lengths differ: {query.length} vs {stored.length}")

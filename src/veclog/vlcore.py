@@ -6,8 +6,8 @@ printed register: coordinate 1 is the leftmost character.
 """
 from __future__ import annotations
 
+import operator
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -44,6 +44,91 @@ def decimal(token: str, line: Optional[int] = None,
     except ValueError:
         raise error(f"number has {len(token)} digits, more than the "
                     f"{sys.get_int_max_str_digits()} allowed", line) from None
+
+
+def value_type(cls=None, /, *, order: bool = False):
+    """Class decorator for the package's immutable value types.
+
+    The fields are the names the class body annotates, in order, and a
+    class attribute of the same name is that field's default.  The class
+    gets an ``__init__`` taking the fields by position or keyword that calls
+    ``__post_init__`` when the class defines one; ``==`` and ``hash`` over
+    the fields, equal only between instances of the same class; the
+    ``Name(field=value, ...)`` repr; and AttributeError on any assignment or
+    deletion.  ``order=True`` adds ``<``, ``<=``, ``>``, ``>=`` over the
+    fields.  That is the frozen-dataclass contract, kept without importing
+    the dataclass machinery or compiling code for every class.
+    """
+    if cls is None:
+        return lambda c: value_type(c, order=order)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    fields = operator.attrgetter(*names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls.__qualname__, names, defaults, args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(fields(self))
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    cls.__match_args__ = names
+    if order:
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            setattr(cls, f"__{compare.__name__}__", _ordering(compare, fields))
+    return cls
+
+
+def _bind(qualname, names, defaults, args, kwargs) -> list:
+    """The field values of one call, with the TypeError Python raises for a
+    call that does not match the signature."""
+    if len(args) > len(names):
+        raise TypeError(f"{qualname}() takes {len(names)} positional "
+                        f"arguments but {len(args)} were given")
+    for name in names[:len(args)]:
+        if name in kwargs:
+            raise TypeError(f"{qualname}() got multiple values for "
+                            f"argument {name!r}")
+    values = list(args)
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
+            raise TypeError(f"{qualname}() missing required argument "
+                            f"{name!r}")
+    if kwargs:
+        raise TypeError(f"{qualname}() got an unexpected keyword argument "
+                        f"{next(iter(kwargs))!r}")
+    return values
+
+
+def _ordering(compare, fields):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare(fields(self), fields(other))
+        return NotImplemented
+    return method
 
 
 def _check_length(n: int) -> None:
@@ -226,7 +311,7 @@ class TernaryVector:
         return f"TernaryVector('{self}')"
 
 
-@dataclass(frozen=True)
+@value_type
 class EmptyIntersection:
     """Intersection collapsed: at least one coordinate held 0 on one side
     and 1 on the other.  Not an error; callers need the clash count."""

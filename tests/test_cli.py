@@ -2,13 +2,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import veclog
 from veclog.cli import main
-from veclog.lamp import quality_source
+from veclog.lamp import feasible_search_source, quality_source
 
 QUERY_TABLE = "3 4\n1100\n1111\n0011\n#labels\nrows: r1 r2 r3\n"
 DIAG_TABLE = "3 3\n110\n011\n100\n#labels\ncols: f1 f2 f3\n"
@@ -472,6 +477,93 @@ def test_query_never_escapes(tmp_path_factory, text_and_query):
     path = tmp_path_factory.getbasetemp() / "fuzz.tbl"
     _never_escapes(path, text, [["query", str(path), query],
                                 ["query", str(path), query, "--arith"]])
+
+
+@st.composite
+def _diagnose_text(draw):
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.text("01", min_size=width, max_size=width),
+                         min_size=height, max_size=height))
+    names = draw(st.lists(st.sampled_from(["f1", "f2", "f3", "f4"]),
+                          max_size=5))
+    trailer = draw(st.sampled_from([[], [["#labels"], ["cols:", *names]]]))
+    response = draw(st.one_of(st.text("01", min_size=height,
+                                      max_size=height),
+                              st.text("01x", max_size=4)))
+    text = _garbled(draw, [[height, width], *([r] for r in rows), *trailer])
+    return text, response
+
+
+@settings(max_examples=300)
+@given(_diagnose_text())
+def test_diagnose_never_escapes(tmp_path_factory, text_and_response):
+    text, response = text_and_response
+    path = tmp_path_factory.getbasetemp() / "fuzz.diag"
+    _never_escapes(path, text, [["diagnose", str(path), response],
+                                ["diagnose", str(path), response,
+                                 "--mode", "multiple"]])
+
+
+# Files a fuzzed grid manifest names: two runnable programs and a table, a
+# program that faults at run time, one that does not assemble and a table
+# that does not parse.  Every cell starts runnable and at most one line is
+# redrawn: from every file name (repeats weight the run-time fault), a
+# missing one and bad register presets, or as a short, blank or comment
+# line.  The manifest may also have a line too many or too few.
+_GRID_FILES = {
+    "feasible.lamp": feasible_search_source(),
+    "copy.lamp": "LOADROW ma A[1]\nNOT mb ma\nHALT\n",
+    "fault.lamp": "LOADROW ma A[3]\nHALT\n",
+    "bad.lamp": "AND ma\n",
+    "d.tbl": "2 3\n110\n011\n",
+    "bad.tbl": "1 3\n1x1\n",
+}
+
+
+@st.composite
+def _cell_line(draw, programs=("fault.lamp", "fault.lamp", "copy.lamp",
+                               "bad.lamp", "absent.lamp", "d.tbl"),
+               data=("d.tbl", "d.tbl", "bad.tbl", "absent.tbl"),
+               presets=("mb=100", "mc=011", "ma=1", "zz=000", "mb")):
+    return [draw(st.sampled_from(programs)), draw(st.sampled_from(data)),
+            *draw(st.lists(st.sampled_from(presets), max_size=2))]
+
+
+@st.composite
+def _manifest_text(draw):
+    runnable = _cell_line(("feasible.lamp", "copy.lamp"), ("d.tbl",),
+                          ("mb=100", "mc=011"))
+    cells = 16 + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    lines = [draw(runnable) for _ in range(cells)]
+    odd = draw(st.integers(0, cells))
+    if odd < cells:
+        lines[odd] = draw(_cell_line()) if draw(st.integers(0, 7)) < 7 \
+            else draw(st.lists(st.sampled_from(["#", "d.tbl"]), max_size=2))
+    return "\n".join(" ".join(words) for words in lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(_manifest_text())
+def test_grid_never_escapes(tmp_path_factory, text):
+    workdir = tmp_path_factory.getbasetemp()
+    for name, body in _GRID_FILES.items():
+        (workdir / name).write_text(body, encoding="ascii")
+    path = workdir / "fuzz.grid"
+    _never_escapes(path, text, [["sim", "--grid", str(path),
+                                 "--max-steps", "1000"]])
+
+
+def test_import_loads_no_single_use_module():
+    """``import veclog.cli`` loads neither the modules only one subcommand
+    uses nor the dataclass machinery; checked on module names, not time."""
+    src = str(Path(veclog.__file__).parents[1])
+    code = "import sys, veclog.cli; print(veclog.cli.__file__, *sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0].startswith(src)
+    loaded = {"dataclasses", "inspect", "fractions", "decimal", "json"}
+    assert not loaded & set(out[1:])
 
 
 class TestQuality:

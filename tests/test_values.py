@@ -1,0 +1,209 @@
+"""The immutable value types: construction, equality, hashing, repr,
+immutability, ordering and the checks each one runs when it is built.
+
+The expected reprs are the ones the classes have printed since they were
+first written, so a report or a log that shows a value reads the same."""
+from fractions import Fraction
+
+import pytest
+
+from veclog.assoc import AssociativeTable, DiagnosisMode, DiagnosisResult
+from veclog.cover import RepairInstance, RepairPlan, Spare
+from veclog.dq import DesignQualityInput, DesignQualityOutput, DomainError
+from veclog.lamp import (REGISTERS, GridState, Instruction, Opcode, Program,
+                         RowRef, SequencerState)
+from veclog.metric import (ArithQuality, CompactedQuality, CountQuality,
+                           QualityVector)
+from veclog.vlcore import BitVector, EmptyIntersection
+
+
+def bv(s: str) -> BitVector:
+    return BitVector.from_string(s)
+
+
+TABLE = AssociativeTable([bv("101"), bv("011")])
+REGS = {name: bv("000") for name in REGISTERS}
+STATE = SequencerState(TABLE, REGS)
+STATE_REPR = ("SequencerState(memory=AssociativeTable(2x3), "
+              "regs={'ma': BitVector('000'), 'mb': BitVector('000'), "
+              "'mc': BitVector('000'), 'md': BitVector('000')}, pc=0, "
+              "halted=False, steps=0)")
+
+# class, field values, the same values with one field changed, repr
+CASES = [
+    (EmptyIntersection, (3,), (4,), "EmptyIntersection(empty_count=3)"),
+    (ArithQuality, (Fraction(1), Fraction(1, 2), Fraction(1, 4),
+                    Fraction(7, 12)),
+     (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(2, 3)),
+     "ArithQuality(distance=Fraction(1, 1), "
+     "query_in_stored=Fraction(1, 2), stored_in_query=Fraction(1, 4), "
+     "quality=Fraction(7, 12))"),
+    (CountQuality, (2, 1, 0, 3), (2, 1, 1, 3),
+     "CountQuality(mismatches=2, stored_only=1, query_only=0, total=3)"),
+    (QualityVector, (bv("110"), bv("010"), bv("000"), bv("110")),
+     (bv("110"), bv("010"), bv("100"), bv("110")),
+     "QualityVector(mismatch=BitVector('110'), "
+     "stored_only=BitVector('010'), query_only=BitVector('000'), "
+     "quality=BitVector('110'))"),
+    (CompactedQuality, (bv("110"), 2, 3), (bv("100"), 1, 3),
+     "CompactedQuality(compacted=BitVector('110'), ones=2, length=3)"),
+    (DiagnosisResult, (bv("010"), DiagnosisMode.SINGLE, True),
+     (bv("010"), DiagnosisMode.MULTIPLE, True),
+     "DiagnosisResult(candidates=BitVector('010'), "
+     "mode=<DiagnosisMode.SINGLE: 'single'>, consistent=True)"),
+    (Spare, ("row", 3), ("column", 3), "Spare(axis='row', index=3)"),
+    (RepairInstance, (2, 3, frozenset({(1, 2)}), 1, 0),
+     (2, 3, frozenset({(1, 2)}), 1, 1),
+     "RepairInstance(rows=2, cols=3, faults=frozenset({(1, 2)}), "
+     "spare_rows=1, spare_cols=0)"),
+    (RepairPlan, (frozenset({Spare("row", 1)}), ((Spare("row", 1), 1),),
+                  True),
+     (frozenset({Spare("row", 1)}), ((Spare("row", 1), 1),), False),
+     "RepairPlan(chosen=frozenset({Spare(axis='row', index=1)}), "
+     "remap=((Spare(axis='row', index=1), 1),), valid=True)"),
+    (DesignQualityInput, (0.1, 10, 0.5, 1.0, 2.0), (0.1, 10, 0.5, 1.0, 3.0),
+     "DesignQualityInput(fault_probability=0.1, undetected_faults=10, "
+     "testability=0.5, scan_complexity=1.0, logic_complexity=2.0)"),
+    (DesignQualityOutput, (0.5, 0.25, 0.125, 0.5, 0.3),
+     (0.5, 0.25, 0.125, 0.5, 0.4),
+     "DesignQualityOutput(yield_estimate=0.5, fault_level=0.25, "
+     "verification_time=0.125, hardware_redundancy=0.5, quality=0.3)"),
+    (RowRef, (2,), (None,), "RowRef(index=2)"),
+    (Instruction, (Opcode.AND, "ma", RowRef(None), "mb", None, 4),
+     (Opcode.AND, "ma", RowRef(None), "mb", None, 5),
+     "Instruction(opcode=<Opcode.AND: 'and'>, dst='ma', "
+     "src1=RowRef(index=None), src2='mb', imm=None, line=4)"),
+    (Program, ((Instruction(Opcode.HALT),),),
+     ((Instruction(Opcode.HALT, line=1),),),
+     "Program(instructions=(Instruction(opcode=<Opcode.HALT: 'halt'>, "
+     "dst=None, src1=None, src2=None, imm=None, line=0),))"),
+    (SequencerState, (TABLE, REGS, 0, False, 0), (TABLE, REGS, 0, True, 0),
+     STATE_REPR),
+    (GridState, ((STATE,) * 16,),
+     ((STATE,) * 15 + (SequencerState(TABLE, REGS, steps=1),),),
+     "GridState(cells=(" + ", ".join([STATE_REPR] * 16) + "))"),
+]
+IDS = [case[0].__name__ for case in CASES]
+# a dict-valued field (the registers) makes the hash raise, as for a tuple
+UNHASHABLE = {SequencerState, GridState}
+
+
+@pytest.mark.parametrize("cls, args, other, text", CASES, ids=IDS)
+class TestContract:
+    def test_positional_and_keyword_construction(self, cls, args, other,
+                                                 text):
+        fields = cls.__match_args__
+        assert len(fields) == len(args)
+        value = cls(*args)
+        assert value == cls(**dict(zip(fields, args)))
+        assert value == cls(*args[:1], **dict(zip(fields[1:], args[1:])))
+        assert tuple(getattr(value, f) for f in fields) == args
+
+    def test_bad_calls_raise_type_error(self, cls, args, other, text):
+        first = cls.__match_args__[0]
+        with pytest.raises(TypeError, match="missing"):
+            cls()
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            cls(*args, bogus=1)
+        with pytest.raises(TypeError, match="positional"):
+            cls(*args, None)
+        with pytest.raises(TypeError, match="multiple values"):
+            cls(*args, **{first: args[0]})
+
+    def test_fieldwise_equality_and_hash(self, cls, args, other, text):
+        value, same, changed = cls(*args), cls(*args), cls(*other)
+        assert value == same and not value != same
+        assert value != changed and not value == changed
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(same)
+            assert len({value, same, changed}) == 2
+
+    def test_only_same_class_is_equal(self, cls, args, other, text):
+        value = cls(*args)
+        for other_cls, other_args, _, _ in CASES:
+            if other_cls is not cls:
+                assert value != other_cls(*other_args)
+        assert value != args
+        sub = type("Sub", (cls,), {})
+        assert value != sub(*args) and sub(*args) != value
+
+    def test_repr(self, cls, args, other, text):
+        assert repr(cls(*args)) == text
+
+    def test_assignment_and_deletion_raise(self, cls, args, other, text):
+        value = cls(*args)
+        for field in cls.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(value, field, args[0])
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == cls(*args)
+
+
+def test_defaults():
+    halt = Instruction(Opcode.HALT)
+    assert (halt.dst, halt.src1, halt.src2, halt.imm, halt.line) == \
+        (None, None, None, None, 0)
+    assert Instruction(Opcode.HALT, line=3).line == 3
+    state = SequencerState(TABLE, REGS)
+    assert (state.pc, state.halted, state.steps) == (0, False, 0)
+    assert state == SequencerState(TABLE, REGS, 0, False, 0)
+    with pytest.raises(TypeError, match="missing"):
+        SequencerState(TABLE)
+
+
+def test_spare_ordering():
+    spares = [Spare("row", 2), Spare("column", 9), Spare("row", 1),
+              Spare("column", 1)]
+    assert sorted(spares) == [Spare("column", 1), Spare("column", 9),
+                              Spare("row", 1), Spare("row", 2)]
+    assert Spare("column", 9) < Spare("row", 1) <= Spare("row", 1)
+    assert Spare("row", 2) > Spare("row", 1) >= Spare("row", 1)
+    assert not Spare("row", 1) < Spare("row", 1)
+    with pytest.raises(TypeError):
+        Spare("row", 1) < ("row", 2)
+    with pytest.raises(TypeError):
+        RowRef(1) < RowRef(2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Spare("diagonal", 1), ValueError,
+     "axis must be 'row' or 'column', got 'diagonal'"),
+    (lambda: Spare(axis="Row", index=1), ValueError,
+     "axis must be 'row' or 'column', got 'Row'"),
+    (lambda: RepairInstance(0, 3, frozenset(), 1, 1), ValueError,
+     "memory dimensions must be at least 1x1"),
+    (lambda: RepairInstance(3, 0, frozenset(), 1, 1), ValueError,
+     "memory dimensions must be at least 1x1"),
+    (lambda: RepairInstance(3, 3, frozenset(), -1, 1), ValueError,
+     "spare budgets must be non-negative"),
+    (lambda: RepairInstance(3, 3, frozenset(), 1, -1), ValueError,
+     "spare budgets must be non-negative"),
+    (lambda: RepairInstance(2, 2, frozenset({(3, 1)}), 1, 1), ValueError,
+     "fault (3,1) outside 2x2 memory"),
+    (lambda: RepairInstance(2, 2, frozenset({(1, 0)}), 1, 1), ValueError,
+     "fault (1,0) outside 2x2 memory"),
+    (lambda: DesignQualityInput(1.5, 1, 0.5, 1, 1), DomainError,
+     "fault probability must lie in [0,1]"),
+    (lambda: DesignQualityInput(0.5, -1, 0.5, 1, 1), DomainError,
+     "undetected-fault count must be >= 0"),
+    (lambda: DesignQualityInput(0.5, 1, -0.1, 1, 1), DomainError,
+     "testability must lie in [0,1]"),
+    (lambda: DesignQualityInput(0.5, 1, 0.5, -1, 1), DomainError,
+     "complexities must be >= 0"),
+    (lambda: DesignQualityInput(0.5, 1, 0.5, 0, 0), DomainError,
+     "total complexity must be positive"),
+    (lambda: GridState((STATE,) * 15), ValueError,
+     "grid needs 16 cells, got 15"),
+    (lambda: GridState(cells=(STATE,) * 17), ValueError,
+     "grid needs 16 cells, got 17"),
+])
+def test_post_init_checks(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
