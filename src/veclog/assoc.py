@@ -35,19 +35,6 @@ class AssociativeTable:
         self.row_labels = _checked_labels(row_labels, len(rows), "row")
         self.col_labels = _checked_labels(col_labels, width, "column")
 
-    @classmethod
-    def _of_checked(cls, rows: tuple[BitVector, ...],
-                    row_labels: Optional[tuple[str, ...]],
-                    col_labels: Optional[tuple[str, ...]]
-                    ) -> "AssociativeTable":
-        """A table from a non-empty tuple of equal-width rows and labels
-        already checked against it, without repeating the checks."""
-        table = object.__new__(cls)
-        table.rows = rows
-        table.row_labels = row_labels
-        table.col_labels = col_labels
-        return table
-
     @property
     def height(self) -> int:
         return len(self.rows)
@@ -189,13 +176,8 @@ def parse_table(text: str) -> AssociativeTable:
     """Parse the text table format into a binary table."""
     rows, row_labels, col_labels = _parse_rows(text, ternary=False)
     width = len(rows[0])
-    vectors = []
-    for row in rows:  # _parse_rows has checked its length and symbols
-        vector = object.__new__(BitVector)
-        vector.value, vector.length = int(row, 2), width
-        vectors.append(vector)
-    return AssociativeTable._of_checked(tuple(vectors), row_labels,
-                                        col_labels)
+    return AssociativeTable([BitVector(int(row, 2), width) for row in rows],
+                            row_labels, col_labels)
 
 
 def parse_ternary_rows(
@@ -209,8 +191,8 @@ def parse_ternary_rows(
 def _parse_rows(text: str, ternary: bool):
     alphabet = "01x" if ternary else "01"
     symbols = str.maketrans("", "", alphabet)  # deletes every valid symbol
-    lines = text.splitlines()
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
+    body = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.strip())]
     if not body:
         raise ParseError("empty table")
     header_line, header = body[0]
@@ -249,10 +231,8 @@ def _parse_rows(text: str, ternary: bool):
             if key not in shape:
                 raise ParseError("label lines must start with 'rows:' or "
                                  "'cols:'", line=lineno)
-            labels[key] = tuple(names.split())
-            if not ternary:  # the ternary reader has never checked labels
-                try:
-                    _checked_labels(labels[key], *shape[key])
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
+            try:
+                labels[key] = _checked_labels(names.split(), *shape[key])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
     return rows, labels.get("rows"), labels.get("cols")

@@ -64,6 +64,15 @@ def _position(exc: ParseError) -> str:
     return place
 
 
+def _parsed(parse, text: str, what: str):
+    """``parse(text)``, with a ParseError raised as the InputError that
+    names ``what`` and the position."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise InputError(f"bad {what}{_position(exc)}: {exc}") from exc
+
+
 def _parse_vector(text: str, what: str) -> BitVector:
     try:
         return BitVector.from_string(text)
@@ -86,10 +95,7 @@ def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
     ]
     if args.arith:
         return _query_arith(text, args, report)
-    try:
-        table = assoc.parse_table(text)
-    except ParseError as exc:
-        raise InputError(f"bad table{_position(exc)}: {exc}") from exc
+    table = _parsed(assoc.parse_table, text, "table")
     query = _parse_vector(args.query, "query")
     if query.length != table.width:
         raise InputError(f"query width {query.length} does not match table "
@@ -118,10 +124,7 @@ def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
 
 def _query_arith(text: str, args: argparse.Namespace,
                  report: Report) -> tuple[Report, int]:
-    try:
-        rows, labels = assoc.parse_ternary_rows(text)
-    except ParseError as exc:
-        raise InputError(f"bad table{_position(exc)}: {exc}") from exc
+    rows, labels = _parsed(assoc.parse_ternary_rows, text, "table")
     try:
         query = vlcore.TernaryVector.from_string(args.query)
     except (ParseError, EmptyInput) as exc:
@@ -129,11 +132,6 @@ def _query_arith(text: str, args: argparse.Namespace,
     if query.length != rows[0].length:
         raise InputError(f"query width {query.length} does not match table "
                          f"width {rows[0].length}")
-    if labels and len(labels) < len(rows):  # longer lists are still taken
-        line = max(n for n, ln in enumerate(text.splitlines(), start=1)
-                   if ln.strip().startswith("rows:"))
-        raise InputError(f"bad table at line {line}: {len(labels)} row "
-                         f"labels for {len(rows)} rows")
     report += [("rows", len(rows)), ("width", rows[0].length)]
     best: Optional[Fraction] = None
     best_rows: list[int] = []
@@ -160,10 +158,7 @@ def _query_arith(text: str, args: argparse.Namespace,
 
 def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     text, digest = _read(args.table)
-    try:
-        table = assoc.parse_table(text)
-    except ParseError as exc:
-        raise InputError(f"bad table{_position(exc)}: {exc}") from exc
+    table = _parsed(assoc.parse_table, text, "table")
     response = _parse_vector(args.response, "response")
     if response.length != table.height:
         raise InputError(f"response width {response.length} does not match "
@@ -192,10 +187,7 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
 
 def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
     text, digest = _read(args.instance)
-    try:
-        instance = cover.parse_repair_instance(text)
-    except ParseError as exc:
-        raise InputError(f"bad instance{_position(exc)}: {exc}") from exc
+    instance = _parsed(cover.parse_repair_instance, text, "instance")
     report: Report = [
         ("command", " ".join(args.echo)),
         ("instance", args.instance),
@@ -216,18 +208,6 @@ def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
     report.append(("greedy-mask", _bits(taken)))
     report.append(("greedy-cover", " ".join(s.label for s in chosen)))
 
-    oracle_covers = oracle_error = None
-
-    def ensure_oracle():
-        nonlocal oracle_covers, oracle_error
-        if oracle_covers is None and oracle_error is None:
-            try:
-                oracle_covers = cover.exact_cover_oracle(ci)
-            except cover.Infeasible:
-                oracle_error = "infeasible"
-            except cover.TooLarge:
-                oracle_error = "too-large"
-
     status, code = "ok", 0
     try:
         plan = cover.repair_plan(instance, chosen)
@@ -237,28 +217,31 @@ def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
             for spare, ordinal in plan.remap)))
     except cover.BudgetExceeded as exc:
         report.append(("plan", f"budget-exceeded ({exc})"))
-        ensure_oracle()  # does any cover fit the budget at all?
-        status = "not-repairable" if oracle_error == "infeasible" \
-            else "budget-exceeded"
-        code = 1
+        status, code = "budget-exceeded", 1
     except cover.NotCovering as exc:
         report.append(("plan", f"not-covering ({exc})"))
         status, code = "not-coverable", 1
 
-    if args.oracle:
-        ensure_oracle()
-        if oracle_covers is not None:
-            minimum = len(oracle_covers[0])
-            report.append(("oracle-minimum", minimum))
-            report.append(("oracle-cover-count", len(oracle_covers)))
-            for i, rows in enumerate(oracle_covers, start=1):
-                report.append((f"oracle-cover-{i}", " ".join(
-                    ci.kinds[k - 1].label for k in rows)))
-            greedy_size = len(chosen)
-            report.append(("ratio", f"{greedy_size}/{minimum} = "
-                                    f"{greedy_size / minimum:.3f}"))
-        else:
-            report.append(("oracle", oracle_error or "unavailable"))
+    if args.oracle or status == "budget-exceeded":  # does any cover fit it?
+        try:
+            covers = cover.exact_cover_oracle(ci)
+        except cover.Infeasible:
+            covers = "infeasible"
+        except cover.TooLarge:
+            covers = "too-large"
+        if covers == "infeasible" and status == "budget-exceeded":
+            status = "not-repairable"
+    if args.oracle and isinstance(covers, str):
+        report.append(("oracle", covers))
+    elif args.oracle:
+        minimum = len(covers[0])
+        report.append(("oracle-minimum", minimum))
+        report.append(("oracle-cover-count", len(covers)))
+        for i, rows in enumerate(covers, start=1):
+            report.append((f"oracle-cover-{i}", " ".join(
+                ci.kinds[k - 1].label for k in rows)))
+        report.append(("ratio", f"{len(chosen)}/{minimum} = "
+                                f"{len(chosen) / minimum:.3f}"))
     report.append(("status", status))
     return report, code
 
@@ -291,11 +274,7 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str]
     except (lamp.AssemblyError, EmptyInput) as exc:
         raise InputError(f"{program_path}: {exc}") from exc
     data_text, data_digest = _read(data_path)
-    try:
-        table = assoc.parse_table(data_text)
-    except ParseError as exc:
-        raise InputError(f"bad table {data_path}{_position(exc)}: "
-                         f"{exc}") from exc
+    table = _parsed(assoc.parse_table, data_text, f"table {data_path}")
     presets = _parse_reg_presets(reg_specs, table.width)
     files: Report = [("program", program_path),
                      ("program-digest", program_digest),
@@ -471,10 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.echo = argv
     try:
         report, status = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LengthMismatch, ParseError, EmptyInput) as exc:
+    except (InputError, LengthMismatch, ParseError, EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.json)

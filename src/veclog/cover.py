@@ -46,7 +46,7 @@ class DimensionMismatch(ValueError):
     """Unit and model tables disagree in shape."""
 
 
-@value_type(order=True)
+@value_type
 class Spare:
     """A spare line: a whole memory row or column identified by its index."""
 
@@ -81,21 +81,6 @@ class CoverageInstance:
         self.kinds = kinds
         self.max_spare_rows = max_spare_rows
         self.max_spare_cols = max_spare_cols
-
-    @property
-    def uncoverable_columns(self) -> tuple[int, ...]:
-        """1-based columns no row covers; non-empty marks the instance
-        infeasible."""
-        union = 0
-        for row in self.table.rows:
-            union |= row.value
-        width = self.table.width
-        return tuple(j for j in range(1, width + 1)
-                     if not (union >> (width - j)) & 1)
-
-    @property
-    def feasible(self) -> bool:
-        return not self.uncoverable_columns
 
 
 @value_type

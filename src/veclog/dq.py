@@ -5,6 +5,8 @@ tolerance rather than exactly.
 """
 from __future__ import annotations
 
+import math
+
 from veclog.vlcore import value_type
 
 
@@ -33,6 +35,9 @@ class DesignQualityInput:
             raise DomainError("testability must lie in [0,1]")
         if self.scan_complexity < 0 or self.logic_complexity < 0:
             raise DomainError("complexities must be >= 0")
+        if not (math.isfinite(self.scan_complexity)
+                and math.isfinite(self.logic_complexity)):
+            raise DomainError("complexities must be finite")
         if self.scan_complexity + self.logic_complexity <= 0:
             raise DomainError("total complexity must be positive")
 
@@ -54,11 +59,14 @@ def design_quality(inp: DesignQualityInput) -> DesignQualityOutput:
     p = inp.fault_probability
     n = inp.undetected_faults
     k = inp.testability
-    total = inp.scan_complexity + inp.logic_complexity
+    scan, logic = inp.scan_complexity, inp.logic_complexity
+    if math.isinf(scan + logic):  # halving two finite floats this big is exact
+        scan, logic = scan / 2, logic / 2
+    total = scan + logic
     yield_estimate = (1.0 - p) ** n
     fault_level = 1.0 - (1.0 - p) ** (n * (1.0 - k))
-    verification_time = (1.0 - k) * inp.scan_complexity / total
-    hardware_redundancy = inp.logic_complexity / total
+    verification_time = (1.0 - k) * scan / total
+    hardware_redundancy = logic / total
     quality = (fault_level + verification_time + hardware_redundancy) / 3.0
     return DesignQualityOutput(yield_estimate, fault_level,
                                verification_time, hardware_redundancy, quality)

@@ -107,9 +107,6 @@ class Instruction:
 class Program:
     instructions: tuple[Instruction, ...]
 
-    def __len__(self) -> int:
-        return len(self.instructions)
-
 
 # ---------------------------------------------------------------------------
 # Opcode table.  A shape has one letter per operand: r register, s register
@@ -394,12 +391,6 @@ class GridState:
         if len(self.cells) != GRID_CELLS:
             raise ValueError(f"grid needs {GRID_CELLS} cells, "
                              f"got {len(self.cells)}")
-
-    def cell(self, row: int, col: int) -> SequencerState:
-        if not (1 <= row <= GRID_SIDE and 1 <= col <= GRID_SIDE):
-            raise IndexError(f"cell ({row},{col}) outside the "
-                             f"{GRID_SIDE}x{GRID_SIDE} grid")
-        return self.cells[(row - 1) * GRID_SIDE + (col - 1)]
 
 
 def run_grid(grid: GridState, programs: Sequence[Program],

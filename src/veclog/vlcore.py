@@ -46,7 +46,7 @@ def decimal(token: str, line: Optional[int] = None,
                     f"{sys.get_int_max_str_digits()} allowed", line) from None
 
 
-def value_type(cls=None, /, *, order: bool = False):
+def value_type(cls):
     """Class decorator for the package's immutable value types.
 
     The fields are the names the class body annotates, in order, and a
@@ -55,12 +55,9 @@ def value_type(cls=None, /, *, order: bool = False):
     ``__post_init__`` when the class defines one; ``==`` and ``hash`` over
     the fields, equal only between instances of the same class; the
     ``Name(field=value, ...)`` repr; and AttributeError on any assignment or
-    deletion.  ``order=True`` adds ``<``, ``<=``, ``>``, ``>=`` over the
-    fields.  That is the frozen-dataclass contract, kept without importing
+    deletion.  That is the frozen-dataclass contract, kept without importing
     the dataclass machinery or compiling code for every class.
     """
-    if cls is None:
-        return lambda c: value_type(c, order=order)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     fields = operator.attrgetter(*names)
@@ -92,9 +89,6 @@ def value_type(cls=None, /, *, order: bool = False):
     cls.__hash__ = lambda self: hash(fields(self))
     cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     cls.__match_args__ = names
-    if order:
-        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
-            setattr(cls, f"__{compare.__name__}__", _ordering(compare, fields))
     return cls
 
 
@@ -123,14 +117,6 @@ def _bind(qualname, names, defaults, args, kwargs) -> list:
     return values
 
 
-def _ordering(compare, fields):
-    def method(self, other):
-        if other.__class__ is self.__class__:
-            return compare(fields(self), fields(other))
-        return NotImplemented
-    return method
-
-
 def _check_length(n: int) -> None:
     if n < 1:
         raise ValueError(f"vector length must be at least 1, got {n}")
@@ -146,8 +132,8 @@ class BitVector:
     __slots__ = ("value", "length")
 
     def __init__(self, value: int, length: int):
-        _check_length(length)
-        if value < 0 or value >> length:
+        if length < 1 or value < 0 or value >> length:  # one test when valid
+            _check_length(length)
             raise ValueError("value does not fit the stated length")
         self.value = value
         self.length = length
@@ -178,18 +164,6 @@ class BitVector:
         if not 1 <= k <= self.length:
             raise IndexError(f"coordinate {k} out of 1..{self.length}")
         return (self.value >> (self.length - k)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.length - k)) & 1
-                     for k in range(1, self.length + 1))
-
-    def with_bit(self, k: int, bit: int) -> "BitVector":
-        """Copy with coordinate k (1-based) replaced."""
-        if not 1 <= k <= self.length:
-            raise IndexError(f"coordinate {k} out of 1..{self.length}")
-        mask = 1 << (self.length - k)
-        value = (self.value & ~mask) | (mask if bit else 0)
-        return BitVector(value, self.length)
 
     def __len__(self) -> int:
         return self.length
@@ -275,22 +249,11 @@ class TernaryVector:
     def xcount(self) -> int:
         return self.xs.bit_count()
 
-    @property
-    def space_size(self) -> int:
-        """Number of binary vectors the don't-cares expand to."""
-        return 1 << self.xcount
-
-    def symbol(self, k: int) -> str:
-        """Coordinate k, 1-based from the left."""
-        if not 1 <= k <= self.length:
-            raise IndexError(f"coordinate {k} out of 1..{self.length}")
-        pos = self.length - k
-        if (self.xs >> pos) & 1:
-            return "x"
-        return "1" if (self.ones >> pos) & 1 else "0"
-
     def symbols(self) -> tuple[str, ...]:
-        return tuple(self.symbol(k) for k in range(1, self.length + 1))
+        """The coordinates from the left, each "0", "1" or "x"."""
+        ones = format(self.ones, f"0{self.length}b")
+        xs = format(self.xs, f"0{self.length}b")
+        return tuple("x" if x == "1" else one for one, x in zip(ones, xs))
 
     def __len__(self) -> int:
         return self.length

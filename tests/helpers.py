@@ -18,6 +18,15 @@ def rand_table(rng: random.Random, height: int, width: int) -> AssociativeTable:
     return AssociativeTable([rand_bitvector(rng, width) for _ in range(height)])
 
 
+def with_bit(v: BitVector, k: int, bit: int) -> BitVector:
+    """Copy with coordinate k (1-based) replaced."""
+    if not 1 <= k <= v.length:
+        raise IndexError(f"coordinate {k} out of 1..{v.length}")
+    mask = 1 << (v.length - k)
+    value = (v.value & ~mask) | (mask if bit else 0)
+    return BitVector(value, v.length)
+
+
 def vectorize_column(table: AssociativeTable, j: int) -> BitVector:
     """Column j (1-based) of a table, read top to bottom."""
     return vectorize(row.bit(j) for row in table.rows)

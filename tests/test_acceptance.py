@@ -177,25 +177,33 @@ def test_memory_repair_instance():
     assert elapsed < 1.0
 
 
-def _oracle_candidates(rows: list[int], n: int, w: int, resp: int) -> int:
-    """Brute force: column j is a candidate iff it equals the response."""
-    out = 0
+def _columns(rows: list[int], n: int, w: int) -> list[int]:
+    """Brute force: each column, 1 to w, read bit by bit down the n rows
+    into an n-bit int whose highest bit is row 1."""
+    columns = []
     for shift in range(w - 1, -1, -1):
-        match = True
+        column = 0
         for i in range(n):
-            if ((rows[i] >> shift) & 1) != ((resp >> (n - 1 - i)) & 1):
-                match = False
-                break
-        out = (out << 1) | (1 if match else 0)
+            column = (column << 1) | ((rows[i] >> shift) & 1)
+        columns.append(column)
+    return columns
+
+
+def _oracle_candidates(columns: list[int], resp: int) -> int:
+    """Column j is a candidate iff it equals the response."""
+    out = 0
+    for column in columns:
+        out = (out << 1) | (column == resp)
     return out
 
 
 def _check_all_responses(table: AssociativeTable, rows: list[int],
                          responses: list[BitVector]) -> int:
     n, w = table.height, table.width
+    columns = _columns(rows, n, w)  # once per table, for every response
     for response in responses:
         got = diagnose(table, response, DiagnosisMode.SINGLE).candidates.value
-        want = _oracle_candidates(rows, n, w, response.value)
+        want = _oracle_candidates(columns, response.value)
         if got != want:
             raise AssertionError(
                 f"mismatch: rows={rows} n={n} w={w} resp={response}")
@@ -238,13 +246,13 @@ def test_diagnosis_matches_oracle():
     # 10^3 random 12x12 tables, mixed random and planted responses
     for _ in range(1000):
         table = rand_table(rng, 12, 12)
-        rows = [row.value for row in table.rows]
+        columns = _columns([row.value for row in table.rows], 12, 12)
         planted = vectorize_column(table, rng.randint(1, 12))
         for response in (rand_bitvector(rng, 12), planted,
                          BitVector.zeros(12)):
             got = diagnose(table, response,
                            DiagnosisMode.SINGLE).candidates.value
-            assert got == _oracle_candidates(rows, 12, 12, response.value)
+            assert got == _oracle_candidates(columns, response.value)
             checked += 1
     print(f"  diagnosis agreed with the oracle on {checked} "
           f"(table, response) pairs{' [full sweep]' if full else ''}")

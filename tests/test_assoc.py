@@ -217,6 +217,26 @@ class TestBestMatch:
             assert quality.ones == base_quality.ones
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 256])
+def test_parse_table_matches_row_by_row_construction(width):
+    rng = random.Random(f"parse/{width}")
+    for height in (1, 2, 17):
+        rows = [format(rng.getrandbits(width), f"0{width}b")
+                for _ in range(height)]
+        rows[0] = "1" * width
+        rows[-1] = "0" * width
+        names = [f"r{i}" for i in range(1, height + 1)]
+        cols = [f"c{j}" for j in range(1, width + 1)]
+        text = f"{height} {width}\n" + "\n".join(rows) + "\n"
+        vectors = [BitVector.from_string(row) for row in rows]
+        assert parse_table(text) == AssociativeTable(vectors)
+        labelled = parse_table(text + "#labels\nrows: " + " ".join(names)
+                               + "\ncols: " + " ".join(cols) + "\n")
+        assert labelled == AssociativeTable(vectors, names, cols)
+        assert [(type(r), r.length) for r in labelled.rows] == \
+            [(BitVector, width)] * height
+
+
 class TestTableParsing:
     GOOD = "3 4\n1100\n1111\n0011\n#labels\nrows: t1 t2 t3\ncols: a b c d\n"
 
@@ -255,9 +275,10 @@ class TestTableParsing:
             with pytest.raises(ParseError) as err:
                 parse_table("3 4\n1100\n1111\n0011\n#labels\n" + trailer)
             assert err.value.line == line
-        # the ternary reader keeps taking label lines as they are
-        _, labels = parse_ternary_rows("2 2\n1x\n00\n#labels\nrows: a\n")
-        assert labels == ("a",)
+        # the ternary reader holds label lines to the same rule
+        with pytest.raises(ParseError) as err:
+            parse_ternary_rows("2 2\n1x\n00\n#labels\nrows: a\n")
+        assert (err.value.line, str(err.value)) == (5, "1 row labels for 2 rows")
 
     def test_ternary_rows(self):
         rows, labels = parse_ternary_rows("2 3\n1x0\nxx1\n")

@@ -369,14 +369,32 @@ class TestLabelTrailer:
         code, out, err = run(capsys, "query", table, "1x", "--arith")
         assert (code, out) == (2, "")
         assert err == "error: bad table at line 5: 1 row labels for 2 rows\n"
-        # longer, repeated and empty lists are taken as before
-        for names, shown in (("a b c", "a"), ("a a", "a"), ("", None)):
+        # longer, repeated and empty lists are input errors too
+        for names, message in (("a b c", "3 row labels for 2 rows"),
+                               ("a a", "duplicate row labels"),
+                               ("", "0 row labels for 2 rows")):
             table = write(tmp_path, "t.tbl", "2 2\n1x\n00\n#labels\n"
                                              f"rows: {names}\n")
-            code, out, _ = run(capsys, "query", table, "1x", "--arith")
-            assert code == 0
-            row = "row-1" + (f" ({shown})" if shown else "")
-            assert value_of(out, row).startswith("quality ")
+            code, out, err = run(capsys, "query", table, "1x", "--arith")
+            assert (code, out) == (2, "")
+            assert err == f"error: bad table at line 5: {message}\n"
+
+    @pytest.mark.parametrize("trailer, line, message", [
+        ("rows: r1 r2\n", 6, "2 row labels for 3 rows"),
+        ("rows: r1 r2 r3 r4\n", 6, "4 row labels for 3 rows"),
+        ("rows:\n", 6, "0 row labels for 3 rows"),
+        ("rows: r1 r2 r1\n", 6, "duplicate row labels"),
+        ("cols: a b c\n", 6, "3 column labels for 4 columns"),
+        ("cols: a b c d e\n", 6, "5 column labels for 4 columns"),
+        ("cols: a b c d\nrows: r1 r2\n", 7, "2 row labels for 3 rows"),
+    ])
+    def test_one_label_rule_for_both_readers(self, capsys, tmp_path,
+                                             trailer, line, message):
+        table = write(tmp_path, "t.tbl",
+                      "3 4\n1100\n1111\n0011\n#labels\n" + trailer)
+        want = (2, "", f"error: bad table at line {line}: {message}\n")
+        assert run(capsys, "query", table, "1100") == want
+        assert run(capsys, "query", table, "1100", "--arith") == want
 
 
 class TestHugeNumbers:
@@ -583,6 +601,26 @@ class TestQuality:
                            "--faults", "10", "--testability", "0.5",
                            "--scan", "1", "--logic", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("option", ["--scan", "--logic"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_complexity(self, capsys, option, value):
+        argv = {"--fault-prob": "0.1", "--faults": "10",
+                "--testability": "0.5", "--scan": "1", "--logic": "1",
+                option: value}
+        code, out, err = run(capsys, "quality",
+                             *(a for pair in argv.items() for a in pair))
+        assert (code, out) == (2, "")
+        assert err == "error: complexities must be finite\n"
+
+    def test_complexities_past_the_largest_sum(self, capsys):
+        code, out, _ = run(capsys, "quality", "--fault-prob", "0.1",
+                           "--faults", "10", "--testability", "0.5",
+                           "--scan", "1e308", "--logic", "1e308")
+        assert code == 0
+        assert value_of(out, "verification-time") == "0.250000"
+        assert value_of(out, "hardware-redundancy") == "0.500000"
+        assert value_of(out, "quality") == "0.386503"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "quality", "--fault-prob", "0",

@@ -89,8 +89,11 @@ class TestGreedy:
 
     def test_uncoverable_columns_reported(self):
         instance = generic_instance("100", "110")
-        assert instance.uncoverable_columns == (3,)
-        assert not instance.feasible
+        everything = BitVector.ones(instance.table.height)
+        assert str(coverage_of(instance, everything)) == "110"  # column 3
+        with pytest.raises(Infeasible,
+                           match="^some columns are covered by no row$"):
+            exact_cover_oracle(instance)
 
 
 class TestExactOracle:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -58,10 +59,38 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(p=-0.1), dict(p=1.5), dict(n=-1), dict(k=-0.2), dict(k=2.0),
         dict(hs=-1.0), dict(ha=-1.0), dict(hs=0.0, ha=0.0),
+        dict(ha=-math.inf),
     ])
     def test_out_of_range(self, kwargs):
         with pytest.raises(DomainError):
             inputs(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(hs=math.nan), dict(hs=math.inf), dict(ha=math.nan),
+        dict(ha=math.inf), dict(hs=math.inf, ha=math.inf)])
+    def test_non_finite_complexity(self, kwargs):
+        with pytest.raises(DomainError, match="^complexities must be finite$"):
+            inputs(**kwargs)
+
+
+class TestHugeComplexities:
+    """Complexities whose sum overflows a float still give their shares."""
+
+    def test_equal_shares(self):
+        out = design_quality(inputs(p=0.1, n=10, k=0.5, hs=1e308, ha=1e308))
+        assert out.verification_time == 0.25
+        assert out.hardware_redundancy == 0.5
+        assert out.quality == design_quality(inputs()).quality
+
+    def test_unequal_shares(self):
+        out = design_quality(inputs(k=0.0, hs=1.5e308, ha=0.5e308))
+        assert out.verification_time == pytest.approx(0.75, abs=1e-12)
+        assert out.hardware_redundancy == pytest.approx(0.25, abs=1e-12)
+
+    def test_largest_float(self):
+        out = design_quality(inputs(k=0.0, hs=sys.float_info.max,
+                                    ha=sys.float_info.max))
+        assert (out.verification_time, out.hardware_redundancy) == (0.5, 0.5)
 
 
 class TestProperties:

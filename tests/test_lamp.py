@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_bitvector, rand_table
+from helpers import rand_bitvector, rand_table, with_bit
 from veclog.assoc import (
     AssociativeTable,
     DiagnosisMode,
@@ -58,7 +58,7 @@ def fresh(rows, **presets):
 class TestAssemble:
     def test_single_binary_instruction(self):
         program = assemble("XOR md ma mb\n")
-        assert len(program) == 1
+        assert len(program.instructions) == 1
         assert program.instructions[0].opcode is Opcode.XOR
 
     def test_single_nop(self):
@@ -69,7 +69,7 @@ class TestAssemble:
 
     def test_quality_program_assembles(self):
         program = assemble(quality_source())
-        assert len(program) == 11
+        assert len(program.instructions) == 11
 
     def test_shipped_programs_assemble(self):
         for source in (feasible_search_source(), coverage_search_source(),
@@ -138,7 +138,7 @@ class TestAssemble:
             assemble("   \n  \n")
 
     def test_comment_only_source_is_an_empty_program(self):
-        assert len(assemble("; nothing to do\n")) == 0
+        assert len(assemble("; nothing to do\n").instructions) == 0
 
 
 class TestRunSequencer:
@@ -307,7 +307,7 @@ class TestGrid:
         program = assemble(feasible_search_source())
         out = run_grid(GridState((cell,) * 16), [program] * 16)
         assert all(c == out.cells[0] for c in out.cells)
-        assert out.cell(1, 1) == run_sequencer(cell, program)
+        assert out.cells[0] == run_sequencer(cell, program)
 
     def test_grid_equals_independent_runs(self):
         rng = random.Random(rng_seed + 6)
@@ -343,11 +343,11 @@ class TestGrid:
         programs += [assemble("HALT\n")] * 13
         out = run_grid(GridState(tuple(cells)), programs)
         mask = feasible_mask(table_a, query)
-        assert out.cell(1, 1).regs["ma"] == BitVector(mask.value << 4, 8)
+        assert out.cells[0].regs["ma"] == BitVector(mask.value << 4, 8)
         taken = greedy_cover(CoverageInstance(table_b))
-        assert out.cell(1, 2).regs["ma"] == BitVector(taken.value << 3, 8)
+        assert out.cells[1].regs["ma"] == BitVector(taken.value << 3, 8)
         located = diagnose(table_c, response).candidates
-        assert out.cell(1, 3).regs["mb"] == BitVector(located.value << 1, 9)
+        assert out.cells[2].regs["mb"] == BitVector(located.value << 1, 9)
 
     def test_empty_programs_leave_grid_unchanged(self):
         rng = random.Random(rng_seed + 8)
@@ -463,7 +463,7 @@ def reference_run(state, program, max_steps):
                 raise BitOutOfRange(f"coordinate {k} out of 1..{width} "
                                     f"(line {ins.line})")
             bit = value(ins.src1, ins) != BitVector.zeros(width)
-            regs[ins.dst] = regs[ins.dst].with_bit(k, bit)
+            regs[ins.dst] = with_bit(regs[ins.dst], k, bit)
         elif op in (Opcode.SETALL, Opcode.CLRALL):
             regs[ins.dst] = (BitVector.ones if op is Opcode.SETALL
                              else BitVector.zeros)(width)
@@ -547,7 +547,8 @@ def test_executor_matches_reference(width):
         max_steps = rng.choice([1, 4, 20, 1000, 1000])
         got = outcome(run_sequencer, state, program, max_steps)
         assert got == outcome(reference_run, state, program, max_steps)
-        if isinstance(got, SequencerState) and got.pc < len(program):
+        if isinstance(got, SequencerState) and \
+                got.pc < len(program.instructions):
             # resume after a HALT, possibly inside the loop body
             assert outcome(run_sequencer, got, program, max_steps) == \
                 outcome(reference_run, got, program, max_steps)

@@ -49,6 +49,20 @@ class TestBitVector:
         with pytest.raises(EmptyInput):
             bv("")
 
+    @pytest.mark.parametrize("value, length, message", [
+        (0, 0, "vector length must be at least 1, got 0"),
+        (-1, -2, "vector length must be at least 1, got -2"),
+        (8, 0, "vector length must be at least 1, got 0"),
+        (-1, 3, "value does not fit the stated length"),
+        (8, 3, "value does not fit the stated length"),
+        (1 << 64, 64, "value does not fit the stated length"),
+    ])
+    def test_constructor_messages(self, value, length, message):
+        # a bad length is reported before a value that does not fit
+        with pytest.raises(ValueError) as err:
+            BitVector(value, length)
+        assert str(err.value) == message
+
     def test_bit_indexing_is_one_based_from_left(self):
         v = bv("1010")
         assert [v.bit(k) for k in (1, 2, 3, 4)] == [1, 0, 1, 0]
@@ -135,14 +149,15 @@ class TestDevectorizeVectorize:
 
     def test_roundtrip(self):
         v = bv("100110")
-        assert vectorize(v.bits()) == v
+        assert vectorize(map(int, str(v))) == v
 
 
 class TestTernary:
     def test_parse_and_render(self):
         assert str(tv("110x01")) == "110x01"
+        assert tv("110x01").symbols() == ("1", "1", "0", "x", "0", "1")
         assert tv("x0x").xcount == 2
-        assert tv("x0x").space_size == 4
+        assert 1 << tv("x0x").xcount == 4
 
     def test_parse_rejects_bad_symbol(self):
         with pytest.raises(ParseError) as err:
