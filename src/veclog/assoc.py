@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from veclog.metric import CompactedQuality, compact_quality, quality_vector
 from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
-                           TernaryVector, decimal, value_type)
+                           TernaryVector, check_symbols, decimals, value_type)
 
 
 class AssociativeTable:
@@ -96,12 +96,16 @@ class DiagnosisResult:
     consistent: bool
 
 
-def feasible_mask(table: AssociativeTable, query: BitVector) -> BitVector:
-    """One bit per row: 0 when the query's 1s are contained in the row
-    (feasible), 1 when the row contradicts the query."""
+def _check_query(table: AssociativeTable, query: BitVector) -> None:
     if query.length != table.width:
         raise LengthMismatch(
             f"query width {query.length} vs table width {table.width}")
+
+
+def feasible_mask(table: AssociativeTable, query: BitVector) -> BitVector:
+    """One bit per row: 0 when the query's 1s are contained in the row
+    (feasible), 1 when the row contradicts the query."""
+    _check_query(table, query)
     q = query.value
     flags = ["0" if q & row.value == q else "1" for row in table.rows]
     return BitVector(int("".join(flags), 2), table.height)
@@ -110,9 +114,7 @@ def feasible_mask(table: AssociativeTable, query: BitVector) -> BitVector:
 def restrict(table: AssociativeTable, query: BitVector) -> AssociativeTable:
     """Conjunct every row with the query, dropping coordinates that cannot
     matter for it; dimensions and labels are preserved."""
-    if query.length != table.width:
-        raise LengthMismatch(
-            f"query width {query.length} vs table width {table.width}")
+    _check_query(table, query)
     return AssociativeTable([row & query for row in table.rows],
                             table.row_labels, table.col_labels)
 
@@ -153,9 +155,7 @@ def best_match(query: BitVector,
     1s, so the minimum is taken over xor popcounts and the quality of the
     first winning row is built once.
     """
-    if query.length != table.width:
-        raise LengthMismatch(
-            f"query width {query.length} vs table width {table.width}")
+    _check_query(table, query)
     q = query.value
     ones = [(q ^ row.value).bit_count() for row in table.rows]
     least = min(ones)
@@ -190,17 +190,13 @@ def parse_ternary_rows(
 
 def _parse_rows(text: str, ternary: bool):
     alphabet = "01x" if ternary else "01"
-    symbols = str.maketrans("", "", alphabet)  # deletes every valid symbol
     body = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
             if (line := raw.strip())]
     if not body:
         raise ParseError("empty table")
     header_line, header = body[0]
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-        raise ParseError("header must be two integers: height width",
-                         line=header_line)
-    height, width = (decimal(p, header_line) for p in parts)
+    height, width = decimals(header, 2, header_line,
+                             "header must be two integers: height width")
     if height < 1 or width < 1:
         raise ParseError("table dimensions must be at least 1x1",
                          line=header_line)
@@ -212,11 +208,7 @@ def _parse_rows(text: str, ternary: bool):
         if len(row) != width:
             raise ParseError(f"row has {len(row)} symbols, expected {width}",
                              line=lineno)
-        if row.translate(symbols):  # only a rejected row is scanned by symbol
-            for col, ch in enumerate(row, start=1):
-                if ch not in alphabet:
-                    raise ParseError(f"invalid symbol {ch!r}", line=lineno,
-                                     column=col)
+        check_symbols(row, alphabet, line=lineno)
         rows.append(row)
     labels: dict[str, tuple[str, ...]] = {}
     shape = {"rows": (height, "row"), "cols": (width, "column")}

@@ -55,31 +55,20 @@ def _emit(report: Report, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _position(exc: ParseError) -> str:
-    place = ""
-    if exc.line is not None:
-        place += f" at line {exc.line}"
-    if exc.column is not None:
-        place += f", column {exc.column}" if place else f" at column {exc.column}"
-    return place
+def _position(exc: ValueError) -> str:
+    line, column = getattr(exc, "line", None), getattr(exc, "column", None)
+    if line is None:
+        return "" if column is None else f" at column {column}"
+    return f" at line {line}" + ("" if column is None else f", column {column}")
 
 
 def _parsed(parse, text: str, what: str):
-    """``parse(text)``, with a ParseError raised as the InputError that
-    names ``what`` and the position."""
+    """``parse(text)``, with a ParseError or EmptyInput raised as the
+    InputError that names ``what`` and the position."""
     try:
         return parse(text)
-    except ParseError as exc:
+    except (ParseError, EmptyInput) as exc:
         raise InputError(f"bad {what}{_position(exc)}: {exc}") from exc
-
-
-def _parse_vector(text: str, what: str) -> BitVector:
-    try:
-        return BitVector.from_string(text)
-    except ParseError as exc:
-        raise InputError(f"bad {what}{_position(exc)}: {exc}") from exc
-    except EmptyInput as exc:
-        raise InputError(f"bad {what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -87,59 +76,47 @@ def _parse_vector(text: str, what: str) -> BitVector:
 
 def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
     text, digest = _read(args.table)
-    report: Report = [
-        ("command", " ".join(args.echo)),
-        ("table", args.table),
-        ("table-digest", digest),
-        ("query", args.query),
-    ]
     if args.arith:
-        return _query_arith(text, args, report)
-    table = _parsed(assoc.parse_table, text, "table")
-    query = _parse_vector(args.query, "query")
-    if query.length != table.width:
+        rows, labels = _parsed(assoc.parse_ternary_rows, text, "table")
+        query = _parsed(vlcore.TernaryVector.from_string, args.query, "query")
+    else:
+        table = _parsed(assoc.parse_table, text, "table")
+        query = _parsed(BitVector.from_string, args.query, "query")
+        rows, labels = table.rows, table.row_labels
+    width = rows[0].length
+    if query.length != width:
         raise InputError(f"query width {query.length} does not match table "
-                         f"width {table.width}")
-    report += [("rows", table.height), ("width", table.width)]
-    mask = assoc.feasible_mask(table, query)
-    feasible = []
-    for k, flag in enumerate(str(mask), start=1):
-        name = f"row-{k}"
-        if table.row_labels:
-            name += f" ({table.row_labels[k - 1]})"
-        if flag == "0":
-            feasible.append(k)
-        report.append((name, "contradictory" if flag == "1" else "feasible"))
-    report.append(("feasible-rows",
-                   " ".join(str(k) for k in feasible) or "(none)"))
-    rows, quality = assoc.best_match(query, table)
-    report.append(("best-rows", " ".join(str(k) for k in rows)))
-    if table.row_labels:
+                         f"width {width}")
+    names = [f"row-{k}" for k in range(1, len(rows) + 1)]
+    if labels:
+        names = [f"{name} ({label})" for name, label in zip(names, labels)]
+    report: Report = [("table", args.table), ("table-digest", digest),
+                      ("query", args.query), ("rows", len(rows)),
+                      ("width", width)]
+    if args.arith:
+        return _query_arith(query, rows, names, report)
+    mask = str(assoc.feasible_mask(table, query))
+    report += [(name, "contradictory" if flag == "1" else "feasible")
+               for name, flag in zip(names, mask)]
+    feasible = [str(k) for k, flag in enumerate(mask, start=1) if flag == "0"]
+    report.append(("feasible-rows", " ".join(feasible) or "(none)"))
+    best_rows, quality = assoc.best_match(query, table)
+    report.append(("best-rows", " ".join(str(k) for k in best_rows)))
+    if labels:
         report.append(("best-labels",
-                       " ".join(table.row_labels[k - 1] for k in rows)))
+                       " ".join(labels[k - 1] for k in best_rows)))
     report.append(("best-quality", str(quality)))
     report.append(("status", "ok"))
     return report, 0
 
 
-def _query_arith(text: str, args: argparse.Namespace,
+def _query_arith(query: vlcore.TernaryVector,
+                 rows: Sequence[vlcore.TernaryVector], names: list[str],
                  report: Report) -> tuple[Report, int]:
-    rows, labels = _parsed(assoc.parse_ternary_rows, text, "table")
-    try:
-        query = vlcore.TernaryVector.from_string(args.query)
-    except (ParseError, EmptyInput) as exc:
-        raise InputError(f"bad query: {exc}") from exc
-    if query.length != rows[0].length:
-        raise InputError(f"query width {query.length} does not match table "
-                         f"width {rows[0].length}")
-    report += [("rows", len(rows)), ("width", rows[0].length)]
     best: Optional[Fraction] = None
     best_rows: list[int] = []
-    for k, row in enumerate(rows, start=1):
+    for k, (name, row) in enumerate(zip(names, rows), start=1):
         aq = metric.quality_arith(query, row)
-        name = f"row-{k}"
-        if labels:
-            name += f" ({labels[k - 1]})"
         report.append((name, f"quality {aq.quality} (distance {aq.distance}, "
                              f"query-in-stored {aq.query_in_stored}, "
                              f"stored-in-query {aq.stored_in_query})"))
@@ -159,7 +136,7 @@ def _query_arith(text: str, args: argparse.Namespace,
 def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     text, digest = _read(args.table)
     table = _parsed(assoc.parse_table, text, "table")
-    response = _parse_vector(args.response, "response")
+    response = _parsed(BitVector.from_string, args.response, "response")
     if response.length != table.height:
         raise InputError(f"response width {response.length} does not match "
                          f"table height {table.height}")
@@ -170,7 +147,6 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     named = [label for label, flag in zip(labels, str(result.candidates))
              if flag == "1"]
     report: Report = [
-        ("command", " ".join(args.echo)),
         ("table", args.table),
         ("table-digest", digest),
         ("response", args.response),
@@ -189,7 +165,6 @@ def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
     text, digest = _read(args.instance)
     instance = _parsed(cover.parse_repair_instance, text, "instance")
     report: Report = [
-        ("command", " ".join(args.echo)),
         ("instance", args.instance),
         ("instance-digest", digest),
         ("memory", f"{instance.rows}x{instance.cols}"),
@@ -256,7 +231,7 @@ def _parse_reg_presets(items: Sequence[str], width: int) -> dict:
         if not sep or name.lower() not in lamp.REGISTERS:
             raise InputError(f"register preset must look like ma=1010, "
                              f"got {item!r}")
-        vector = _parse_vector(value, f"preset for {name}")
+        vector = _parsed(BitVector.from_string, value, f"preset for {name}")
         if vector.length != width:
             raise InputError(f"preset for {name} has width {vector.length}, "
                              f"table width is {width}")
@@ -283,23 +258,19 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str]
 
 
 def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
-    report: Report = [("command", " ".join(args.echo))]
     if args.grid:
-        return _sim_grid(args, report)
+        return _sim_grid(args)
     if not args.program or not args.data:
         raise InputError("sim needs a program file and a data file "
                          "(or --grid MANIFEST)")
-    program, state, files = _load_cell(args.program, args.data,
-                                       args.reg or [])
-    report += files
+    program, state, report = _load_cell(args.program, args.data,
+                                        args.reg or [])
     try:
         final = lamp.run_sequencer(state, program, args.max_steps)
     except lamp.SimulationError as exc:
         report.append(("status", f"fault: {exc}"))
         return report, 1
-    report.append(("steps", final.steps))
-    for name in lamp.REGISTERS:
-        report.append((name, _bits(final.regs[name], args.dots)))
+    report += _registers(final, args.dots)
     if args.dump_memory:
         for i, row in enumerate(final.memory.rows, start=1):
             report.append((f"memory-{i}", _bits(row, args.dots)))
@@ -307,14 +278,22 @@ def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
     return report, 0
 
 
-def _sim_grid(args: argparse.Namespace, report: Report) -> tuple[Report, int]:
+def _registers(state: lamp.SequencerState, dots: bool,
+               prefix: str = "") -> Report:
+    """The ``steps`` line and one line per register of a final state."""
+    return [(f"{prefix}steps", state.steps)] + [
+        (prefix + name, _bits(state.regs[name], dots))
+        for name in lamp.REGISTERS]
+
+
+def _sim_grid(args: argparse.Namespace) -> tuple[Report, int]:
     base = os.path.dirname(os.path.abspath(args.grid))
     lines = [ln.strip() for ln in _read(args.grid)[0].splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
     if len(lines) != lamp.GRID_CELLS:
         raise InputError(f"grid manifest needs {lamp.GRID_CELLS} lines, "
                          f"got {len(lines)}")
-    report.append(("grid-manifest", args.grid))
+    report: Report = [("grid-manifest", args.grid)]
     programs, cells = [], []
     for idx, line in enumerate(lines):
         parts = line.split()
@@ -338,10 +317,7 @@ def _sim_grid(args: argparse.Namespace, report: Report) -> tuple[Report, int]:
         return report, 1
     for idx, cell in enumerate(final.cells):
         row, col = idx // lamp.GRID_SIDE + 1, idx % lamp.GRID_SIDE + 1
-        report.append((f"cell-{row}-{col}-steps", cell.steps))
-        for name in lamp.REGISTERS:
-            report.append((f"cell-{row}-{col}-{name}",
-                           _bits(cell.regs[name], args.dots)))
+        report += _registers(cell, args.dots, f"cell-{row}-{col}-")
     report.append(("status", "ok"))
     return report, 0
 
@@ -357,7 +333,6 @@ def cmd_quality(args: argparse.Namespace) -> tuple[Report, int]:
         raise InputError(str(exc)) from exc
     out = dq.design_quality(inp)
     report: Report = [
-        ("command", " ".join(args.echo)),
         ("yield", f"{out.yield_estimate:.6f}"),
         ("fault-level", f"{out.fault_level:.6f}"),
         ("verification-time", f"{out.verification_time:.6f}"),
@@ -447,13 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    args.echo = argv
     try:
         report, status = args.func(args)
     except (InputError, LengthMismatch, ParseError, EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.json)
+    _emit([("command", " ".join(argv))] + report, args.json)
     return status
 
 

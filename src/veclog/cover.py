@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from veclog.assoc import AssociativeTable
-from veclog.vlcore import (BitVector, LengthMismatch, ParseError, decimal,
+from veclog.vlcore import (BitVector, LengthMismatch, ParseError, decimals,
                            value_type)
 
 
@@ -294,19 +294,12 @@ def parse_repair_instance(text: str) -> RepairInstance:
     if not lines:
         raise ParseError("empty repair instance")
     header_line, header = lines[0]
-    parts = header.split()
-    if len(parts) != 4 or not all(p.isdecimal() for p in parts):
-        raise ParseError("header must be four integers: rows cols "
-                         "spare_rows spare_cols", line=header_line)
-    rows, cols, spare_rows, spare_cols = (decimal(p, header_line)
-                                          for p in parts)
-    faults = set()
-    for lineno, entry in lines[1:]:
-        coords = entry.split()
-        if len(coords) != 2 or not all(c.isdecimal() for c in coords):
-            raise ParseError("fault line must be two integers: row col",
-                             line=lineno)
-        faults.add(tuple(decimal(c, lineno) for c in coords))
+    rows, cols, spare_rows, spare_cols = decimals(
+        header, 4, header_line,
+        "header must be four integers: rows cols spare_rows spare_cols")
+    faults = {tuple(decimals(entry, 2, lineno,
+                             "fault line must be two integers: row col"))
+              for lineno, entry in lines[1:]}
     try:
         return RepairInstance(rows, cols, frozenset(faults),
                               spare_rows, spare_cols)

@@ -6,6 +6,7 @@ tolerance rather than exactly.
 from __future__ import annotations
 
 import math
+import sys
 
 from veclog.vlcore import value_type
 
@@ -57,7 +58,9 @@ def design_quality(inp: DesignQualityInput) -> DesignQualityOutput:
     """Evaluate the yield / fault-level / time / redundancy estimates and
     their average."""
     p = inp.fault_probability
-    n = inp.undetected_faults
+    # a count past the largest float overflows ``**``, and every such count
+    # gives the same estimates (not math.inf: with k = 1, inf * 0.0 is nan)
+    n = min(inp.undetected_faults, int(sys.float_info.max))
     k = inp.testability
     scan, logic = inp.scan_complexity, inp.logic_complexity
     if math.isinf(scan + logic):  # halving two finite floats this big is exact

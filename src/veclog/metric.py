@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING, Sequence
 from veclog.vlcore import (
     BitVector,
     EmptyIntersection,
-    LengthMismatch,
     TernaryVector,
     devectorize,
+    same_length,
     slc,
     ternary_intersect,
     value_type,
@@ -94,11 +94,8 @@ def quality_arith(query: TernaryVector, stored: TernaryVector) -> ArithQuality:
     """
     from fractions import Fraction  # loaded by the one path that needs it
 
-    if query.length != stored.length:
-        raise LengthMismatch(
-            f"operand lengths differ: {query.length} vs {stored.length}")
     n = query.length
-    inter = ternary_intersect(query, stored)
+    inter = ternary_intersect(query, stored)  # checks the lengths match
     if isinstance(inter, EmptyIntersection):
         distance = Fraction(n - inter.empty_count, n)
         query_in_stored = Fraction(0)
@@ -114,9 +111,7 @@ def quality_arith(query: TernaryVector, stored: TernaryVector) -> ArithQuality:
 def quality_counts(query: BitVector, stored: BitVector) -> CountQuality:
     """Integer defect counts of a binary pair; total is 0 iff the vectors
     are equal and grows as interaction quality degrades."""
-    if query.length != stored.length:
-        raise LengthMismatch(
-            f"operand lengths differ: {query.length} vs {stored.length}")
+    same_length(query, stored)
     shared = (query.value & stored.value).bit_count()
     mismatches = (query.value ^ stored.value).bit_count()
     stored_only = stored.popcount - shared
@@ -128,9 +123,7 @@ def quality_counts(query: BitVector, stored: BitVector) -> CountQuality:
 def quality_vector(query: BitVector, stored: BitVector) -> QualityVector:
     """Per-coordinate defect vectors of a binary pair, built with logic
     operations only."""
-    if query.length != stored.length:
-        raise LengthMismatch(
-            f"operand lengths differ: {query.length} vs {stored.length}")
+    same_length(query, stored)
     n = query.length
     mask = (1 << n) - 1
     overlap = query.value & stored.value
@@ -160,9 +153,7 @@ def better_of(first: CompactedQuality, second: CompactedQuality) -> Choice:
     The first wins when its compacted 1-run is contained in the second's;
     ties resolve to the first.
     """
-    if first.length != second.length:
-        raise LengthMismatch(
-            f"operand lengths differ: {first.length} vs {second.length}")
+    same_length(first, second)
     overlap = first.compacted & second.compacted
     excess = overlap ^ first.compacted
     return Choice.FIRST if devectorize(excess) == 0 else Choice.SECOND

@@ -11,8 +11,8 @@ import sys
 from enum import Enum
 from typing import Iterable, Optional
 
-_BIT_CHARS = {"0": 0, "1": 1}
-_TERNARY_CHARS = ("0", "1", "x")
+# per alphabet, the str.translate table that deletes its symbols
+_DELETE = {alpha: str.maketrans("", "", alpha) for alpha in ("01", "01x")}
 
 
 class LengthMismatch(ValueError):
@@ -44,6 +44,33 @@ def decimal(token: str, line: Optional[int] = None,
     except ValueError:
         raise error(f"number has {len(token)} digits, more than the "
                     f"{sys.get_int_max_str_digits()} allowed", line) from None
+
+
+def decimals(text: str, count: int, line: int, message: str) -> list[int]:
+    """The ``count`` decimal numbers on ``text``, one line of an input file;
+    ``ParseError(message, line)`` when the count or a token is wrong."""
+    parts = text.split()
+    if len(parts) != count or not all(p.isdecimal() for p in parts):
+        raise ParseError(message, line=line)
+    return [decimal(p, line) for p in parts]
+
+
+def check_symbols(text: str, alphabet: str, what: str = "",
+                  line: Optional[int] = None) -> None:
+    """Raise ``ParseError(f"invalid symbol {ch!r}{what}", line, column)`` at
+    the first symbol of ``text`` outside ``alphabet`` ("01" or "01x").  The
+    text is scanned symbol by symbol only when it holds a bad one."""
+    if text.translate(_DELETE[alphabet]):
+        for col, ch in enumerate(text, start=1):
+            if ch not in alphabet:
+                raise ParseError(f"invalid symbol {ch!r}{what}", line, col)
+
+
+def same_length(a, b) -> None:
+    """Raise LengthMismatch unless the operands have the same ``length``."""
+    if a.length != b.length:
+        raise LengthMismatch(
+            f"operand lengths differ: {a.length} vs {b.length}")
 
 
 def value_type(cls):
@@ -142,9 +169,7 @@ class BitVector:
     def from_string(cls, text: str) -> "BitVector":
         if not text:
             raise EmptyInput("empty bit string")
-        for col, ch in enumerate(text, start=1):
-            if ch not in _BIT_CHARS:
-                raise ParseError(f"invalid symbol {ch!r} in bit string", column=col)
+        check_symbols(text, "01", " in bit string")
         return cls(int(text, 2), len(text))
 
     @classmethod
@@ -176,27 +201,22 @@ class BitVector:
     def __hash__(self) -> int:
         return hash((self.value, self.length))
 
-    def _require_same_length(self, other: "BitVector") -> None:
-        if self.length != other.length:
-            raise LengthMismatch(
-                f"operand lengths differ: {self.length} vs {other.length}")
-
     def __and__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
             return NotImplemented
-        self._require_same_length(other)
+        same_length(self, other)
         return BitVector(self.value & other.value, self.length)
 
     def __or__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
             return NotImplemented
-        self._require_same_length(other)
+        same_length(self, other)
         return BitVector(self.value | other.value, self.length)
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
             return NotImplemented
-        self._require_same_length(other)
+        same_length(self, other)
         return BitVector(self.value ^ other.value, self.length)
 
     def __invert__(self) -> "BitVector":
@@ -232,17 +252,9 @@ class TernaryVector:
     def from_string(cls, text: str) -> "TernaryVector":
         if not text:
             raise EmptyInput("empty ternary string")
-        ones = xs = 0
-        for col, ch in enumerate(text, start=1):
-            ones <<= 1
-            xs <<= 1
-            if ch == "1":
-                ones |= 1
-            elif ch == "x":
-                xs |= 1
-            elif ch != "0":
-                raise ParseError(f"invalid symbol {ch!r} in ternary string",
-                                 column=col)
+        check_symbols(text, "01x", " in ternary string")
+        ones = int(text.replace("x", "0"), 2)
+        xs = int(text.replace("1", "0").replace("x", "1"), 2)
         return cls(ones, xs, len(text))
 
     @property
@@ -321,9 +333,7 @@ def ternary_intersect(a: TernaryVector,
                       b: TernaryVector) -> "TernaryVector | EmptyIntersection":
     """Coordinatewise intersection: x absorbs, equal symbols keep, 0 vs 1
     empties the coordinate.  Any empty coordinate empties the whole result."""
-    if a.length != b.length:
-        raise LengthMismatch(
-            f"operand lengths differ: {a.length} vs {b.length}")
+    same_length(a, b)
     mask = (1 << a.length) - 1
     both_defined = (mask ^ a.xs) & (mask ^ b.xs)
     clash = both_defined & (a.ones ^ b.ones)

@@ -229,6 +229,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         add(f"arith-{name}", "query", f"{name}.tbl", "1x", "--arith")
     add("arith-absent", "query", "absent.tbl", "1x", "--arith")
     add("arith-bad-query", "query", "tern.tbl", "1z", "--arith")
+    add("arith-bad-query-middle", "query", "tern-labels.tbl", "1xz0x",
+        "--arith")
     add("arith-empty-query", "query", "tern.tbl", "", "--arith")
     add("arith-wide-query", "query", "tern.tbl", "1x0", "--arith")
     # label trailers through both readers
@@ -373,6 +375,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     quality("prob-high", fault_prob="1.5")
     quality("prob-nan", fault_prob="nan")
     quality("faults-negative", faults="-1")
+    quality("faults-309-digits", faults="9" * 309)  # past the largest float
+    quality("faults-4300-digits", faults="9" * 4300)  # the most int() reads
     quality("testability-high", testability="2")
     quality("testability-nan", testability="nan")
     quality("scan-negative", scan="-1")

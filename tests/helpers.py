@@ -7,7 +7,8 @@ from itertools import combinations, product
 from veclog.assoc import AssociativeTable
 from veclog.cover import (EXHAUSTIVE_LIMIT, CoverageInstance, Infeasible,
                           TooLarge)
-from veclog.vlcore import BitVector, TernaryVector, vectorize
+from veclog.vlcore import (BitVector, EmptyInput, ParseError, TernaryVector,
+                           vectorize)
 
 
 def rand_bitvector(rng: random.Random, width: int) -> BitVector:
@@ -42,6 +43,25 @@ def all_ternary(length: int):
     """Every ternary vector of the given length."""
     for symbols in product("01x", repeat=length):
         yield TernaryVector.from_string("".join(symbols))
+
+
+def reference_ternary(text: str) -> TernaryVector:
+    """``TernaryVector.from_string`` as one loop over the symbols, with the
+    same errors (oracle use only)."""
+    if not text:
+        raise EmptyInput("empty ternary string")
+    ones = xs = 0
+    for col, ch in enumerate(text, start=1):
+        ones <<= 1
+        xs <<= 1
+        if ch == "1":
+            ones |= 1
+        elif ch == "x":
+            xs |= 1
+        elif ch != "0":
+            raise ParseError(f"invalid symbol {ch!r} in ternary string",
+                             column=col)
+    return TernaryVector(ones, xs, len(text))
 
 
 def reference_cover_oracle(

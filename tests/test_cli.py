@@ -571,6 +571,107 @@ def test_grid_never_escapes(tmp_path_factory, text):
                                  "--max-steps", "1000"]])
 
 
+# ---------------------------------------------------------------------------
+# Fuzz of whole command lines: a subcommand with its positionals, then its
+# flags and options in any order, each value usually one that works and
+# about one time in eight an odd one (float strings such as nan, inf and
+# -0, a count past the largest float or past int()'s 4300 digits, a bad
+# register preset).  Every argv ends in exit 0, 1 or 2, argparse's own exit
+# included, and a rerun prints the same bytes.
+
+_ARGV_FILES = {
+    "t.tbl": "3 4\n1100\n1111\n0011\n#labels\nrows: r1 r2 r3\n",
+    "tern.tbl": "2 4\n1x0x\nxxxx\n",
+    "bad.tbl": "2 4\n1100\n1z00\n",
+    "d.tbl": "3 3\n110\n011\n100\n#labels\ncols: f1 f2 f3\n",
+    "m.rep": "6 6 2 2\n1 1\n2 1\n5 5\n",
+    "bad.rep": "6 6 2\n1 1\n",
+    "copy.lamp": "LOADROW ma A[1]\nNOT mb ma\nHALT\n",
+    "spin.lamp": "LOOP 100\nNOP ma ma\nENDLOOP\nHALT\n",
+    "fault.lamp": "LOADROW ma A[9]\nHALT\n",
+    "bad.lamp": "AND ma\n",
+    "grid.txt": "copy.lamp t.tbl\n" * 15 + "spin.lamp t.tbl mb=0011\n",
+    "grid-fault.txt": "copy.lamp t.tbl\n" * 15 + "fault.lamp t.tbl\n",
+}
+_ODD = ["nan", "inf", "-inf", "1e308", "-0", "-1", "2", "ten", ""]
+_HUGE = ["9" * 308, "9" * 309, "9" * 4300, "9" * 4301]
+
+
+@st.composite
+def _value(draw, usual):
+    """One of ``usual``, or about one time in eight an odd value."""
+    odd = draw(st.integers(0, 7)) == 7
+    return draw(st.sampled_from(_ODD if odd else usual))
+
+
+@st.composite
+def _argv(draw):
+    pick = st.sampled_from
+    command = draw(pick(["query", "diagnose", "repair", "sim", "quality"]))
+    options = [["--json"]]
+    if command == "query":
+        head = [draw(pick(["t.tbl", "tern.tbl", "bad.tbl", "absent.tbl"])),
+                draw(pick(["1100", "1x00", "0000", "1z00", "11", ""]))]
+        options.append(["--arith"])
+    elif command == "diagnose":
+        head = [draw(pick(["d.tbl", "t.tbl", "bad.tbl"])),
+                draw(pick(["110", "101", "000", "1x0", "11"]))]
+        options.append(["--mode", draw(_value(["single", "multiple"]))])
+    elif command == "repair":
+        head = [draw(pick(["m.rep", "bad.rep", "absent.rep", "t.tbl"]))]
+        options.append(["--oracle"])
+    elif command == "sim":
+        head = draw(pick([["copy.lamp", "t.tbl"], ["spin.lamp", "t.tbl"],
+                          ["fault.lamp", "t.tbl"], ["bad.lamp", "t.tbl"],
+                          ["copy.lamp", "bad.tbl"], ["copy.lamp"], [],
+                          ["--grid", "grid.txt"],
+                          ["--grid", "grid-fault.txt"]]))
+        options += [["--reg", draw(_value(["mb=1100", "MA=0011", "mb=1x00",
+                                           "zz=0000", "mb", "mc=11"]))],
+                    ["--reg", draw(_value(["mc=0001", "md=1111"]))],
+                    ["--max-steps", draw(_value(["1", "5", "300", "301",
+                                                 "100000", "9" * 4301]))],
+                    ["--dump-memory"], ["--dots"]]
+    else:
+        head = []
+        options += [
+            ["--fault-prob", draw(_value(["0.1", "0", "1", "-0", "5e-324"]))],
+            ["--faults", draw(_value([*_HUGE, "0", "10"]))],
+            ["--testability", draw(_value(["0.5", "1", "0", "-0"]))],
+            ["--scan", draw(_value(["1", "0", "2.5", "1e308", "-0"]))],
+            ["--logic", draw(_value(["1", "3", "1e308", "-0"]))]]
+    # one option in three is short of a flag (quality's are required), one
+    # in eight has an unknown flag
+    skip = draw(st.integers(0, 3 * len(options) - 1))
+    kept = [o for i, o in enumerate(options) if i != skip]
+    if draw(st.integers(0, 7)) == 7:
+        kept.append(["--frob"])
+    return [command, *head, *(a for o in draw(st.permutations(kept))
+                              for a in o)]
+
+
+@settings(max_examples=300)
+@given(_argv())
+def test_argv_never_escapes(tmp_path_factory, argv):
+    workdir = tmp_path_factory.getbasetemp() / "argv"
+    workdir.mkdir(exist_ok=True)
+    for name, body in _ARGV_FILES.items():
+        (workdir / name).write_text(body, encoding="ascii")
+    argv = [str(workdir / a) if a in _ARGV_FILES or a.startswith("absent")
+            else a for a in argv]
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit
+                code = exc.code
+        assert code in (0, 1, 2)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+
+
 def test_import_loads_no_single_use_module():
     """``import veclog.cli`` loads neither the modules only one subcommand
     uses nor the dataclass machinery; checked on module names, not time."""
@@ -621,6 +722,24 @@ class TestQuality:
         assert value_of(out, "verification-time") == "0.250000"
         assert value_of(out, "hardware-redundancy") == "0.500000"
         assert value_of(out, "quality") == "0.386503"
+
+    @pytest.mark.parametrize("digits", [308, 309, 4300])
+    @pytest.mark.parametrize("p", ["0", "0.1", "1"])
+    @pytest.mark.parametrize("k", ["0.5", "1"])
+    def test_huge_fault_count(self, capsys, digits, p, k):
+        code, out, err = run(capsys, "quality", "--fault-prob", p,
+                             "--faults", "9" * digits, "--testability", k,
+                             "--scan", "1", "--logic", "1")
+        assert (code, err) == (0, "")
+        fault_level = 0.0 if p == "0" or k == "1" else 1.0
+        time = (1.0 - float(k)) / 2
+        assert value_of(out, "yield") == ("1.000000" if p == "0"
+                                          else "0.000000")
+        assert value_of(out, "fault-level") == f"{fault_level:.6f}"
+        assert value_of(out, "verification-time") == f"{time:.6f}"
+        assert value_of(out, "hardware-redundancy") == "0.500000"
+        assert value_of(out, "quality") == \
+            f"{(fault_level + time + 0.5) / 3.0:.6f}"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "quality", "--fault-prob", "0",

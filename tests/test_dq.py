@@ -129,3 +129,28 @@ class TestProperties:
             assert y_high_p <= y_low_p + 1e-12
             y_high_n = design_quality(inputs(p=p1, n=n2, k=k)).yield_estimate
             assert y_high_n <= y_low_p + 1e-12
+
+
+class TestHugeFaultCounts:
+    """A count past the largest float gives the estimates of the limit:
+    no yield and full fault level unless p = 0, and no fault level at
+    testability 1; the count no longer overflows ``**``."""
+
+    @pytest.mark.parametrize("digits", [308, 309, 4300])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_estimates(self, digits, p, k):
+        out = design_quality(inputs(p=p, n=int("9" * digits), k=k))
+        fault_level = 0.0 if p == 0.0 or k == 1.0 else 1.0
+        assert out.yield_estimate == (1.0 if p == 0.0 else 0.0)
+        assert out.fault_level == fault_level
+        assert out.verification_time == (1.0 - k) / 2
+        assert out.hardware_redundancy == 0.5
+        assert out.quality == (fault_level + (1.0 - k) / 2 + 0.5) / 3.0
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_every_larger_count_is_the_largest_float(self, p, k):
+        largest = design_quality(inputs(p=p, n=int(sys.float_info.max), k=k))
+        for n in (int(sys.float_info.max) + 1, 10 ** 400, int("9" * 4300)):
+            assert design_quality(inputs(p=p, n=n, k=k)) == largest
