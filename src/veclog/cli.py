@@ -231,6 +231,8 @@ def _parse_reg_presets(items: Sequence[str], width: int) -> dict:
         if not sep or name.lower() not in lamp.REGISTERS:
             raise InputError(f"register preset must look like ma=1010, "
                              f"got {item!r}")
+        if name.lower() in presets:
+            raise InputError(f"register {name.lower()} is preset twice")
         vector = _parsed(BitVector.from_string, value, f"preset for {name}")
         if vector.length != width:
             raise InputError(f"preset for {name} has width {vector.length}, "

@@ -24,14 +24,14 @@ Execution is a pure function of (state, program): rerunning is bit-identical.
 """
 from __future__ import annotations
 
-import operator
 import re
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
+from itertools import accumulate, groupby
 from typing import Mapping, Optional, Sequence, Union
 
 from veclog.assoc import AssociativeTable, DiagnosisMode
-from veclog.vlcore import BitVector, EmptyInput, decimal, slc, value_type
+from veclog.vlcore import BitVector, EmptyInput, decimal, value_type
 
 REGISTERS = ("ma", "mb", "mc", "md")
 DEFAULT_MAX_STEPS = 1_000_000
@@ -112,25 +112,27 @@ class Program:
 # Opcode table.  A shape has one letter per operand: r register, s register
 # or row, R row, k coordinate (1.. or @), n count (1.. or *); a trailing ?
 # makes the last operand optional, repeating the first.  Registers and rows
-# fill dst, src1 and src2 in order, k and n fill imm.  An "apply" step sets
-# dst to meaning(src1, src2), an absent source reading as all ones.
+# fill dst, src1 and src2 in order, k and n fill imm.  The statement is the
+# meaning in Python over int registers, the row list A and the all-ones word
+# `ones`, with the loop row `at`: {d}, {a} and {b} are dst, src1 and src2,
+# {k} a DEVOR's coordinate bits, {next} the pc after a HALT, {line} its line.
 
-_OPS = {  # opcode: (shape, step kind, meaning on ints)
-    Opcode.AND: ("rsr", "apply", operator.and_),
-    Opcode.OR: ("rsr", "apply", operator.or_),
-    Opcode.XOR: ("rsr", "apply", operator.xor),
-    Opcode.NOT: ("rs?", "apply", operator.xor),
-    Opcode.SLC: ("rs?", "apply",
-                 lambda a, ones: slc(BitVector(a, ones.bit_length())).value),
-    Opcode.NOP: ("rs?", "apply", lambda a, ones: a),
-    Opcode.LOADROW: ("rR", "apply", lambda a, ones: a),
-    Opcode.STOREROW: ("Rr", "store", None),
-    Opcode.DEVOR: ("rks", "devor", None),
-    Opcode.SETALL: ("r", "apply", lambda ones, _: ones),
-    Opcode.CLRALL: ("r", "apply", lambda ones, _: 0),
-    Opcode.LOOP: ("n", "loop", None),
-    Opcode.ENDLOOP: ("", "endloop", None),
-    Opcode.HALT: ("", None, None),  # no step: the run stops
+_OPS = {  # opcode: (shape, statement)
+    Opcode.AND: ("rsr", "{d} = {a} & {b}"),
+    Opcode.OR: ("rsr", "{d} = {a} | {b}"),
+    Opcode.XOR: ("rsr", "{d} = {a} ^ {b}"),
+    Opcode.NOT: ("rs?", "{d} = {a} ^ ones"),
+    Opcode.SLC: ("rs?", "{d} = ones ^ ones >> {a}.bit_count()"),
+    Opcode.NOP: ("rs?", "{d} = {a}"),
+    Opcode.LOADROW: ("rR", "{d} = {a}"),
+    Opcode.STOREROW: ("Rr", "{d} = {a}; stored = True"),
+    Opcode.DEVOR: ("rks", "{d} = {d} | {k} if {a} else {d} & ~{k}"),
+    Opcode.SETALL: ("r", "{d} = ones"),
+    Opcode.CLRALL: ("r", "{d} = 0"),
+    Opcode.LOOP: ("n", None),  # the emitter writes the loop
+    Opcode.ENDLOOP: ("", "if not at: raise SimulationError("
+                         "'ENDLOOP with no LOOP running (line {line})')"),
+    Opcode.HALT: ("", "return {next}, steps, stored, ma, mb, mc, md"),
 }
 
 
@@ -278,93 +280,142 @@ class SequencerState:
 def run_sequencer(state: SequencerState, program: Program,
                   max_steps: int = DEFAULT_MAX_STEPS) -> SequencerState:
     """Execute until HALT or the end of the program; the input state is
-    never mutated.  Each instruction is decoded once into a step function
-    on int registers and rows, which returns the pc to jump to or None to go
-    on; BitVectors are built only for the returned state."""
-    width, ones = state.memory.width, (1 << state.memory.width) - 1
-    regs = {name: reg.value for name, reg in state.regs.items()}
-    rows = [row.value for row in state.memory.rows]
-    loop = [0, 0, 0]  # row (0 while no loop runs), count, body pc
-    stored = False
-
-    def number(index, bound, error, noun, line):
-        # a row or coordinate number (None: the loop row), checked when read
-        def read() -> int:
-            k = loop[0] if index is None else index
-            if 0 < k <= bound:
-                return k
-            if index is None and not k:
-                raise SimulationError(f"@ with no LOOP running (line {line})")
-            raise error(f"{noun} {k} out of 1..{bound} (line {line})")
-        return read
-
-    def reader(operand, line):
-        if isinstance(operand, RowRef):
-            at = number(operand.index, len(rows), RowOutOfRange, "row", line)
-            return lambda: rows[at() - 1]
-        return (lambda: ones) if operand is None else (lambda: regs[operand])
-
-    def apply(ins, pc, f):
-        dst, line = ins.dst, ins.line
-        a, b = reader(ins.src1, line), reader(ins.src2, line)
-        def step() -> None:
-            regs[dst] = f(a(), b())
-        return step
-
-    def store(ins, pc, f):
-        src, at = ins.src1, number(ins.dst.index, len(rows), RowOutOfRange,
-                                   "row", ins.line)
-        def step() -> None:
-            nonlocal stored
-            rows[at() - 1], stored = regs[src], True
-        return step
-
-    def devor(ins, pc, f):
-        dst, a = ins.dst, reader(ins.src1, ins.line)
-        k = number(ins.imm, width, BitOutOfRange, "coordinate", ins.line)
-        def step() -> None:
-            bit = 1 << (width - k())
-            regs[dst] = regs[dst] | bit if a() else regs[dst] & ~bit
-        return step
-
-    def start_loop(ins, pc, f):
-        count = len(rows) if ins.imm is None else ins.imm
-        def step() -> None:
-            loop[:] = 1, count, pc + 1
-        return step
-
-    def end_loop(ins, pc, f):
-        def step() -> Optional[int]:
-            row, count, body = loop
-            if not row:
-                raise SimulationError(f"ENDLOOP with no LOOP running "
-                                      f"(line {ins.line})")
-            loop[0] = row + 1 if row < count else 0
-            return body if row < count else None
-        return step
-
-    build = {"apply": apply, "store": store, "devor": devor,
-             "loop": start_loop, "endloop": end_loop}
-    code = [kind and build[kind](ins, pc, meaning)
-            for pc, ins in enumerate(program.instructions)
-            for _, kind, meaning in [_OPS[ins.opcode]]]
-    end, pc, steps = len(code), state.pc, 0
-    while pc < end:
-        if steps >= max_steps:
-            raise StepLimitExceeded(f"exceeded {max_steps} steps")
-        steps += 1
-        step = code[pc]
-        if step is None:  # HALT
-            pc += 1
-            break
-        pc = step() or pc + 1  # a jump target is never pc 0
-    memory = state.memory
+    never mutated.  The program runs as the function ``emit_source`` writes,
+    compiled once per distinct program."""
+    memory, width = state.memory, state.memory.width
+    rows = [row.value for row in memory.rows]
+    pc, steps, stored, *regs = _compiled(program)(
+        rows, width, state.pc, max_steps,
+        *(state.regs[name].value for name in REGISTERS))
     if stored:
         memory = AssociativeTable([BitVector(row, width) for row in rows],
                                   memory.row_labels, memory.col_labels)
-    final = {name: BitVector(value, width) for name, value in regs.items()}
+    final = {name: BitVector(v, width) for name, v in zip(REGISTERS, regs)}
     # a run ends only at a HALT or past the last instruction
     return SequencerState(memory, final, pc, True, steps)
+
+
+@lru_cache(maxsize=32)  # a grid runs at most 16 distinct programs
+def _compiled(program: Program):
+    code = compile(emit_source(program), "<lamp program>", "exec")
+    exec(code, globals(), scope := {})  # its globals are this module's
+    return scope["run"]
+
+
+def _fault(noun: str, k: int, bound: int, line: int) -> SimulationError:
+    if not k:  # an @ read while no loop runs
+        return SimulationError(f"@ with no LOOP running (line {line})")
+    error = RowOutOfRange if noun == "row" else BitOutOfRange
+    return error(f"{noun} {k} out of 1..{bound} (line {line})")
+
+
+def _step(steps: int, limit: int) -> int:
+    if steps >= limit:
+        raise StepLimitExceeded(f"exceeded {limit} steps")
+    return steps + 1
+
+
+def emit_source(program: Program) -> str:
+    """The source of ``run(A, width, pc, limit, ma, mb, mc, md)``, which runs
+    ``program`` from ``pc`` on int rows and registers and returns the end pc,
+    the steps, whether a STOREROW ran and the registers.  Each instruction
+    is its ``_OPS`` statement after its step-limit, row and coordinate
+    checks; a loop first runs unchecked the iterations that cannot fault,
+    with each run of ``DEVOR d k s`` (one d and s, constant k) folded."""
+    code = program.instructions
+    runs, lines, done = _runs(code), [], 0
+    marks = [j for j, (_, run) in enumerate(runs)
+             if run[0].opcode in (Opcode.LOOP, Opcode.ENDLOOP)]
+    for start, end in zip(marks[::2], marks[1::2]):
+        lines += _checked(runs[done:start]) + _loop(runs[start:end + 1])
+        done = end + 1
+    tail = _OPS[Opcode.HALT][1].format(next=f"max(pc, {len(code)})")
+    return "\n".join([
+        "def run(A, width, pc, limit, ma, mb, mc, md):",
+        "    n, ones, steps, stored = len(A), (1 << width) - 1, 0, False",
+        "    at, count = 1, 0  # no loop runs",
+        *_indent(lines + _checked(runs[done:]) + [tail])]) + "\n"
+
+
+def _indent(lines: Sequence[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _loop(runs: list) -> list[str]:
+    """The runs from a LOOP to its ENDLOOP."""
+    (start, (ins,)), body, end = runs[0], runs[1:-1], runs[-1][0]
+    reads = {(k, bound) for _, run in body for _, k, bound in
+             _reads(run[0], max(i.imm or 0 for i in run) or "at")}
+    bounds = ["count", f"(limit - steps) // {end - start}",
+              *sorted({bound for k, bound in reads if k == "at"})]
+    fixed = " and ".join(sorted(f"{k} <= {b}" for k, b in reads if k != "at"))
+    last = f"min({', '.join(bounds)})" + f" if {fixed} else 0" * bool(fixed)
+    fast = [_statement(run, pc) for pc, run in body]
+    if any(run[0].opcode is Opcode.HALT for _, run in body):
+        last, fast = "0", []  # the first iteration halts
+    return [f"if pc <= {start}:  # line {ins.line}: LOOP", *_indent([
+        "steps = _step(steps, limit)", f"count = {ins.imm or 'n'}",
+        f"last = {last}", "for at in range(1, last + 1):",
+        *_indent(fast or ["pass"]), f"steps += {end - start} * last",
+        "at = last + 1"]),
+        f"elif pc <= {end}:", "    at = count = 0  # resumed inside the body",
+        "while at <= count:", *_indent([*_checked(runs[1:]), "at += 1"])]
+
+
+def _checked(runs: list) -> list[str]:
+    """The runs' instructions with their checks, each behind its pc."""
+    lines = []
+    for pc, run in runs:
+        ins, p, k, line = run[0], pc, run[0].imm or "at", run[0].line
+        if len(run) > 1:
+            p, k, line = "p", "k", "line"
+            triples = ((pc + j, i.imm, i.line) for j, i in enumerate(run))
+            lines.append(f"for p, k, line in zip("
+                         f"{', '.join(map(_sequence, zip(*triples)))}):")
+        tests = [f"if not 0 < {x} <= {bound}: raise _fault('{noun}', {x}, "
+                 f"{bound}, {line})" for noun, x, bound in _reads(ins, k)]
+        body = [f"if pc <= {p}:" + f"  # line {line}" * (p == pc), *_indent(
+            ["steps = _step(steps, limit)", *tests, _statement([ins], pc, k)])]
+        lines += body if p == pc else _indent(body)
+    return lines
+
+
+def _reads(ins: Instruction, k) -> list[tuple]:
+    """(noun, number, bound) of each row or coordinate ``k`` read, in order."""
+    reads = [("coordinate", k, "width")] * (ins.opcode is Opcode.DEVOR)
+    return reads + [("row", op.index or "at", "n") for op in
+                    (ins.dst, ins.src1) if isinstance(op, RowRef)]
+
+
+def _sequence(values: tuple) -> str:
+    span = range(values[0], values[-1] + 1)
+    return repr(span if values == tuple(span) else values)
+
+
+def _runs(code: Sequence[Instruction]) -> list:
+    """(pc, run): an instruction, or DEVORs with one d and s and constant k."""
+    runs = [list(run) for _, run in groupby(code, lambda ins: (
+        (ins.dst, ins.src1) if ins.imm and ins.opcode is Opcode.DEVOR
+        else object()))]
+    return list(zip(accumulate(len(run) for run in [[], *runs]), runs))
+
+
+def _statement(run: Sequence[Instruction], pc: int, k=None) -> str:
+    """The ``_OPS`` statement of instruction ``pc``, ``run[0]``; a DEVOR
+    sets coordinate ``k``, or else each coordinate of the run."""
+    def operand(op) -> str:
+        if isinstance(op, RowRef):
+            return "A[at - 1]" if op.index is None else f"A[{op.index - 1}]"
+        return "ones" if op is None else REGISTERS[REGISTERS.index(op)]
+
+    ins, mask = run[0], f"(1 << width - {k or run[0].imm or 'at'})"
+    if len(run) > 1:
+        top = max(i.imm for i in run)
+        bits = sum(1 << top - i for i in {i.imm for i in run})
+        mask = f"({bits:#x} << width - {top})"
+    return _OPS[ins.opcode][1].format(
+        d=operand(ins.dst), a=operand(ins.src1), b=operand(ins.src2), k=mask,
+        next=pc + 1, line=ins.line)
 
 
 GRID_SIDE = 4

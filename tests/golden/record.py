@@ -128,6 +128,11 @@ def _files(lamp) -> dict[str, str | bytes]:
         "devor.lamp": "SETALL ma\nDEVOR mb 2 ma\nHALT\n",
         "store.lamp": "SETALL ma\nSTOREROW A[1] ma\nHALT\n",
         "spin.lamp": "LOOP 100\nNOP ma ma\nENDLOOP\nHALT\n",
+        "loop5.lamp": "LOOP 5\n  NOT ma\n  DEVOR mb @ ma\n  XOR mc mc mb\n"
+                      "ENDLOOP\nHALT\n",
+        "loop5-row.lamp": "LOOP 5\n  OR ma A[@] ma\nENDLOOP\nHALT\n",
+        "store-read.lamp": "LOOP *\n  NOT ma A[@]\n  STOREROW A[@] ma\n"
+                           "  LOADROW mb A[@]\n  XOR mc mc mb\nENDLOOP\nHALT\n",
         "halt.lamp": "HALT\n",
         "row-fault.lamp": "LOADROW ma A[5]\nHALT\n",
         "bit-fault.lamp": "SETALL ma\nDEVOR mb 9 ma\nHALT\n",
@@ -170,6 +175,8 @@ def _files(lamp) -> dict[str, str | bytes]:
                           ("grid-bad-program.txt", 3, "asm-arity.lamp d3.tbl"),
                           ("grid-bad-data.txt", 4, "copy.lamp bad-symbol.tbl"),
                           ("grid-bad-preset.txt", 12, "copy.lamp d3.tbl zz=1"),
+                          ("grid-dup-preset.txt", 5,
+                           "copy.lamp d3.tbl ma=111 MA=001"),
                           ("grid-missing.txt", 0, "absent.lamp d3.tbl")):
         lines = list(cells)
         lines[k] = line
@@ -312,6 +319,26 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("sim-spin", "sim", "spin.lamp", "d3.tbl")
     add("sim-max-steps-exact", "sim", "spin.lamp", "d3.tbl",
         "--max-steps", "301")
+    add("sim-loop5", "sim", "loop5.lamp", "d12.tbl")  # no A[@]: past 3 rows
+    add("sim-store-read", "sim", "store-read.lamp", "d12.tbl",
+        "--dump-memory")
+    # --max-steps landing, in a loop's second iteration, on the first, a
+    # middle and the last instruction of the body and on its ENDLOOP (quality
+    # has no loop), then one step short of the run and exactly the run
+    for name, data, presets, limits in (
+            ("quality", "worked.tbl", ("--reg", "mb=110011001100"),
+             (1, 5, 10, 11)),
+            ("feasible", "square.tbl", ("--reg", "mb=0100"),
+             (6, 7, 8, 9, 18, 19)),
+            ("coverage", "square.tbl", (), (9, 11, 13, 14, 27, 28)),
+            ("restrict", "d3.tbl", ("--reg", "mb=101"), (4, 5, 6, 7, 8)),
+            ("diag-single", "aug.tbl", (),
+             (15, 19, 22, 23, 52, 56, 59, 60, 83, 84)),
+            ("diag-multiple", "aug.tbl", (),
+             (14, 17, 20, 21, 48, 52, 55, 56, 79, 80))):
+        for limit in limits:
+            add(f"sim-{name}-max-steps-{limit}", "sim", f"{name}.lamp", data,
+                *presets, "--max-steps", str(limit))
     # sim: runtime faults
     add("sim-max-steps-fault", "sim", "spin.lamp", "d3.tbl",
         "--max-steps", "10")
@@ -321,6 +348,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("sim-row-fault", "sim", "row-fault.lamp", "d3.tbl")
     add("sim-bit-fault", "sim", "bit-fault.lamp", "d3.tbl")
     add("sim-feasible-tall", "sim", "feasible.lamp", "tall.tbl")
+    add("sim-loop5-row", "sim", "loop5-row.lamp", "d12.tbl")
     add("sim-fault-json", "sim", "row-fault.lamp", "d3.tbl", "--json")
     # sim: input errors
     for name in ("unknown", "arity", "register", "row", "row-zero", "at",
@@ -339,6 +367,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     for preset in ("zz=000", "mb", "mb=10", "mb=1a0", "mb=", "=101"):
         add(f"sim-preset-{preset}", "sim", "halt.lamp", "d3.tbl",
             "--reg", preset)
+    add("sim-preset-repeated", "sim", "halt.lamp", "d3.tbl",
+        "--reg", "ma=111", "--reg", "MA=001")
     # sim --grid
     add("grid", "sim", "--grid", "grid.txt")
     add("grid-dots", "sim", "--grid", "grid.txt", "--dots")
@@ -348,7 +378,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         "--max-steps", "300")
     add("grid-spin", "sim", "--grid", "grid-spin.txt", "--max-steps", "301")
     for name in ("grid-15", "grid-17", "grid-short", "grid-bad-program",
-                 "grid-bad-data", "grid-bad-preset", "grid-missing"):
+                 "grid-bad-data", "grid-bad-preset", "grid-dup-preset",
+                 "grid-missing"):
         add(name, "sim", "--grid", f"{name}.txt")
     add("grid-absent", "sim", "--grid", "absent.txt")
     add("grid-nonascii", "sim", "--grid", "nonascii.tbl")

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_bitvector, rand_table, with_bit
+from veclog import lamp
 from veclog.assoc import (
     AssociativeTable,
     DiagnosisMode,
@@ -17,11 +19,14 @@ from veclog.assoc import (
 from veclog.cli import main
 from veclog.cover import CoverageInstance, greedy_cover
 from veclog.lamp import (
+    DEFAULT_MAX_STEPS,
+    REGISTERS,
     AssemblyError,
     BadArity,
     BitOutOfRange,
     GridCellError,
     GridState,
+    Instruction,
     Opcode,
     Program,
     RowOutOfRange,
@@ -33,6 +38,7 @@ from veclog.lamp import (
     assemble,
     coverage_search_source,
     diagnosis_source,
+    emit_source,
     feasible_search_source,
     quality_source,
     restrict_source,
@@ -214,6 +220,13 @@ class TestRunSequencer:
         out = run_sequencer(fresh(["10"]), assemble("SETALL ma\n"))
         assert out.halted
         assert out.regs["ma"] == bv("11")
+
+    def test_operands_are_only_registers_rows_or_numbers(self):
+        # the program runs as generated Python: a hand-built operand that is
+        # not a register is rejected, never evaluated
+        program = Program((Instruction(Opcode.NOP, "ma", "print('x')"),))
+        with pytest.raises((KeyError, ValueError)):  # run, or compiled
+            run_sequencer(fresh(["10"]), program)
 
     def test_determinism(self):
         rng = random.Random(rng_seed)
@@ -484,9 +497,16 @@ def reference_run(state, program, max_steps):
     return SequencerState(memory, regs, pc, True, steps)
 
 
-def random_source(rng, height, width):
+def random_source(rng, height, width, edges=False):
     """Straight-line code around one loop, over all 14 opcodes, with rows
-    and DEVOR coordinates both in and out of range."""
+    and DEVOR coordinates both in and out of range.  With ``edges``, some
+    lines are a DEVOR run (its source the destination, another register or
+    a row; its coordinates counting up or shuffled, some past the width) or
+    a STOREROW followed by a read of the same row, the loop may run past
+    the table's height, and half the programs never read A[@].  Without it
+    the generator draws exactly what it always has from ``rng``."""
+    reads_at = not edges or rng.random() < 0.5
+
     def reg():
         return rng.choice(("ma", "mb", "mc", "md"))
 
@@ -495,14 +515,29 @@ def random_source(rng, height, width):
             else bound + rng.randint(1, 2)
 
     def row(in_loop):
-        if in_loop and rng.random() < 0.5:
+        if in_loop and reads_at and rng.random() < 0.5:
             return "A[@]"
         return f"A[{number(height)}]"
 
     def src(in_loop):
         return row(in_loop) if rng.random() < 0.4 else reg()
 
+    def edge(in_loop):
+        dst = reg()
+        if rng.random() < 0.5:
+            source = rng.choice((dst, reg(), row(in_loop)))
+            first = rng.choice((1, rng.randint(1, width), max(1, width - 2)))
+            ks = list(range(first, first + rng.randint(2, 6)))
+            if rng.random() < 0.3:
+                rng.shuffle(ks)
+            return "\n".join(f"DEVOR {dst} {k} {source}" for k in ks)
+        stored = row(in_loop)
+        return f"STOREROW {stored} {dst}\n" + rng.choice(
+            (f"LOADROW {reg()} {stored}", f"XOR {reg()} {stored} {reg()}"))
+
     def line(in_loop):
+        if edges and rng.random() < 0.3:
+            return edge(in_loop)
         op = rng.choice(("AND", "OR", "XOR", "NOT", "SLC", "NOP", "LOADROW",
                          "STOREROW", "DEVOR", "SETALL", "CLRALL", "HALT"))
         if op in ("AND", "OR", "XOR"):
@@ -521,7 +556,10 @@ def random_source(rng, height, width):
             return op if rng.random() < 0.3 else "NOP ma"
         return f"{op} {reg()}"
 
-    count = rng.choice(["*", number(height)])
+    counts = ["*", number(height)]
+    if edges:
+        counts.append(height + rng.randint(1, 3))  # past the last row
+    count = rng.choice(counts)
     lines = [line(False) for _ in range(rng.randint(0, 4))]
     lines += [f"LOOP {count}"] + [line(True) for _ in range(rng.randint(0, 5))]
     lines += ["ENDLOOP"] + [line(False) for _ in range(rng.randint(0, 4))]
@@ -535,6 +573,15 @@ def outcome(run, state, program, max_steps):
         return type(exc), str(exc)
 
 
+def check_against_reference(state, program, max_steps):
+    got = outcome(run_sequencer, state, program, max_steps)
+    assert got == outcome(reference_run, state, program, max_steps)
+    if isinstance(got, SequencerState) and got.pc < len(program.instructions):
+        # resume after a HALT, possibly inside the loop body
+        assert outcome(run_sequencer, got, program, max_steps) == \
+            outcome(reference_run, got, program, max_steps)
+
+
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 160])
 def test_executor_matches_reference(width):
     rng = random.Random(f"executor/{width}")
@@ -545,13 +592,80 @@ def test_executor_matches_reference(width):
             **{name: rand_bitvector(rng, width) for name in ("ma", "mb")})
         program = assemble(random_source(rng, height, width))
         max_steps = rng.choice([1, 4, 20, 1000, 1000])
-        got = outcome(run_sequencer, state, program, max_steps)
-        assert got == outcome(reference_run, state, program, max_steps)
-        if isinstance(got, SequencerState) and \
-                got.pc < len(program.instructions):
-            # resume after a HALT, possibly inside the loop body
-            assert outcome(run_sequencer, got, program, max_steps) == \
-                outcome(reference_run, got, program, max_steps)
+        check_against_reference(state, program, max_steps)
+    # the loop edges, with the step limit swept over every step of the run
+    # (the first 60 of a long one), so it lands on every instruction of the
+    # loop body in every iteration
+    rng = random.Random(f"executor-edges/{width}")
+    for _ in range(80):
+        height = rng.randint(1, 5)
+        state = SequencerState.fresh(
+            rand_table(rng, height, width),
+            **{name: rand_bitvector(rng, width) for name in ("ma", "mb")})
+        program = assemble(random_source(rng, height, width, edges=True))
+        full = outcome(reference_run, state, program, 10 ** 6)
+        steps = full.steps if isinstance(full, SequencerState) else 60
+        for max_steps in [*range(1, min(steps, 60) + 2), 10 ** 6]:
+            check_against_reference(state, program, max_steps)
+
+
+SHIPPED = {
+    "quality": quality_source(), "feasible": feasible_search_source(),
+    "coverage": coverage_search_source(), "restrict": restrict_source(),
+    "diagnosis-single": diagnosis_source(6),
+    "diagnosis-multiple": diagnosis_source(6, DiagnosisMode.MULTIPLE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_resume_from_every_pc_matches_reference(name):
+    rng = random.Random(f"resume/{name}")
+    program = assemble(SHIPPED[name])
+    # on 7 rows of 6 columns the feasible and coverage searches fault
+    for height, width in ((4, 6), (7, 6)):
+        table = rand_table(rng, height, width)
+        regs = {reg: rand_bitvector(rng, width) for reg in REGISTERS}
+        for pc in range(len(program.instructions) + 1):
+            state = SequencerState(table, regs, pc)
+            for max_steps in (5, 1000):
+                assert outcome(run_sequencer, state, program, max_steps) == \
+                    outcome(reference_run, state, program, max_steps)
+
+
+def grid_of(sources, height, width_of):
+    rng = random.Random(f"grid/{len(set(sources))}")
+    cells = [SequencerState.fresh(rand_table(rng, height, width_of(source)))
+             for source in sources]
+    return GridState(tuple(cells)), [assemble(source) for source in sources]
+
+
+def test_identical_cells_compile_once():
+    grid, programs = grid_of([feasible_search_source()] * 16, 4, lambda _: 8)
+    assert len({id(program) for program in programs}) == 16
+    lamp._compiled.cache_clear()
+    run_grid(grid, programs)
+    assert lamp._compiled.cache_info().misses == 1
+
+
+def test_benchmark_shaped_grid_compiles_five_programs():
+    diagnosis = [diagnosis_source(64), diagnosis_source(64, "multiple")]
+    sources = [feasible_search_source()] * 4 + \
+        [coverage_search_source()] * 4 + [restrict_source()] * 4 + \
+        [diagnosis[0]] * 2 + [diagnosis[1]] * 2
+    grid, programs = grid_of(sources, 8,
+                             lambda source: 64 if source in diagnosis else 16)
+    lamp._compiled.cache_clear()
+    out = run_grid(grid, programs)
+    assert lamp._compiled.cache_info().misses == 5
+    for cell, program, result in zip(grid.cells, programs, out.cells):
+        assert result == reference_run(cell, program, DEFAULT_MAX_STEPS)
+
+
+def test_readme_shows_the_emitted_source():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    call = "print(emit_source(assemble(restrict_source())))\n```\n\nprints\n"
+    shown = readme.split(call, 1)[1].split("```python\n", 1)[1]
+    assert shown.split("```", 1)[0] == emit_source(assemble(restrict_source()))
 
 
 # ---------------------------------------------------------------------------
