@@ -241,15 +241,19 @@ def _parse_reg_presets(items: Sequence[str], width: int) -> dict:
     return presets
 
 
-def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str]
-               ) -> tuple[lamp.Program, lamp.SequencerState, Report]:
+def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
+               programs: dict) -> tuple[lamp.Program, lamp.SequencerState,
+                                        Report]:
     """The cell's program and start state, and the report lines naming its
-    two files; program errors are raised before data errors."""
-    program_text, program_digest = _read(program_path)
-    try:
-        program = lamp.assemble(program_text)
-    except (lamp.AssemblyError, EmptyInput) as exc:
-        raise InputError(f"{program_path}: {exc}") from exc
+    two files; program errors are raised before data errors.  ``programs``
+    keeps each program file's program and digest, so it is read once."""
+    if program_path not in programs:
+        program_text, digest = _read(program_path)
+        try:
+            programs[program_path] = lamp.assemble(program_text), digest
+        except (lamp.AssemblyError, EmptyInput) as exc:
+            raise InputError(f"{program_path}: {exc}") from exc
+    program, program_digest = programs[program_path]
     data_text, data_digest = _read(data_path)
     table = _parsed(assoc.parse_table, data_text, f"table {data_path}")
     presets = _parse_reg_presets(reg_specs, table.width)
@@ -266,7 +270,7 @@ def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
         raise InputError("sim needs a program file and a data file "
                          "(or --grid MANIFEST)")
     program, state, report = _load_cell(args.program, args.data,
-                                        args.reg or [])
+                                        args.reg or [], {})
     try:
         final = lamp.run_sequencer(state, program, args.max_steps)
     except lamp.SimulationError as exc:
@@ -289,6 +293,11 @@ def _registers(state: lamp.SequencerState, dots: bool,
 
 
 def _sim_grid(args: argparse.Namespace) -> tuple[Report, int]:
+    unused = [*filter(None, (args.program, args.data)),
+              *(f"--reg {spec}" for spec in args.reg or ()),
+              *["--dump-memory"] * args.dump_memory]
+    if unused:  # a manifest line names each cell's files and presets
+        raise InputError(f"sim --grid does not use {', '.join(unused)}")
     base = os.path.dirname(os.path.abspath(args.grid))
     lines = [ln.strip() for ln in _read(args.grid)[0].splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
@@ -296,7 +305,7 @@ def _sim_grid(args: argparse.Namespace) -> tuple[Report, int]:
         raise InputError(f"grid manifest needs {lamp.GRID_CELLS} lines, "
                          f"got {len(lines)}")
     report: Report = [("grid-manifest", args.grid)]
-    programs, cells = [], []
+    programs, cells, assembled = [], [], {}
     for idx, line in enumerate(lines):
         parts = line.split()
         if len(parts) < 2:
@@ -306,7 +315,8 @@ def _sim_grid(args: argparse.Namespace) -> tuple[Report, int]:
         paths = [p if os.path.isabs(p) else os.path.join(base, p)
                  for p in parts[:2]]
         try:
-            program, state, _ = _load_cell(paths[0], paths[1], parts[2:])
+            program, state, _ = _load_cell(paths[0], paths[1], parts[2:],
+                                           assembled)
         except InputError as exc:
             raise InputError(f"cell ({row},{col}): {exc}") from exc
         programs.append(program)
@@ -429,7 +439,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, LengthMismatch, ParseError, EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit([("command", " ".join(argv))] + report, args.json)
+    try:
+        _emit([("command", " ".join(argv))] + report, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; Python's SIGPIPE recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import accumulate, groupby
+from itertools import groupby
 from typing import Mapping, Optional, Sequence, Union
 
 from veclog.assoc import AssociativeTable, DiagnosisMode
@@ -115,7 +115,7 @@ class Program:
 # fill dst, src1 and src2 in order, k and n fill imm.  The statement is the
 # meaning in Python over int registers, the row list A and the all-ones word
 # `ones`, with the loop row `at`: {d}, {a} and {b} are dst, src1 and src2,
-# {k} a DEVOR's coordinate bits, {next} the pc after a HALT, {line} its line.
+# {k} a DEVOR's coordinate bits, {next} the pc after a HALT.
 
 _OPS = {  # opcode: (shape, statement)
     Opcode.AND: ("rsr", "{d} = {a} & {b}"),
@@ -129,9 +129,8 @@ _OPS = {  # opcode: (shape, statement)
     Opcode.DEVOR: ("rks", "{d} = {d} | {k} if {a} else {d} & ~{k}"),
     Opcode.SETALL: ("r", "{d} = ones"),
     Opcode.CLRALL: ("r", "{d} = 0"),
-    Opcode.LOOP: ("n", None),  # the emitter writes the loop
-    Opcode.ENDLOOP: ("", "if not at: raise SimulationError("
-                         "'ENDLOOP with no LOOP running (line {line})')"),
+    Opcode.LOOP: ("n", "at = 1"),  # a body with a HALT; _loop writes others
+    Opcode.ENDLOOP: ("", ""),  # _check faults it when no loop runs
     Opcode.HALT: ("", "return {next}, steps, stored, ma, mb, mc, md"),
 }
 
@@ -236,7 +235,8 @@ def assemble(source: str) -> Program:
                 imm = value
             else:
                 fields.append(value)
-        instructions.append(Instruction(opcode, *fields, imm=imm, line=lineno))
+        fields += [None] * (3 - len(fields))  # dst, src1, src2
+        instructions.append(Instruction(opcode, *fields, imm, lineno))
     if loop_line is not None:
         raise AssemblyError("LOOP never closed", loop_line)
     return Program(tuple(instructions))
@@ -297,125 +297,124 @@ def run_sequencer(state: SequencerState, program: Program,
 
 @lru_cache(maxsize=32)  # a grid runs at most 16 distinct programs
 def _compiled(program: Program):
-    code = compile(emit_source(program), "<lamp program>", "exec")
-    exec(code, globals(), scope := {})  # its globals are this module's
-    return scope["run"]
+    bytecode = compile(emit_source(program), "<lamp program>", "exec")
+    exec(bytecode, globals(), scope := {})  # its globals are this module's
+    code = tuple((ins, _reads(ins)) for ins in program.instructions)
+    return partial(scope["run"], code)
 
 
-def _fault(noun: str, k: int, bound: int, line: int) -> SimulationError:
-    if not k:  # an @ read while no loop runs
-        return SimulationError(f"@ with no LOOP running (line {line})")
-    error = RowOutOfRange if noun == "row" else BitOutOfRange
-    return error(f"{noun} {k} out of 1..{bound} (line {line})")
-
-
-def _step(steps: int, limit: int) -> int:
+def _check(code: Sequence[tuple], pc: int, at: int, steps: int,
+           limit: int, n: int, width: int) -> int:
+    """``steps + 1`` if instruction ``pc`` can run with loop row ``at`` (0:
+    no loop runs) on ``n`` rows of ``width``, else the fault it meets first:
+    the step limit, a row or coordinate it reads, ENDLOOP with no loop.
+    ``code`` holds each instruction with its ``_reads``."""
     if steps >= limit:
         raise StepLimitExceeded(f"exceeded {limit} steps")
+    ins, reads = code[pc]
+    for noun, k, bound in reads:
+        k, bound = k or at, n if bound == "n" else width
+        if not k:
+            raise SimulationError(f"@ with no LOOP running (line {ins.line})")
+        if not 0 < k <= bound:
+            error = RowOutOfRange if noun == "row" else BitOutOfRange
+            raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
+    if not at and ins.opcode is Opcode.ENDLOOP:
+        raise SimulationError(f"ENDLOOP with no LOOP running "
+                              f"(line {ins.line})")
     return steps + 1
 
 
+def _reads(ins: Instruction) -> list[tuple]:
+    """(noun, number or None for @, bound) of each row or coordinate
+    ``ins`` reads, in order."""
+    reads = [("coordinate", ins.imm, "width")] * (ins.opcode is Opcode.DEVOR)
+    return reads + [("row", op.index, "n") for op in (ins.dst, ins.src1)
+                    if isinstance(op, RowRef)]
+
+
+_CHECK = "steps = _check(code, {}, at, steps, limit, n, width)"
+
+
 def emit_source(program: Program) -> str:
-    """The source of ``run(A, width, pc, limit, ma, mb, mc, md)``, which runs
-    ``program`` from ``pc`` on int rows and registers and returns the end pc,
-    the steps, whether a STOREROW ran and the registers.  Each instruction
-    is its ``_OPS`` statement after its step-limit, row and coordinate
-    checks; a loop first runs unchecked the iterations that cannot fault,
-    with each run of ``DEVOR d k s`` (one d and s, constant k) folded."""
+    """The source of ``run(code, A, width, pc, limit, ma, mb, mc, md)``,
+    which runs ``program`` (``code`` as ``_check`` takes it) from ``pc`` on
+    int rows and registers and returns the end pc, the steps, whether a
+    STOREROW ran and the registers.  Each instruction is written once, as
+    ``_check`` and its ``_OPS`` statement; a loop without HALT first runs as
+    a ``for`` the iterations that cannot fault, with ``_runs`` folded."""
     code = program.instructions
-    runs, lines, done = _runs(code), [], 0
-    marks = [j for j, (_, run) in enumerate(runs)
-             if run[0].opcode in (Opcode.LOOP, Opcode.ENDLOOP)]
-    for start, end in zip(marks[::2], marks[1::2]):
-        lines += _checked(runs[done:start]) + _loop(runs[start:end + 1])
-        done = end + 1
+    marks = [pc for pc, ins in enumerate(code)
+             if ins.opcode in (Opcode.LOOP, Opcode.ENDLOOP)]
+    loops = {start: end for start, end in zip(marks[::2], marks[1::2])
+             if all(ins.opcode is not Opcode.HALT for ins in code[start:end])}
+    lines, pc = [], 0
+    while pc < len(code):
+        if pc in loops:
+            lines += _loop(code, pc, loops[pc])
+            pc = loops[pc]
+        else:
+            lines += [f"if pc <= {pc}:  # line {code[pc].line}", *_indent(
+                [_CHECK.format(pc), _statement([code[pc]], pc)])]
+        pc += 1
     tail = _OPS[Opcode.HALT][1].format(next=f"max(pc, {len(code)})")
     return "\n".join([
-        "def run(A, width, pc, limit, ma, mb, mc, md):",
+        "def run(code, A, width, pc, limit, ma, mb, mc, md):",
         "    n, ones, steps, stored = len(A), (1 << width) - 1, 0, False",
-        "    at, count = 1, 0  # no loop runs",
-        *_indent(lines + _checked(runs[done:]) + [tail])]) + "\n"
+        "    at = 0  # no loop runs", *_indent(lines + [tail])]) + "\n"
 
 
 def _indent(lines: Sequence[str]) -> list[str]:
-    return ["    " + line for line in lines]
+    return ["    " + line for line in lines if line]
 
 
-def _loop(runs: list) -> list[str]:
-    """The runs from a LOOP to its ENDLOOP."""
-    (start, (ins,)), body, end = runs[0], runs[1:-1], runs[-1][0]
-    reads = {(k, bound) for _, run in body for _, k, bound in
-             _reads(run[0], max(i.imm or 0 for i in run) or "at")}
-    bounds = ["count", f"(limit - steps) // {end - start}",
-              *sorted({bound for k, bound in reads if k == "at"})]
-    fixed = " and ".join(sorted(f"{k} <= {b}" for k, b in reads if k != "at"))
+def _loop(code: Sequence[Instruction], start: int, end: int) -> list[str]:
+    """The loop from ``start`` to ``end``, whose body holds no HALT.  Its
+    iteration ``last + 1``, or the rest of the body after a resume inside
+    it (with no loop running), faults, so only its checks run."""
+    count = f"{code[start].imm or 'n'}"
+    reads = sorted((bound, k or 0) for ins in code[start + 1:end]
+                   for _, k, bound in _reads(ins))  # 0 for @
+    bounds = [count, f"(limit - steps) // {end - start}",
+              *sorted({bound for bound, k in reads if not k} - {count})]
+    fixed = " and ".join(f"{k} <= {bound}"  # the largest number per bound
+                         for bound, k in dict(reads).items() if k)
     last = f"min({', '.join(bounds)})" + f" if {fixed} else 0" * bool(fixed)
-    fast = [_statement(run, pc) for pc, run in body]
-    if any(run[0].opcode is Opcode.HALT for _, run in body):
-        last, fast = "0", []  # the first iteration halts
-    return [f"if pc <= {start}:  # line {ins.line}: LOOP", *_indent([
-        "steps = _step(steps, limit)", f"count = {ins.imm or 'n'}",
-        f"last = {last}", "for at in range(1, last + 1):",
-        *_indent(fast or ["pass"]), f"steps += {end - start} * last",
-        "at = last + 1"]),
-        f"elif pc <= {end}:", "    at = count = 0  # resumed inside the body",
-        "while at <= count:", *_indent([*_checked(runs[1:]), "at += 1"])]
+    fast = [_statement(run) for run in _runs(code[start + 1:end])]
+    return [f"if pc <= {start}:  # line {code[start].line}: LOOP", *_indent([
+        _CHECK.format(start), f"last = {last}",
+        "for at in range(1, last + 1):", *_indent(fast or ["pass"]),
+        f"steps += {end - start} * last",
+        f"pc, at = {end + 1} if last == {count} else {start + 1}, last + 1"
+        "  # past the loop, or into the iteration that faults"]),
+        f"for pc in range(pc, {end + 1}):  # only the checks of that iteration",
+        "    " + _CHECK.format("pc")]
 
 
-def _checked(runs: list) -> list[str]:
-    """The runs' instructions with their checks, each behind its pc."""
-    lines = []
-    for pc, run in runs:
-        ins, p, k, line = run[0], pc, run[0].imm or "at", run[0].line
-        if len(run) > 1:
-            p, k, line = "p", "k", "line"
-            triples = ((pc + j, i.imm, i.line) for j, i in enumerate(run))
-            lines.append(f"for p, k, line in zip("
-                         f"{', '.join(map(_sequence, zip(*triples)))}):")
-        tests = [f"if not 0 < {x} <= {bound}: raise _fault('{noun}', {x}, "
-                 f"{bound}, {line})" for noun, x, bound in _reads(ins, k)]
-        body = [f"if pc <= {p}:" + f"  # line {line}" * (p == pc), *_indent(
-            ["steps = _step(steps, limit)", *tests, _statement([ins], pc, k)])]
-        lines += body if p == pc else _indent(body)
-    return lines
-
-
-def _reads(ins: Instruction, k) -> list[tuple]:
-    """(noun, number, bound) of each row or coordinate ``k`` read, in order."""
-    reads = [("coordinate", k, "width")] * (ins.opcode is Opcode.DEVOR)
-    return reads + [("row", op.index or "at", "n") for op in
-                    (ins.dst, ins.src1) if isinstance(op, RowRef)]
-
-
-def _sequence(values: tuple) -> str:
-    span = range(values[0], values[-1] + 1)
-    return repr(span if values == tuple(span) else values)
-
-
-def _runs(code: Sequence[Instruction]) -> list:
-    """(pc, run): an instruction, or DEVORs with one d and s and constant k."""
-    runs = [list(run) for _, run in groupby(code, lambda ins: (
+def _runs(code: Sequence[Instruction]) -> list[list[Instruction]]:
+    """The instructions, with each run of DEVORs with one d and s and
+    constant k as one list."""
+    return [list(run) for _, run in groupby(code, lambda ins: (
         (ins.dst, ins.src1) if ins.imm and ins.opcode is Opcode.DEVOR
         else object()))]
-    return list(zip(accumulate(len(run) for run in [[], *runs]), runs))
 
 
-def _statement(run: Sequence[Instruction], pc: int, k=None) -> str:
-    """The ``_OPS`` statement of instruction ``pc``, ``run[0]``; a DEVOR
-    sets coordinate ``k``, or else each coordinate of the run."""
+def _statement(run: Sequence[Instruction], pc: Optional[int] = None) -> str:
+    """The ``_OPS`` statement of ``run[0]``, instruction ``pc`` (only a HALT
+    needs it); a DEVOR run sets each of its coordinates."""
     def operand(op) -> str:
         if isinstance(op, RowRef):
             return "A[at - 1]" if op.index is None else f"A[{op.index - 1}]"
         return "ones" if op is None else REGISTERS[REGISTERS.index(op)]
 
-    ins, mask = run[0], f"(1 << width - {k or run[0].imm or 'at'})"
+    ins, mask = run[0], f"(1 << width - {run[0].imm or 'at'})"
     if len(run) > 1:
         top = max(i.imm for i in run)
         bits = sum(1 << top - i for i in {i.imm for i in run})
         mask = f"({bits:#x} << width - {top})"
     return _OPS[ins.opcode][1].format(
         d=operand(ins.dst), a=operand(ins.src1), b=operand(ins.src2), k=mask,
-        next=pc + 1, line=ins.line)
+        next=None if pc is None else pc + 1)
 
 
 GRID_SIDE = 4

@@ -383,6 +383,13 @@ def _cases() -> list[tuple[str, list[str]]]:
         add(name, "sim", "--grid", f"{name}.txt")
     add("grid-absent", "sim", "--grid", "absent.txt")
     add("grid-nonascii", "sim", "--grid", "nonascii.tbl")
+    # sim --grid with single-sequencer inputs, which a grid cannot use
+    add("grid-with-program", "sim", "--grid", "grid.txt", "copy.lamp")
+    add("grid-with-files", "sim", "--grid", "grid.txt", "copy.lamp", "d3.tbl")
+    add("grid-with-reg", "sim", "--grid", "grid.txt", "--reg", "ma=101")
+    add("grid-with-dump-memory", "sim", "--grid", "grid.txt", "--dump-memory")
+    add("grid-with-all", "sim", "copy.lamp", "d3.tbl", "--grid", "grid.txt",
+        "--reg", "ma=101", "--reg", "mb=011", "--dump-memory")
     # quality
     base = {"--fault-prob": "0.1", "--faults": "10", "--testability": "0.5",
             "--scan": "1", "--logic": "1"}

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import veclog
+from veclog import lamp
 from veclog.cli import main
 from veclog.lamp import feasible_search_source, quality_source
 
@@ -276,6 +277,39 @@ class TestSim:
         assert code == 1
         assert "cell (2,3)" in value_of(out, "status")
         assert good  # paths referenced through the manifest
+
+    def test_grid_assembles_each_program_file_once(self, capsys, tmp_path,
+                                                   monkeypatch):
+        write(tmp_path, "p.lamp", "LOADROW ma A[1]\nHALT\n")
+        write(tmp_path, "q.lamp", "SETALL mb\nHALT\n")
+        write(tmp_path, "d.tbl", "1 3\n101\n")
+        manifest = write(tmp_path, "grid.txt",
+                         "p.lamp d.tbl\nq.lamp d.tbl\n" * 8)
+        sources = []
+        assemble = lamp.assemble
+        monkeypatch.setattr(lamp, "assemble",
+                            lambda text: sources.append(text) or
+                            assemble(text))
+        code, out, _ = run(capsys, "sim", "--grid", manifest)
+        assert (code, len(sources)) == (0, 2)
+        assert value_of(out, "cell-4-3-ma") == "101"
+        assert value_of(out, "cell-4-4-mb") == "111"
+
+    @pytest.mark.parametrize("extra, named", [
+        (["p.lamp"], "p.lamp"),
+        (["p.lamp", "d.tbl"], "p.lamp, d.tbl"),
+        (["--reg", "ma=101"], "--reg ma=101"),
+        (["--dump-memory"], "--dump-memory"),
+    ])
+    def test_grid_rejects_single_sequencer_inputs(self, capsys, tmp_path,
+                                                  monkeypatch, extra, named):
+        write(tmp_path, "p.lamp", "HALT\n")
+        write(tmp_path, "d.tbl", "1 3\n101\n")
+        write(tmp_path, "grid.txt", "p.lamp d.tbl\n" * 16)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "sim", "--grid", "grid.txt", *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: sim --grid does not use {named}\n"
 
     def test_grid_needs_sixteen_lines(self, capsys, tmp_path):
         manifest = write(tmp_path, "grid.txt", "p.lamp d.tbl\n" * 3)
@@ -670,6 +704,23 @@ def test_argv_never_escapes(tmp_path_factory, argv):
         assert code in (0, 1, 2)
         runs.append((code, out.getvalue(), err.getvalue()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_closed_pipe_exits_1_without_a_traceback(tmp_path, extra):
+    """A reader that stops early, as in ``veclog query ... | head -1``,
+    ends the run with exit 1 and nothing on stderr."""
+    rows = [format(k, "012b") for k in range(4096)]
+    table = write(tmp_path, "big.tbl", "4096 12\n" + "\n".join(rows) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(veclog.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "veclog.cli", "query", table, "1" * 12, *extra],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()  # the report is far longer than the pipe holds
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_import_loads_no_single_use_module():

@@ -415,6 +415,23 @@ class TestResume:
             run_sequencer(first, program)
         assert str(err.value) == f"{what} with no LOOP running (line {line})"
 
+    def test_resuming_into_a_body_with_a_second_halt(self):
+        # a body holding a HALT runs straight through: resumed after its
+        # first HALT, it runs real statements up to the second one
+        program = assemble("LOOP 2\nNOP ma A[@]\nHALT\nNOT mb\nHALT\n"
+                           "OR ma A[@] ma\nENDLOOP\nHALT\n")
+        first = run_sequencer(fresh(["10", "01"], mb=bv("10")), program)
+        assert (first.pc, first.steps, first.regs["ma"]) == (3, 3, bv("10"))
+        second = run_sequencer(first, program)
+        assert (second.pc, second.halted, second.steps) == (5, True, 2)
+        assert (second.regs["ma"], second.regs["mb"]) == (bv("10"), bv("01"))
+        for state in (first, second):
+            assert outcome(run_sequencer, state, program, 10) == \
+                outcome(reference_run, state, program, 10)
+        with pytest.raises(SimulationError, match=r"^@ with no LOOP running "
+                                                  r"\(line 6\)$"):
+            run_sequencer(second, program)
+
     def test_rows_past_a_halt_are_never_read(self):
         program = assemble("HALT\nLOADROW ma A[9]\nHALT\n")
         out = run_sequencer(fresh(["10"]), program)
