@@ -14,16 +14,17 @@ from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
                            TernaryVector, check_symbols, decimals, value_type)
 
 
+@value_type
 class AssociativeTable:
     """Ordered, immutable rows of equal-width bit vectors with optional
-    row/column labels."""
+    row/column labels; any sequence given is stored as a tuple."""
 
-    __slots__ = ("rows", "row_labels", "col_labels")
+    rows: tuple[BitVector, ...]
+    row_labels: Optional[tuple[str, ...]] = None
+    col_labels: Optional[tuple[str, ...]] = None
 
-    def __init__(self, rows: Sequence[BitVector],
-                 row_labels: Optional[Sequence[str]] = None,
-                 col_labels: Optional[Sequence[str]] = None):
-        rows = tuple(rows)
+    def __post_init__(self):
+        rows = tuple(self.rows)
         if not rows:
             raise ValueError("a table needs at least one row")
         width = rows[0].length
@@ -31,9 +32,10 @@ class AssociativeTable:
             if row.length != width:
                 raise LengthMismatch(
                     f"row {i + 1} has width {row.length}, expected {width}")
-        self.rows = rows
-        self.row_labels = _checked_labels(row_labels, len(rows), "row")
-        self.col_labels = _checked_labels(col_labels, width, "column")
+        self.__dict__.update(
+            rows=rows,
+            row_labels=_checked_labels(self.row_labels, len(rows), "row"),
+            col_labels=_checked_labels(self.col_labels, width, "column"))
 
     @property
     def height(self) -> int:
@@ -55,16 +57,6 @@ class AssociativeTable:
         if self.col_labels is not None:
             cols = list(self.col_labels) + [f"pad{k}" for k in range(1, pad + 1)]
         return AssociativeTable(rows, self.row_labels, cols)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AssociativeTable):
-            return NotImplemented
-        return (self.rows == other.rows
-                and self.row_labels == other.row_labels
-                and self.col_labels == other.col_labels)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.row_labels, self.col_labels))
 
     def __repr__(self) -> str:
         return f"AssociativeTable({self.height}x{self.width})"

@@ -193,9 +193,6 @@ def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
     except cover.BudgetExceeded as exc:
         report.append(("plan", f"budget-exceeded ({exc})"))
         status, code = "budget-exceeded", 1
-    except cover.NotCovering as exc:
-        report.append(("plan", f"not-covering ({exc})"))
-        status, code = "not-coverable", 1
 
     if args.oracle or status == "budget-exceeded":  # does any cover fit it?
         try:

@@ -62,25 +62,23 @@ class Spare:
         return ("R" if self.axis == "row" else "C") + str(self.index)
 
 
+@value_type
 class CoverageInstance:
     """Covering table: rows are covering elements (spare lines or generic
-    sets), columns are the items to cover."""
+    sets), columns are the items to cover.  ``kinds`` holds each row's
+    spare line, None for a generic set (all None when not given)."""
 
-    __slots__ = ("table", "kinds", "max_spare_rows", "max_spare_cols")
+    table: AssociativeTable
+    kinds: Optional[tuple[Optional[Spare], ...]] = None
+    max_spare_rows: Optional[int] = None
+    max_spare_cols: Optional[int] = None
 
-    def __init__(self, table: AssociativeTable,
-                 kinds: Optional[Sequence[Optional[Spare]]] = None,
-                 max_spare_rows: Optional[int] = None,
-                 max_spare_cols: Optional[int] = None):
-        if kinds is None:
-            kinds = (None,) * table.height
-        kinds = tuple(kinds)
-        if len(kinds) != table.height:
-            raise ValueError(f"{len(kinds)} row kinds for {table.height} rows")
-        self.table = table
-        self.kinds = kinds
-        self.max_spare_rows = max_spare_rows
-        self.max_spare_cols = max_spare_cols
+    def __post_init__(self):
+        height = self.table.height
+        kinds = (None,) * height if self.kinds is None else tuple(self.kinds)
+        if len(kinds) != height:
+            raise ValueError(f"{len(kinds)} row kinds for {height} rows")
+        self.__dict__["kinds"] = kinds
 
 
 @value_type
@@ -208,15 +206,10 @@ def exact_cover_oracle(instance: CoverageInstance) -> tuple[tuple[int, ...], ...
     raise Infeasible("no cover fits the spare budget")
 
 
-def build_repair_table(instance: RepairInstance,
-                       spare_order: Optional[Sequence[Spare]] = None
-                       ) -> CoverageInstance:
+def build_repair_table(instance: RepairInstance) -> CoverageInstance:
     """Coverage table for a faulty memory: one column per fault, one row per
-    candidate spare line.
-
-    Default row order is spare columns ascending then spare rows ascending;
-    pass ``spare_order`` to override (the greedy scan is order-sensitive).
-    """
+    candidate spare line: spare columns ascending, then spare rows
+    ascending (the greedy scan takes them in that order)."""
     if not instance.faults:
         raise ValueError("repair instance has no faults")
     faults = sorted(instance.faults)
@@ -227,13 +220,10 @@ def build_repair_table(instance: RepairInstance,
         bit = 1 << (n - 1 - k)
         lines["row"][r] = lines["row"].get(r, 0) | bit
         lines["column"][c] = lines["column"].get(c, 0) | bit
-    if spare_order is None:
-        spares = [Spare("column", c) for c in sorted(lines["column"])]
-        spares += [Spare("row", r) for r in sorted(lines["row"])]
-    else:
-        spares = list(spare_order)
+    spares = [Spare("column", c) for c in sorted(lines["column"])]
+    spares += [Spare("row", r) for r in sorted(lines["row"])]
     table = AssociativeTable(
-        [BitVector(lines[s.axis].get(s.index, 0), n) for s in spares],
+        [BitVector(lines[s.axis][s.index], n) for s in spares],
         row_labels=[s.label for s in spares],
         col_labels=[f"F{r},{c}" for r, c in faults],
     )

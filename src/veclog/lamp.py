@@ -86,21 +86,44 @@ class Opcode(Enum):
     HALT = "halt"
 
 
+def _check_count(what: str, value) -> None:
+    if not (value is None or type(value) is int and value >= 1):
+        raise ValueError(f"{what} must be None or an int >= 1, got {value!r}")
+
+
 @value_type
 class RowRef:
     """Reference to a stored row; index None means the current loop row."""
 
     index: Optional[int]
 
+    def __post_init__(self):
+        _check_count("row index", self.index)
+
 
 @value_type
 class Instruction:
+    """``emit_source`` writes the fields into Python source, so each must be
+    of the exact type the assembler gives it: no subclass prints as code."""
+
     opcode: Opcode
     dst: Union[str, RowRef, None] = None
     src1: Union[str, RowRef, None] = None
-    src2: Optional[str] = None
+    src2: Union[str, RowRef, None] = None
     imm: Optional[int] = None  # LOOP count (None = *), DEVOR index (None = @)
     line: int = 0
+
+    def __post_init__(self):
+        if type(self.opcode) is not Opcode:
+            raise ValueError(f"opcode must be an Opcode, got {self.opcode!r}")
+        for op in (self.dst, self.src1, self.src2):
+            if not (op is None or type(op) is RowRef
+                    or type(op) is str and op in REGISTERS):
+                raise ValueError(f"operand must be None, a register or a "
+                                 f"RowRef, got {op!r}")
+        _check_count("imm", self.imm)
+        if type(self.line) is not int:
+            raise ValueError(f"line must be an int, got {self.line!r}")
 
 
 @value_type
@@ -316,7 +339,7 @@ def _check(code: Sequence[tuple], pc: int, at: int, steps: int,
         k, bound = k or at, n if bound == "n" else width
         if not k:
             raise SimulationError(f"@ with no LOOP running (line {ins.line})")
-        if not 0 < k <= bound:
+        if k > bound:  # Instruction keeps a constant k at 1 or more
             error = RowOutOfRange if noun == "row" else BitOutOfRange
             raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
     if not at and ins.opcode is Opcode.ENDLOOP:
@@ -329,7 +352,8 @@ def _reads(ins: Instruction) -> list[tuple]:
     """(noun, number or None for @, bound) of each row or coordinate
     ``ins`` reads, in order."""
     reads = [("coordinate", ins.imm, "width")] * (ins.opcode is Opcode.DEVOR)
-    return reads + [("row", op.index, "n") for op in (ins.dst, ins.src1)
+    return reads + [("row", op.index, "n")
+                    for op in (ins.dst, ins.src1, ins.src2)
                     if isinstance(op, RowRef)]
 
 
@@ -405,7 +429,7 @@ def _statement(run: Sequence[Instruction], pc: Optional[int] = None) -> str:
     def operand(op) -> str:
         if isinstance(op, RowRef):
             return "A[at - 1]" if op.index is None else f"A[{op.index - 1}]"
-        return "ones" if op is None else REGISTERS[REGISTERS.index(op)]
+        return "ones" if op is None else op
 
     ins, mask = run[0], f"(1 << width - {run[0].imm or 'at'})"
     if len(run) > 1:

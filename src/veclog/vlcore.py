@@ -78,12 +78,16 @@ def value_type(cls):
 
     The fields are the names the class body annotates, in order, and a
     class attribute of the same name is that field's default.  The class
-    gets an ``__init__`` taking the fields by position or keyword that calls
-    ``__post_init__`` when the class defines one; ``==`` and ``hash`` over
-    the fields, equal only between instances of the same class; the
-    ``Name(field=value, ...)`` repr; and AttributeError on any assignment or
-    deletion.  That is the frozen-dataclass contract, kept without importing
-    the dataclass machinery or compiling code for every class.
+    gets ``==`` and ``hash`` over the fields, equal only between instances
+    of the same class; ``__match_args__``; AttributeError on any assignment
+    or deletion; and copies and pickles rebuilt by the constructor.  Unless
+    its body defines them, it also gets an ``__init__`` taking the fields by
+    position or keyword that calls ``__post_init__`` when the class defines
+    one, and the ``Name(field=value, ...)`` repr.  As assignment raises, an
+    own ``__init__`` or a ``__post_init__`` stores a field through
+    ``self.__dict__`` or a slot descriptor's ``__set__``.  That is the
+    frozen-dataclass contract, kept without importing the dataclass
+    machinery or compiling code for every class.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
@@ -112,9 +116,12 @@ def value_type(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-    cls.__hash__ = lambda self: hash(fields(self))
+    cls.__init__ = cls.__dict__.get("__init__", __init__)
+    cls.__repr__ = cls.__dict__.get("__repr__", __repr__)
+    cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(fields(self))
     cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    cls.__reduce__ = lambda self: (
+        self.__class__, tuple(getattr(self, n) for n in names))
     cls.__match_args__ = names
     return cls
 
@@ -149,6 +156,7 @@ def _check_length(n: int) -> None:
         raise ValueError(f"vector length must be at least 1, got {n}")
 
 
+@value_type
 class BitVector:
     """Immutable vector over {0,1}.
 
@@ -157,13 +165,15 @@ class BitVector:
     """
 
     __slots__ = ("value", "length")
+    value: int
+    length: int
 
     def __init__(self, value: int, length: int):
         if length < 1 or value < 0 or value >> length:  # one test when valid
             _check_length(length)
             raise ValueError("value does not fit the stated length")
-        self.value = value
-        self.length = length
+        _set_value(self, value)  # slot writes, as assignment raises
+        _set_length(self, length)
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
@@ -193,14 +203,6 @@ class BitVector:
     def __len__(self) -> int:
         return self.length
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self.value == other.value and self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.length))
-
     def __and__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
             return NotImplemented
@@ -229,24 +231,26 @@ class BitVector:
         return f"BitVector('{self}')"
 
 
+_set_value, _set_length = BitVector.value.__set__, BitVector.length.__set__
+
+
+@value_type
 class TernaryVector:
     """Immutable vector over {0,1,x}; x is a don't-care covering both values.
 
     A vector with k x-coordinates denotes a space of 2**k binary vectors.
     """
 
-    __slots__ = ("ones", "xs", "length")
+    ones: int
+    xs: int
+    length: int
 
-    def __init__(self, ones: int, xs: int, length: int):
-        _check_length(length)
-        mask = (1 << length) - 1
-        if ones < 0 or ones >> length or xs < 0 or xs >> length:
+    def __post_init__(self):
+        _check_length(self.length)
+        if min(self.ones, self.xs) < 0 or (self.ones | self.xs) >> self.length:
             raise ValueError("coordinate masks do not fit the stated length")
-        if ones & xs:
+        if self.ones & self.xs:
             raise ValueError("a coordinate cannot be both 1 and x")
-        self.ones = ones & mask
-        self.xs = xs & mask
-        self.length = length
 
     @classmethod
     def from_string(cls, text: str) -> "TernaryVector":
@@ -269,15 +273,6 @@ class TernaryVector:
 
     def __len__(self) -> int:
         return self.length
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TernaryVector):
-            return NotImplemented
-        return (self.ones, self.xs, self.length) == (other.ones, other.xs,
-                                                     other.length)
-
-    def __hash__(self) -> int:
-        return hash((self.ones, self.xs, self.length))
 
     def __str__(self) -> str:
         return "".join(self.symbols())

@@ -283,13 +283,6 @@ class TestBuildRepairTable:
             total = sum(row.popcount for row in instance.table.rows)
             assert total == 2 * len(faults)
 
-    def test_spare_order_override(self):
-        base = RepairInstance(5, 5, frozenset({(1, 2), (3, 4)}), 2, 2)
-        instance = build_repair_table(
-            base, spare_order=[Spare("row", 1), Spare("row", 3),
-                               Spare("column", 2), Spare("column", 4)])
-        assert [k.label for k in instance.kinds] == ["R1", "R3", "C2", "C4"]
-
     def test_requires_faults(self):
         with pytest.raises(ValueError):
             build_repair_table(RepairInstance(3, 3, frozenset(), 1, 1))
@@ -303,6 +296,33 @@ class TestRepairPlan:
         assert plan.valid
         assert plan.remap == tuple(
             (Spare("column", c), k) for k, c in enumerate((2, 3, 5, 7, 8), 1))
+        # every fault's row and column are rows of its repair table, so
+        # greedy's choice repairs every fault and at worst overruns a budget
+        rng = random.Random(35)
+        instances = []
+        for _ in range(200):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            cells = [(r, c) for r in range(1, rows + 1)
+                     for c in range(1, cols + 1)]
+            faults = rng.sample(cells, rng.randint(1, len(cells)))
+            instances.append(RepairInstance(rows, cols, frozenset(faults),
+                                            rng.randint(0, 3),
+                                            rng.randint(0, 3)))
+        # the benchmark's shape: 1000 faults on 32 of 1024 columns
+        columns = rng.sample(range(1, 1025), 32)
+        faults = {(cell // 32 + 1, columns[cell % 32])
+                  for cell in rng.sample(range(1024 * 32), 1000)}
+        instances.append(RepairInstance(1024, 1024, frozenset(faults), 8, 32))
+        outcomes = set()
+        for instance in instances:
+            table = build_repair_table(instance)
+            chosen = [table.kinds[k - 1]
+                      for k in selected_rows(greedy_cover(table))]
+            try:  # NotCovering would escape
+                outcomes.add(repair_plan(instance, chosen).valid)
+            except BudgetExceeded:
+                outcomes.add("budget-exceeded")
+        assert outcomes == {True, "budget-exceeded"}
 
     def test_non_minimal_cover_is_still_valid(self):
         instance = memory_instance()

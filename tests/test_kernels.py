@@ -184,11 +184,4 @@ def test_build_repair_table(faults):
     got = build_repair_table(instance)
     assert got.kinds == tuple(ref_default_spares(instance))
     assert list(got.table.rows) == ref_repair_rows(instance, got.kinds)
-    # a caller's order, including lines that hold no fault
-    order = [Spare(axis, k) for axis in ("row", "column")
-             for k in range(1, side + 1)]
-    rng.shuffle(order)
-    got = build_repair_table(instance, order)
-    assert got.kinds == tuple(order)
-    assert list(got.table.rows) == ref_repair_rows(instance, order)
     assert got.table.width == faults

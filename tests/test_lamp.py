@@ -56,6 +56,20 @@ def bv(s):
     return BitVector.from_string(s)
 
 
+class _CodeStr(str):
+    """A register name whose text in a format string is code."""
+
+    def __format__(self, spec):
+        return "print('x') or ma"
+
+
+class _CodeInt(int):
+    """A count whose text in a format string is code."""
+
+    def __format__(self, spec):
+        return "print('x') or 1"
+
+
 def fresh(rows, **presets):
     table = AssociativeTable([bv(r) for r in rows])
     return SequencerState.fresh(table, **presets)
@@ -223,10 +237,46 @@ class TestRunSequencer:
 
     def test_operands_are_only_registers_rows_or_numbers(self):
         # the program runs as generated Python: a hand-built operand that is
-        # not a register is rejected, never evaluated
-        program = Program((Instruction(Opcode.NOP, "ma", "print('x')"),))
-        with pytest.raises((KeyError, ValueError)):  # run, or compiled
+        # not a register is rejected when it is built, never evaluated
+        with pytest.raises(ValueError):
+            program = Program((Instruction(Opcode.NOP, "ma", "print('x')"),))
             run_sequencer(fresh(["10"]), program)
+
+    def test_a_row_in_src2_is_checked(self):
+        # the assembler never puts a row there, but a hand-built one is read
+        # and bounded like src1
+        program = Program((Instruction(Opcode.AND, "ma", "mb", RowRef(2)),))
+        out = run_sequencer(fresh(["10", "01"], mb=bv("11")), program)
+        assert out.regs["ma"] == bv("01")
+        program = Program((Instruction(Opcode.AND, "ma", "mb", RowRef(3),
+                                       line=7),))
+        with pytest.raises(RowOutOfRange, match=r"^row 3 out of 1..2 "
+                                                r"\(line 7\)$"):
+            run_sequencer(fresh(["10", "01"]), program)
+
+    @pytest.mark.parametrize("build", [
+        lambda: [Instruction(Opcode.LOOP, imm="print('x') or 1"),
+                 Instruction(Opcode.ENDLOOP)],
+        lambda: [Instruction(Opcode.NOP, "ma", "ma",
+                             line="1\n        print('x')")],
+        lambda: [Instruction(Opcode.LOOP, imm=1),
+                 Instruction(Opcode.LOADROW, "ma", RowRef(0)),
+                 Instruction(Opcode.ENDLOOP)],
+        lambda: [Instruction(Opcode.LOOP, imm=1),
+                 Instruction(Opcode.LOADROW, "ma", RowRef(-1)),
+                 Instruction(Opcode.ENDLOOP)],
+        lambda: [Instruction(Opcode.DEVOR, "ma", "mb", imm=0)],
+        lambda: [Instruction(Opcode.DEVOR, "ma", "mb", imm=-1)],
+        lambda: [Instruction(Opcode.LOOP, imm=_CodeInt(1)),
+                 Instruction(Opcode.ENDLOOP)],
+        lambda: [Instruction(Opcode.NOP, _CodeStr("ma"), "ma")],
+        lambda: [Instruction("nop", "ma", "ma")],
+    ], ids=["loop-count", "line", "row-0", "row-minus-1", "devor-0",
+            "devor-minus-1", "int-subclass", "str-subclass", "opcode"])
+    def test_hand_built_fields_never_reach_the_source(self, build, capsys):
+        with pytest.raises(ValueError):
+            run_sequencer(fresh(["10", "01", "11"]), Program(tuple(build())))
+        assert capsys.readouterr().out == ""
 
     def test_determinism(self):
         rng = random.Random(rng_seed)

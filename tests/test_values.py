@@ -1,20 +1,26 @@
 """The immutable value types: construction, equality, hashing, repr,
-immutability, the absence of ordering and the checks each one runs when it is built.
+immutability, copies, the absence of ordering and the checks each one runs
+when it is built.
 
 The expected reprs are the ones the classes have printed since they were
 first written, so a report or a log that shows a value reads the same."""
+import copy
+import pickle
+from enum import Enum
 from fractions import Fraction
 
 import pytest
 
+import veclog
 from veclog.assoc import AssociativeTable, DiagnosisMode, DiagnosisResult
-from veclog.cover import RepairInstance, RepairPlan, Spare
+from veclog.cover import CoverageInstance, RepairInstance, RepairPlan, Spare
 from veclog.dq import DesignQualityInput, DesignQualityOutput, DomainError
 from veclog.lamp import (REGISTERS, GridState, Instruction, Opcode, Program,
                          RowRef, SequencerState)
 from veclog.metric import (ArithQuality, CompactedQuality, CountQuality,
                            QualityVector)
-from veclog.vlcore import BitVector, EmptyIntersection
+from veclog.vlcore import (BitVector, EmptyIntersection, LengthMismatch,
+                           TernaryVector)
 
 
 def bv(s: str) -> BitVector:
@@ -31,6 +37,15 @@ STATE_REPR = ("SequencerState(memory=AssociativeTable(2x3), "
 
 # class, field values, the same values with one field changed, repr
 CASES = [
+    (BitVector, (5, 3), (5, 4), "BitVector('101')"),
+    (TernaryVector, (4, 1, 3), (4, 2, 3), "TernaryVector('10x')"),
+    (AssociativeTable, (TABLE.rows, ("r1", "r2"), ("a", "b", "c")),
+     (TABLE.rows, ("r1", "r2"), ("a", "b", "d")), "AssociativeTable(2x3)"),
+    (CoverageInstance, (TABLE, (Spare("row", 1), None), 1, None),
+     (TABLE, (Spare("row", 1), None), 1, 0),
+     "CoverageInstance(table=AssociativeTable(2x3), "
+     "kinds=(Spare(axis='row', index=1), None), max_spare_rows=1, "
+     "max_spare_cols=None)"),
     (EmptyIntersection, (3,), (4,), "EmptyIntersection(empty_count=3)"),
     (ArithQuality, (Fraction(1), Fraction(1, 2), Fraction(1, 4),
                     Fraction(7, 12)),
@@ -144,6 +159,30 @@ class TestContract:
             value.extra = 1
         assert value == cls(*args)
 
+    def test_copies_and_pickles_are_equal(self, cls, args, other, text):
+        value = cls(*args)
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is cls and twin == value
+
+
+def test_every_exported_class_is_a_value_type():
+    # everything veclog exports that is neither an exception nor an Enum
+    classes = {obj for obj in vars(veclog).values() if isinstance(obj, type)
+               and not issubclass(obj, (Exception, Enum))}
+    cases = {case[0]: case for case in CASES}
+    assert classes <= set(cases)
+    for cls in classes:
+        _, args, other, _ = cases[cls]
+        value = cls(*args)
+        assert tuple(getattr(value, f) for f in cls.__match_args__) == args
+        for name in (*cls.__match_args__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, args[0])
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == cls(*args) and value != cls(*other)
+
 
 def test_defaults():
     halt = Instruction(Opcode.HALT)
@@ -152,6 +191,15 @@ def test_defaults():
     assert Instruction(Opcode.HALT, line=3).line == 3
     state = SequencerState(TABLE, REGS)
     assert (state.pc, state.halted, state.steps) == (0, False, 0)
+    instance = CoverageInstance(TABLE)
+    assert instance.kinds == (None, None)
+    assert (instance.max_spare_rows, instance.max_spare_cols) == (None, None)
+    # sequences are stored as tuples, so equal contents give equal values
+    assert CoverageInstance(TABLE, [None, None]) == instance
+    table = AssociativeTable(list(TABLE.rows), ["r1", "r2"])
+    assert table == AssociativeTable(TABLE.rows, ("r1", "r2"))
+    assert (table.rows, table.row_labels, table.col_labels) == \
+        (TABLE.rows, ("r1", "r2"), None)
     assert state == SequencerState(TABLE, REGS, 0, False, 0)
     with pytest.raises(TypeError, match="missing"):
         SequencerState(TABLE)
@@ -175,6 +223,44 @@ def test_spare_ordering():
 
 
 @pytest.mark.parametrize("build, error, message", [
+    (lambda: BitVector(8, 3), ValueError,
+     "value does not fit the stated length"),
+    (lambda: BitVector(0, 0), ValueError,
+     "vector length must be at least 1, got 0"),
+    (lambda: TernaryVector(0, 0, 0), ValueError,
+     "vector length must be at least 1, got 0"),
+    (lambda: TernaryVector(8, 0, 3), ValueError,
+     "coordinate masks do not fit the stated length"),
+    (lambda: TernaryVector(0, -1, 3), ValueError,
+     "coordinate masks do not fit the stated length"),
+    (lambda: TernaryVector(1, 1, 3), ValueError,
+     "a coordinate cannot be both 1 and x"),
+    (lambda: AssociativeTable([]), ValueError,
+     "a table needs at least one row"),
+    (lambda: AssociativeTable([BitVector(1, 1), BitVector(1, 2)]),
+     LengthMismatch, "row 2 has width 2, expected 1"),
+    (lambda: AssociativeTable(TABLE.rows, ["r1"]), ValueError,
+     "1 row labels for 2 rows"),
+    (lambda: AssociativeTable(TABLE.rows, None, ["a", "b", "a"]), ValueError,
+     "duplicate column labels"),
+    (lambda: CoverageInstance(TABLE, [None]), ValueError,
+     "1 row kinds for 2 rows"),
+    (lambda: RowRef(0), ValueError,
+     "row index must be None or an int >= 1, got 0"),
+    (lambda: RowRef(True), ValueError,
+     "row index must be None or an int >= 1, got True"),
+    (lambda: Instruction("nop"), ValueError,
+     "opcode must be an Opcode, got 'nop'"),
+    (lambda: Instruction(Opcode.NOP, "ma", "me"), ValueError,
+     "operand must be None, a register or a RowRef, got 'me'"),
+    (lambda: Instruction(Opcode.AND, "ma", "mb", 1), ValueError,
+     "operand must be None, a register or a RowRef, got 1"),
+    (lambda: Instruction(Opcode.LOOP, imm=0), ValueError,
+     "imm must be None or an int >= 1, got 0"),
+    (lambda: Instruction(Opcode.DEVOR, "ma", "mb", imm="1"), ValueError,
+     "imm must be None or an int >= 1, got '1'"),
+    (lambda: Instruction(Opcode.HALT, line=1.0), ValueError,
+     "line must be an int, got 1.0"),
     (lambda: Spare("diagonal", 1), ValueError,
      "axis must be 'row' or 'column', got 'diagonal'"),
     (lambda: Spare(axis="Row", index=1), ValueError,
