@@ -9,16 +9,27 @@ diagnosis, not repairable, runtime fault), 2 input error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from veclog import assoc, cover, dq, lamp, metric, vlcore
+from veclog import vlcore
 from veclog.vlcore import BitVector, EmptyInput, LengthMismatch, ParseError
 
-if TYPE_CHECKING:
+# The builtin SHA-256 gives hashlib's digest without loading hashlib's OpenSSL
+# binding, the costliest import a subcommand would otherwise pay for.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.11
+    except ImportError:
+        from hashlib import sha256
+
+if TYPE_CHECKING:  # each subcommand imports its own layer when it runs
     from fractions import Fraction
+
+    from veclog import lamp
 
 Report = list[tuple[str, object]]
 
@@ -37,7 +48,7 @@ def _read(path: str) -> tuple[str, str]:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return text, "sha256:" + hashlib.sha256(data).hexdigest()[:12]
+    return text, "sha256:" + sha256(data).hexdigest()[:12]
 
 
 def _bits(vector: BitVector, dots: bool = False) -> str:
@@ -51,8 +62,10 @@ def _emit(report: Report, as_json: bool) -> None:
 
         print(json.dumps(dict(report), indent=2))
     else:
-        for key, value in report:
-            print(f"{key}: {value}")
+        # One print, not one sys.stdout.write: unbuffered, a write into a
+        # closed pipe can end partial with no error, while print's second
+        # write (the newline) raises BrokenPipeError.
+        print("\n".join(f"{key}: {value}" for key, value in report))
 
 
 def _position(exc: ValueError) -> str:
@@ -75,6 +88,8 @@ def _parsed(parse, text: str, what: str):
 # query
 
 def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
+    from veclog import assoc
+
     text, digest = _read(args.table)
     if args.arith:
         rows, labels = _parsed(assoc.parse_ternary_rows, text, "table")
@@ -113,6 +128,8 @@ def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
 def _query_arith(query: vlcore.TernaryVector,
                  rows: Sequence[vlcore.TernaryVector], names: list[str],
                  report: Report) -> tuple[Report, int]:
+    from veclog import metric
+
     best: Optional[Fraction] = None
     best_rows: list[int] = []
     for k, (name, row) in enumerate(zip(names, rows), start=1):
@@ -134,6 +151,8 @@ def _query_arith(query: vlcore.TernaryVector,
 # diagnose
 
 def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
+    from veclog import assoc
+
     text, digest = _read(args.table)
     table = _parsed(assoc.parse_table, text, "table")
     response = _parsed(BitVector.from_string, args.response, "response")
@@ -162,6 +181,8 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
 # repair
 
 def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
+    from veclog import cover
+
     text, digest = _read(args.instance)
     instance = _parsed(cover.parse_repair_instance, text, "instance")
     report: Report = [
@@ -222,6 +243,8 @@ def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
 # sim
 
 def _parse_reg_presets(items: Sequence[str], width: int) -> dict:
+    from veclog import lamp
+
     presets = {}
     for item in items:
         name, sep, value = item.partition("=")
@@ -244,6 +267,8 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
     """The cell's program and start state, and the report lines naming its
     two files; program errors are raised before data errors.  ``programs``
     keeps each program file's program and digest, so it is read once."""
+    from veclog import assoc, lamp
+
     if program_path not in programs:
         program_text, digest = _read(program_path)
         try:
@@ -261,15 +286,18 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
 
 
 def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
+    from veclog import lamp
+
+    max_steps = args.max_steps or lamp.DEFAULT_MAX_STEPS
     if args.grid:
-        return _sim_grid(args)
+        return _sim_grid(args, max_steps)
     if not args.program or not args.data:
         raise InputError("sim needs a program file and a data file "
                          "(or --grid MANIFEST)")
     program, state, report = _load_cell(args.program, args.data,
                                         args.reg or [], {})
     try:
-        final = lamp.run_sequencer(state, program, args.max_steps)
+        final = lamp.run_sequencer(state, program, max_steps)
     except lamp.SimulationError as exc:
         report.append(("status", f"fault: {exc}"))
         return report, 1
@@ -284,12 +312,17 @@ def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
 def _registers(state: lamp.SequencerState, dots: bool,
                prefix: str = "") -> Report:
     """The ``steps`` line and one line per register of a final state."""
+    from veclog import lamp
+
     return [(f"{prefix}steps", state.steps)] + [
         (prefix + name, _bits(state.regs[name], dots))
         for name in lamp.REGISTERS]
 
 
-def _sim_grid(args: argparse.Namespace) -> tuple[Report, int]:
+def _sim_grid(args: argparse.Namespace,
+              max_steps: int) -> tuple[Report, int]:
+    from veclog import lamp
+
     unused = [*filter(None, (args.program, args.data)),
               *(f"--reg {spec}" for spec in args.reg or ()),
               *["--dump-memory"] * args.dump_memory]
@@ -320,7 +353,7 @@ def _sim_grid(args: argparse.Namespace) -> tuple[Report, int]:
         cells.append(state)
     try:
         final = lamp.run_grid(lamp.GridState(tuple(cells)), programs,
-                              args.max_steps)
+                              max_steps)
     except lamp.GridCellError as exc:
         report.append(("status", f"fault: {exc}"))
         return report, 1
@@ -335,6 +368,8 @@ def _sim_grid(args: argparse.Namespace) -> tuple[Report, int]:
 # quality (design estimates)
 
 def cmd_quality(args: argparse.Namespace) -> tuple[Report, int]:
+    from veclog import dq
+
     try:
         inp = dq.DesignQualityInput(args.fault_prob, args.faults,
                                     args.testability, args.scan, args.logic)
@@ -403,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "line per cell")
     s.add_argument("--reg", action="append", metavar="NAME=BITS",
                    help="preset a register (repeatable)")
-    s.add_argument("--max-steps", type=positive_int,
-                   default=lamp.DEFAULT_MAX_STEPS)
+    s.add_argument("--max-steps", type=positive_int)  # None: lamp's default
     s.add_argument("--dump-memory", action="store_true")
     s.add_argument("--dots", action="store_true",
                    help="render 0 coordinates as dots")

@@ -326,6 +326,9 @@ def _compiled(program: Program):
     return partial(scope["run"], code)
 
 
+_ENDLOOP = Opcode.ENDLOOP  # looking a member up on its Enum class is slow
+
+
 def _check(code: Sequence[tuple], pc: int, at: int, steps: int,
            limit: int, n: int, width: int) -> int:
     """``steps + 1`` if instruction ``pc`` can run with loop row ``at`` (0:
@@ -342,7 +345,7 @@ def _check(code: Sequence[tuple], pc: int, at: int, steps: int,
         if k > bound:  # Instruction keeps a constant k at 1 or more
             error = RowOutOfRange if noun == "row" else BitOutOfRange
             raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
-    if not at and ins.opcode is Opcode.ENDLOOP:
+    if not at and ins.opcode is _ENDLOOP:
         raise SimulationError(f"ENDLOOP with no LOOP running "
                               f"(line {ins.line})")
     return steps + 1

@@ -1,9 +1,15 @@
-"""Shared test utilities: random instances and independent mini-oracles."""
+"""Shared test utilities: random instances, independent mini-oracles and a
+fresh-interpreter runner."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
+import veclog
 from veclog.assoc import AssociativeTable
 from veclog.cover import (EXHAUSTIVE_LIMIT, CoverageInstance, Infeasible,
                           TooLarge)
@@ -103,3 +109,11 @@ def reference_cover_oracle(
         if found:
             return tuple(sorted(found))
     raise Infeasible("no cover fits the spare budget")
+
+
+def run_python(code: str, *args: str) -> str:
+    """What ``python -c code args`` prints, run on this checkout's package
+    in a fresh interpreter, where nothing of veclog is loaded yet."""
+    env = {**os.environ, "PYTHONPATH": str(Path(veclog.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout

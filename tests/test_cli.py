@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import run_python
 import veclog
 from veclog import lamp
 from veclog.cli import main
@@ -706,13 +707,21 @@ def test_argv_never_escapes(tmp_path_factory, argv):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("extra", [[], ["--json"]])
-def test_closed_pipe_exits_1_without_a_traceback(tmp_path, extra):
+def test_closed_pipe_exits_1_without_a_traceback(tmp_path, extra,
+                                                 unbuffered):
     """A reader that stops early, as in ``veclog query ... | head -1``,
-    ends the run with exit 1 and nothing on stderr."""
+    ends the run with exit 1 and nothing on stderr, whether stdout is
+    buffered or not (PYTHONUNBUFFERED)."""
     rows = [format(k, "012b") for k in range(4096)]
     table = write(tmp_path, "big.tbl", "4096 12\n" + "\n".join(rows) + "\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(veclog.__file__).parents[1])}
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(veclog.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
         [sys.executable, "-m", "veclog.cli", "query", table, "1" * 12, *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -725,15 +734,62 @@ def test_closed_pipe_exits_1_without_a_traceback(tmp_path, extra):
 
 def test_import_loads_no_single_use_module():
     """``import veclog.cli`` loads neither the modules only one subcommand
-    uses nor the dataclass machinery; checked on module names, not time."""
-    src = str(Path(veclog.__file__).parents[1])
-    code = "import sys, veclog.cli; print(veclog.cli.__file__, *sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert out[0].startswith(src)
-    loaded = {"dataclasses", "inspect", "fractions", "decimal", "json"}
-    assert not loaded & set(out[1:])
+    uses, nor the dataclass machinery, nor hashlib with its OpenSSL binding;
+    checked on module names, not time."""
+    out = run_python("import sys; before = set(sys.modules); import veclog.cli; "
+                     "print(veclog.cli.__file__, *set(sys.modules) - before)"
+                     ).split()
+    assert out[0].startswith(str(Path(veclog.__file__).parents[1]))
+    unused = {"dataclasses", "inspect", "fractions", "decimal", "json",
+              "hashlib", "_hashlib", "veclog.assoc", "veclog.metric",
+              "veclog.cover", "veclog.dq", "veclog.lamp"}
+    assert not unused & set(out[1:])
+    assert {"veclog", "veclog.cli", "veclog.vlcore"} <= set(out[1:])
+
+
+# each subcommand, the files it reads, and the veclog modules it ends with
+LAYERS_RUN = {
+    "query": (["q.tbl", "1100"], "vlcore metric assoc"),
+    "diagnose": (["d.tbl", "110"], "vlcore metric assoc"),
+    "repair": (["r.inst", "--oracle"], "vlcore metric assoc cover"),
+    "quality": (["--fault-prob", "0.1", "--faults", "10", "--testability",
+                 "0.5", "--scan", "1", "--logic", "1"], "vlcore dq"),
+    "sim": (["p.lamp", "d.tbl"], "vlcore metric assoc lamp"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(LAYERS_RUN))
+def test_each_subcommand_loads_only_its_layer(tmp_path, subcommand):
+    files = {"q.tbl": QUERY_TABLE, "d.tbl": DIAG_TABLE,
+             "r.inst": MEMORY_INSTANCE, "p.lamp": "LOADROW ma A[1]\nHALT\n"}
+    args, layers = LAYERS_RUN[subcommand]
+    args = [write(tmp_path, a, files[a]) if a in files else a for a in args]
+    out = run_python("import io, sys, contextlib\n"
+                     "from veclog.cli import main\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    code = main(sys.argv[1:])\n"
+                     "print(code, *(m for m in sys.modules\n"
+                     "            if m.partition('.')[0] == 'veclog'))",
+                     subcommand, *args).split()
+    assert out[0] == "0"
+    assert set(out[1:]) == {"veclog", "veclog.cli",
+                            *(f"veclog.{m}" for m in layers.split())}
+
+
+@pytest.mark.parametrize("blocked", [[], ["_sha2", "_sha256"]])
+def test_digest_is_sha256_with_or_without_the_builtin_module(tmp_path,
+                                                            blocked):
+    """The report digest comes from the builtin SHA-256 module when there is
+    one and from hashlib when not; both give hashlib's digest."""
+    data = QUERY_TABLE.encode("ascii") * 1000
+    (tmp_path / "t.tbl").write_bytes(data)
+    out = run_python("import sys\n"
+                     "for name in sys.argv[2:]: sys.modules[name] = None\n"
+                     "from veclog.cli import _read\n"
+                     "print(_read(sys.argv[1])[1], 'hashlib' in sys.modules)",
+                     str(tmp_path / "t.tbl"), *blocked).split()
+    assert out == ["sha256:" + hashlib.sha256(data).hexdigest()[:12],
+                   str(bool(blocked))]
 
 
 class TestQuality:

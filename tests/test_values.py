@@ -5,12 +5,14 @@ when it is built.
 The expected reprs are the ones the classes have printed since they were
 first written, so a report or a log that shows a value reads the same."""
 import copy
+import json
 import pickle
 from enum import Enum
 from fractions import Fraction
 
 import pytest
 
+from helpers import run_python
 import veclog
 from veclog.assoc import AssociativeTable, DiagnosisMode, DiagnosisResult
 from veclog.cover import CoverageInstance, RepairInstance, RepairPlan, Spare
@@ -167,11 +169,15 @@ class TestContract:
 
 
 def test_every_exported_class_is_a_value_type():
-    # everything veclog exports that is neither an exception nor an Enum
-    classes = {obj for obj in vars(veclog).values() if isinstance(obj, type)
+    # everything veclog exports that is neither an exception nor an Enum;
+    # the exports load lazily, so they are read through __all__, not vars()
+    exported = (getattr(veclog, name) for name in veclog.__all__)
+    classes = {obj for obj in exported if isinstance(obj, type)
                and not issubclass(obj, (Exception, Enum))}
     cases = {case[0]: case for case in CASES}
-    assert classes <= set(cases)
+    # every value class but the two a Program is built from
+    assert classes == set(cases) - {RowRef, Instruction}
+    assert len(classes) == 18
     for cls in classes:
         _, args, other, _ = cases[cls]
         value = cls(*args)
@@ -182,6 +188,54 @@ def test_every_exported_class_is_a_value_type():
             with pytest.raises(AttributeError):
                 delattr(value, name)
         assert value == cls(*args) and value != cls(*other)
+
+
+# veclog's public names before its exports became lazy, by defining module
+PUBLIC_NAMES = {
+    "assoc": "AssociativeTable DiagnosisMode DiagnosisResult best_match "
+             "diagnose feasible_mask parse_table parse_ternary_rows restrict",
+    "cover": "BudgetExceeded CoverageInstance DimensionMismatch Infeasible "
+             "NotCovering RepairInstance RepairPlan Spare TooLarge "
+             "build_repair_table coverage_of exact_cover_oracle greedy_cover "
+             "parse_repair_instance repair_plan run_test selected_rows",
+    "dq": "DesignQualityInput DesignQualityOutput DomainError design_quality",
+    "lamp": "AssemblyError GridState Program SequencerState StepLimitExceeded "
+            "assemble coverage_search_source diagnosis_source "
+            "feasible_search_source quality_source restrict_source run_grid "
+            "run_sequencer with_response_column",
+    "metric": "ArithQuality Choice CompactedQuality CountQuality QualityVector "
+              "beta_cycle_check better_of compact_quality quality_arith "
+              "quality_counts quality_vector",
+    "vlcore": "BitVector EmptyInput EmptyIntersection InteractionType "
+              "LengthMismatch ParseError TernaryVector classify_interaction "
+              "devectorize slc ternary_intersect vectorize",
+}
+
+# in a fresh interpreter: dir(veclog) before any export is used, the names
+# `from veclog import *` binds, and each that is not its module's object
+NAMESPACE_PROBE = """
+import importlib, json, sys
+import veclog
+listed = dir(veclog)
+star = {}
+exec("from veclog import *", star)
+wrong = []
+for module, names in json.loads(sys.argv[1]).items():
+    source = importlib.import_module("veclog." + module)
+    wrong += [module] * (star.get(module) is not source)
+    wrong += [name for name in names.split()
+              if star.get(name, wrong) is not getattr(source, name)]
+print(json.dumps({"dir": listed, "star": sorted(star), "wrong": wrong}))
+"""
+
+
+def test_lazy_exports_keep_every_name_and_object():
+    names = {*PUBLIC_NAMES, *" ".join(PUBLIC_NAMES.values()).split()}
+    assert len(names) == 73
+    out = json.loads(run_python(NAMESPACE_PROBE, json.dumps(PUBLIC_NAMES)))
+    assert names | {"__version__"} <= set(out["dir"])
+    assert set(out["star"]) - {"__builtins__"} == names
+    assert out["wrong"] == []
 
 
 def test_defaults():
