@@ -315,7 +315,7 @@ def _registers(state: lamp.SequencerState, dots: bool,
     from veclog import lamp
 
     return [(f"{prefix}steps", state.steps)] + [
-        (prefix + name, _bits(state.regs[name], dots))
+        (prefix + name, _bits(getattr(state, name), dots))
         for name in lamp.REGISTERS]
 
 

@@ -28,7 +28,7 @@ import re
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import groupby
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from veclog.assoc import AssociativeTable, DiagnosisMode
 from veclog.vlcore import BitVector, EmptyInput, decimal, value_type
@@ -86,26 +86,15 @@ class Opcode(Enum):
     HALT = "halt"
 
 
-def _check_count(what: str, value) -> None:
-    if not (value is None or type(value) is int and value >= 1):
-        raise ValueError(f"{what} must be None or an int >= 1, got {value!r}")
-
-
 @value_type
 class RowRef:
     """Reference to a stored row; index None means the current loop row."""
 
     index: Optional[int]
 
-    def __post_init__(self):
-        _check_count("row index", self.index)
-
 
 @value_type
 class Instruction:
-    """``emit_source`` writes the fields into Python source, so each must be
-    of the exact type the assembler gives it: no subclass prints as code."""
-
     opcode: Opcode
     dst: Union[str, RowRef, None] = None
     src1: Union[str, RowRef, None] = None
@@ -113,22 +102,19 @@ class Instruction:
     imm: Optional[int] = None  # LOOP count (None = *), DEVOR index (None = @)
     line: int = 0
 
-    def __post_init__(self):
-        if type(self.opcode) is not Opcode:
-            raise ValueError(f"opcode must be an Opcode, got {self.opcode!r}")
-        for op in (self.dst, self.src1, self.src2):
-            if not (op is None or type(op) is RowRef
-                    or type(op) is str and op in REGISTERS):
-                raise ValueError(f"operand must be None, a register or a "
-                                 f"RowRef, got {op!r}")
-        _check_count("imm", self.imm)
-        if type(self.line) is not int:
-            raise ValueError(f"line must be an int, got {self.line!r}")
-
 
 @value_type
 class Program:
-    instructions: tuple[Instruction, ...]
+    """A program is its text; ``instructions`` is what ``assemble`` makes
+    of it.  A source that is not exactly a ``str`` raises TypeError."""
+
+    source: str
+
+    def __post_init__(self):
+        if type(self.source) is not str:
+            raise TypeError(f"program source must be a str, "
+                            f"got {type(self.source).__name__}")
+        self.__dict__["instructions"] = _assemble(self.source)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +200,10 @@ _KINDS = {
 
 def assemble(source: str) -> Program:
     """Assemble program text; raises on the first malformed line."""
+    return Program(source)
+
+
+def _assemble(source: str) -> tuple[Instruction, ...]:
     if not source.strip():
         raise EmptyInput("empty program source")
     instructions: list[Instruction] = []
@@ -262,7 +252,7 @@ def assemble(source: str) -> Program:
         instructions.append(Instruction(opcode, *fields, imm, lineno))
     if loop_line is not None:
         raise AssemblyError("LOOP never closed", loop_line)
-    return Program(tuple(instructions))
+    return tuple(instructions)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +267,10 @@ class SequencerState:
     """
 
     memory: AssociativeTable
-    regs: Mapping[str, BitVector]
+    ma: BitVector
+    mb: BitVector
+    mc: BitVector
+    md: BitVector
     pc: int = 0
     halted: bool = False
     steps: int = 0
@@ -286,7 +279,7 @@ class SequencerState:
     def fresh(cls, memory: AssociativeTable,
               **presets: BitVector) -> "SequencerState":
         width = memory.width
-        regs = {}
+        regs = []
         for name in REGISTERS:
             value = presets.pop(name, None)
             if value is None:
@@ -294,10 +287,10 @@ class SequencerState:
             elif value.length != width:
                 raise ValueError(f"register {name} preset has width "
                                  f"{value.length}, memory width is {width}")
-            regs[name] = value
+            regs.append(value)
         if presets:
             raise ValueError(f"unknown registers: {sorted(presets)}")
-        return cls(memory, regs)
+        return cls(memory, *regs)
 
 
 def run_sequencer(state: SequencerState, program: Program,
@@ -309,13 +302,13 @@ def run_sequencer(state: SequencerState, program: Program,
     rows = [row.value for row in memory.rows]
     pc, steps, stored, *regs = _compiled(program)(
         rows, width, state.pc, max_steps,
-        *(state.regs[name].value for name in REGISTERS))
+        state.ma.value, state.mb.value, state.mc.value, state.md.value)
     if stored:
         memory = AssociativeTable([BitVector(row, width) for row in rows],
                                   memory.row_labels, memory.col_labels)
-    final = {name: BitVector(v, width) for name, v in zip(REGISTERS, regs)}
     # a run ends only at a HALT or past the last instruction
-    return SequencerState(memory, final, pc, True, steps)
+    return SequencerState(memory, *(BitVector(v, width) for v in regs),
+                          pc, True, steps)
 
 
 @lru_cache(maxsize=32)  # a grid runs at most 16 distinct programs
@@ -342,7 +335,7 @@ def _check(code: Sequence[tuple], pc: int, at: int, steps: int,
         k, bound = k or at, n if bound == "n" else width
         if not k:
             raise SimulationError(f"@ with no LOOP running (line {ins.line})")
-        if k > bound:  # Instruction keeps a constant k at 1 or more
+        if k > bound:  # the assembler keeps a constant k at 1 or more
             error = RowOutOfRange if noun == "row" else BitOutOfRange
             raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
     if not at and ins.opcode is _ENDLOOP:
@@ -432,7 +425,7 @@ def _statement(run: Sequence[Instruction], pc: Optional[int] = None) -> str:
     def operand(op) -> str:
         if isinstance(op, RowRef):
             return "A[at - 1]" if op.index is None else f"A[{op.index - 1}]"
-        return "ones" if op is None else op
+        return op
 
     ins, mask = run[0], f"(1 << width - {run[0].imm or 'at'})"
     if len(run) > 1:

@@ -302,7 +302,7 @@ def test_microprogram_equivalence():
         query = rand_bitvector(rng, w)
         out = run_sequencer(SequencerState.fresh(table, mb=query), program)
         mask = feasible_mask(table, query)
-        assert out.regs["ma"] == BitVector(mask.value << (w - n), w)
+        assert out.ma == BitVector(mask.value << (w - n), w)
 
     for mode in (DiagnosisMode.SINGLE, DiagnosisMode.MULTIPLE):
         for _ in range(100):
@@ -314,7 +314,7 @@ def test_microprogram_equivalence():
             program = assemble(diagnosis_source(augmented.width, mode))
             out = run_sequencer(SequencerState.fresh(augmented), program)
             lib = diagnose(table, response, mode).candidates
-            assert out.regs["mb"] == BitVector(lib.value << 1, w + 1)
+            assert out.mb == BitVector(lib.value << 1, w + 1)
 
     program = assemble(coverage_search_source())
     for _ in range(100):
@@ -323,15 +323,15 @@ def test_microprogram_equivalence():
         table = rand_table(rng, n, w)
         out = run_sequencer(SequencerState.fresh(table), program)
         taken = greedy_cover(CoverageInstance(table))
-        assert out.regs["ma"] == BitVector(taken.value << (w - n), w)
+        assert out.ma == BitVector(taken.value << (w - n), w)
 
     # the memory-module coverage table, widened so the row mask fits
     coverage = build_repair_table(RepairInstance(13, 15, MEMORY_FAULTS, 2, 5))
     wide = coverage.table.widened(11)
     out = run_sequencer(SequencerState.fresh(wide),
                         assemble(coverage_search_source()))
-    assert out.regs["ma"] == BitVector.from_string("11111000000")
-    assert out.regs["ma"] == greedy_cover(coverage)
+    assert out.ma == BitVector.from_string("11111000000")
+    assert out.ma == greedy_cover(coverage)
 
 
 @criterion(10, "slc invariants exhaustive for len<=12")

@@ -56,18 +56,8 @@ def bv(s):
     return BitVector.from_string(s)
 
 
-class _CodeStr(str):
-    """A register name whose text in a format string is code."""
-
-    def __format__(self, spec):
-        return "print('x') or ma"
-
-
-class _CodeInt(int):
-    """A count whose text in a format string is code."""
-
-    def __format__(self, spec):
-        return "print('x') or 1"
+def registers(state):
+    return [getattr(state, name) for name in REGISTERS]
 
 
 def fresh(rows, **presets):
@@ -160,62 +150,68 @@ class TestAssemble:
     def test_comment_only_source_is_an_empty_program(self):
         assert len(assemble("; nothing to do\n").instructions) == 0
 
+    def test_a_program_is_made_only_from_its_text(self):
+        assert assemble("HALT\n") == Program("HALT\n")
+        for source in ((Instruction(Opcode.HALT),), b"HALT"):
+            with pytest.raises(TypeError, match="must be a str"):
+                Program(source)
+
 
 class TestRunSequencer:
     def test_quality_reduction_example(self):
         program = assemble("LOADROW ma A[1]\nXOR md ma mb\nHALT\n")
         state = fresh(["000011110101"], mb=bv("110011001100"))
         out = run_sequencer(state, program)
-        assert out.regs["md"] == bv("110000111001")
+        assert out.md == bv("110000111001")
         assert out.halted
         assert out.steps == 3
 
     def test_nop_program_leaves_registers(self):
         state = fresh(["1010"], ma=bv("1100"))
         out = run_sequencer(state, assemble("NOP ma\nHALT\n"))
-        assert out.regs == state.regs
+        assert registers(out) == registers(state)
         assert out.memory.rows == state.memory.rows
         assert out.halted
 
     def test_input_state_not_mutated(self):
         state = fresh(["1111"])
         run_sequencer(state, assemble("SETALL ma\nSTOREROW A[1] ma\nHALT\n"))
-        assert state.regs["ma"] == bv("0000")
+        assert state.ma == bv("0000")
         assert str(state.memory.rows[0]) == "1111"
 
     def test_setall_clrall_devor(self):
         program = assemble("SETALL ma\nCLRALL mb\nDEVOR mb 3 ma\nHALT\n")
         out = run_sequencer(fresh(["0000"]), program)
-        assert out.regs["ma"] == bv("1111")
-        assert out.regs["mb"] == bv("0010")
+        assert out.ma == bv("1111")
+        assert out.mb == bv("0010")
 
     def test_slc_and_not(self):
         program = assemble("LOADROW ma A[1]\nSLC mb ma\nNOT mc ma\nHALT\n")
         out = run_sequencer(fresh(["0101"]), program)
-        assert out.regs["mb"] == bv("1100")
-        assert out.regs["mc"] == bv("1010")
+        assert out.mb == bv("1100")
+        assert out.mc == bv("1010")
 
     def test_storerow_visible_to_later_reads(self):
         program = assemble(
             "SETALL ma\nSTOREROW A[2] ma\nLOADROW mb A[2]\nHALT\n")
         out = run_sequencer(fresh(["0000", "0000"]), program)
-        assert out.regs["mb"] == bv("1111")
+        assert out.mb == bv("1111")
         assert str(out.memory.rows[1]) == "1111"
 
     def test_loop_star_runs_once_per_row(self):
         program = assemble("LOOP *\nOR ma A[@] ma\nENDLOOP\nHALT\n")
         out = run_sequencer(fresh(["1000", "0010", "0001"]), program)
-        assert out.regs["ma"] == bv("1011")
+        assert out.ma == bv("1011")
 
     def test_loop_literal_count(self):
         program = assemble("LOOP 2\nOR ma A[@] ma\nENDLOOP\nHALT\n")
         out = run_sequencer(fresh(["1000", "0010", "0001"]), program)
-        assert out.regs["ma"] == bv("1010")
+        assert out.ma == bv("1010")
 
     def test_devor_loop_index(self):
         program = assemble("LOOP *\nDEVOR ma @ A[@]\nENDLOOP\nHALT\n")
         out = run_sequencer(fresh(["0100", "0000", "1111", "0000"]), program)
-        assert out.regs["ma"] == bv("1010")
+        assert out.ma == bv("1010")
 
     def test_row_out_of_range(self):
         with pytest.raises(RowOutOfRange):
@@ -233,49 +229,40 @@ class TestRunSequencer:
     def test_missing_halt_falls_off_the_end(self):
         out = run_sequencer(fresh(["10"]), assemble("SETALL ma\n"))
         assert out.halted
-        assert out.regs["ma"] == bv("11")
+        assert out.ma == bv("11")
 
-    def test_operands_are_only_registers_rows_or_numbers(self):
-        # the program runs as generated Python: a hand-built operand that is
-        # not a register is rejected when it is built, never evaluated
-        with pytest.raises(ValueError):
-            program = Program((Instruction(Opcode.NOP, "ma", "print('x')"),))
-            run_sequencer(fresh(["10"]), program)
+    def test_operands_are_only_registers_rows_or_numbers(self, capsys):
+        # the program runs as generated Python: an operand that is not a
+        # register is rejected when its text is assembled, never evaluated
+        with pytest.raises(UnknownRegister):
+            run_sequencer(fresh(["10"]), Program("NOP ma print('x')\n"))
+        assert capsys.readouterr().out == ""
 
-    def test_a_row_in_src2_is_checked(self):
-        # the assembler never puts a row there, but a hand-built one is read
-        # and bounded like src1
-        program = Program((Instruction(Opcode.AND, "ma", "mb", RowRef(2)),))
-        out = run_sequencer(fresh(["10", "01"], mb=bv("11")), program)
-        assert out.regs["ma"] == bv("01")
-        program = Program((Instruction(Opcode.AND, "ma", "mb", RowRef(3),
-                                       line=7),))
-        with pytest.raises(RowOutOfRange, match=r"^row 3 out of 1..2 "
-                                                r"\(line 7\)$"):
-            run_sequencer(fresh(["10", "01"]), program)
+    def test_a_row_in_src2_is_checked(self, capsys):
+        # src2 is a register, so a row there is rejected, not read
+        with pytest.raises(UnknownRegister, match=r"^line 1: unknown "
+                                                  r"register 'A\[2\]'$"):
+            run_sequencer(fresh(["10", "01"], mb=bv("11")),
+                          Program("AND ma mb A[2]\n"))
+        assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("build", [
-        lambda: [Instruction(Opcode.LOOP, imm="print('x') or 1"),
-                 Instruction(Opcode.ENDLOOP)],
-        lambda: [Instruction(Opcode.NOP, "ma", "ma",
-                             line="1\n        print('x')")],
-        lambda: [Instruction(Opcode.LOOP, imm=1),
-                 Instruction(Opcode.LOADROW, "ma", RowRef(0)),
-                 Instruction(Opcode.ENDLOOP)],
-        lambda: [Instruction(Opcode.LOOP, imm=1),
-                 Instruction(Opcode.LOADROW, "ma", RowRef(-1)),
-                 Instruction(Opcode.ENDLOOP)],
-        lambda: [Instruction(Opcode.DEVOR, "ma", "mb", imm=0)],
-        lambda: [Instruction(Opcode.DEVOR, "ma", "mb", imm=-1)],
-        lambda: [Instruction(Opcode.LOOP, imm=_CodeInt(1)),
-                 Instruction(Opcode.ENDLOOP)],
-        lambda: [Instruction(Opcode.NOP, _CodeStr("ma"), "ma")],
-        lambda: [Instruction("nop", "ma", "ma")],
-    ], ids=["loop-count", "line", "row-0", "row-minus-1", "devor-0",
-            "devor-minus-1", "int-subclass", "str-subclass", "opcode"])
-    def test_hand_built_fields_never_reach_the_source(self, build, capsys):
-        with pytest.raises(ValueError):
-            run_sequencer(fresh(["10", "01", "11"]), Program(tuple(build())))
+    # text whose fields, written into the emitted source, would be code or
+    # an unchecked row or coordinate
+    @pytest.mark.parametrize("source, error", [
+        ("LOOP print('x') or 1\nENDLOOP\n", AssemblyError),
+        ("LOOP 1\nLOADROW ma A[0]\nENDLOOP\n", AssemblyError),
+        ("LOOP 1\nLOADROW ma A[-1]\nENDLOOP\n", AssemblyError),
+        ("DEVOR ma 0 mb\n", AssemblyError),
+        ("DEVOR ma -1 mb\n", AssemblyError),
+        ("print('x') ma ma\n", AssemblyError),
+        # a subclass could answer the assembler's str methods with anything
+        (type("Text", (str,), {})("NOP ma ma\n"), TypeError),
+    ], ids=["loop-count", "row-0", "row-minus-1", "devor-0", "devor-minus-1",
+            "opcode", "str-subclass"])
+    def test_hand_built_fields_never_reach_the_source(self, source, error,
+                                                      capsys):
+        with pytest.raises(error):
+            run_sequencer(fresh(["10", "01", "11"]), Program(source))
         assert capsys.readouterr().out == ""
 
     def test_determinism(self):
@@ -299,8 +286,8 @@ class TestShippedPrograms:
                 SequencerState.fresh(AssociativeTable([row]), mb=query),
                 program)
             expected = quality_vector(query, row).quality
-            assert out.regs["mc"] == expected
-            assert out.regs["md"] == slc(expected)
+            assert out.mc == expected
+            assert out.md == slc(expected)
 
     def test_feasibility_program_matches_library(self):
         rng = random.Random(rng_seed + 1)
@@ -312,7 +299,7 @@ class TestShippedPrograms:
             query = rand_bitvector(rng, w)
             out = run_sequencer(SequencerState.fresh(table, mb=query), program)
             mask = feasible_mask(table, query)
-            assert out.regs["ma"] == BitVector(mask.value << (w - n), w)
+            assert out.ma == BitVector(mask.value << (w - n), w)
 
     def test_coverage_program_matches_library(self):
         rng = random.Random(rng_seed + 2)
@@ -323,7 +310,7 @@ class TestShippedPrograms:
             table = rand_table(rng, n, w)
             out = run_sequencer(SequencerState.fresh(table), program)
             taken = greedy_cover(CoverageInstance(table))
-            assert out.regs["ma"] == BitVector(taken.value << (w - n), w)
+            assert out.ma == BitVector(taken.value << (w - n), w)
 
     def test_diagnosis_program_matches_library(self):
         rng = random.Random(rng_seed + 3)
@@ -337,7 +324,7 @@ class TestShippedPrograms:
                 program = assemble(diagnosis_source(augmented.width, mode))
                 out = run_sequencer(SequencerState.fresh(augmented), program)
                 lib = diagnose(table, response, mode).candidates
-                assert out.regs["mb"] == BitVector(lib.value << 1, w + 1)
+                assert out.mb == BitVector(lib.value << 1, w + 1)
 
     def test_restrict_program_matches_library(self):
         rng = random.Random(rng_seed + 4)
@@ -406,11 +393,11 @@ class TestGrid:
         programs += [assemble("HALT\n")] * 13
         out = run_grid(GridState(tuple(cells)), programs)
         mask = feasible_mask(table_a, query)
-        assert out.cells[0].regs["ma"] == BitVector(mask.value << 4, 8)
+        assert out.cells[0].ma == BitVector(mask.value << 4, 8)
         taken = greedy_cover(CoverageInstance(table_b))
-        assert out.cells[1].regs["ma"] == BitVector(taken.value << 3, 8)
+        assert out.cells[1].ma == BitVector(taken.value << 3, 8)
         located = diagnose(table_c, response).candidates
-        assert out.cells[2].regs["mb"] == BitVector(located.value << 1, 9)
+        assert out.cells[2].mb == BitVector(located.value << 1, 9)
 
     def test_empty_programs_leave_grid_unchanged(self):
         rng = random.Random(rng_seed + 8)
@@ -418,7 +405,7 @@ class TestGrid:
                       for _ in range(16))
         out = run_grid(GridState(cells), [assemble("; idle\n")] * 16)
         for before, after in zip(cells, out.cells):
-            assert after.regs == before.regs
+            assert registers(after) == registers(before)
             assert after.memory.rows == before.memory.rows
             assert after.halted
 
@@ -471,10 +458,10 @@ class TestResume:
         program = assemble("LOOP 2\nNOP ma A[@]\nHALT\nNOT mb\nHALT\n"
                            "OR ma A[@] ma\nENDLOOP\nHALT\n")
         first = run_sequencer(fresh(["10", "01"], mb=bv("10")), program)
-        assert (first.pc, first.steps, first.regs["ma"]) == (3, 3, bv("10"))
+        assert (first.pc, first.steps, first.ma) == (3, 3, bv("10"))
         second = run_sequencer(first, program)
         assert (second.pc, second.halted, second.steps) == (5, True, 2)
-        assert (second.regs["ma"], second.regs["mb"]) == (bv("10"), bv("01"))
+        assert (second.ma, second.mb) == (bv("10"), bv("01"))
         for state in (first, second):
             assert outcome(run_sequencer, state, program, 10) == \
                 outcome(reference_run, state, program, 10)
@@ -503,7 +490,8 @@ _UNARY = {Opcode.NOT: BitVector.__invert__, Opcode.SLC: slc,
 
 def reference_run(state, program, max_steps):
     width = state.memory.width
-    rows, regs = list(state.memory.rows), dict(state.regs)
+    rows = list(state.memory.rows)
+    regs = {name: getattr(state, name) for name in REGISTERS}
     code, pc, steps = program.instructions, state.pc, 0
     loop = None  # [body pc, count, row]
 
@@ -561,7 +549,8 @@ def reference_run(state, program, max_steps):
     memory = state.memory
     if rows != list(memory.rows):
         memory = AssociativeTable(rows, memory.row_labels, memory.col_labels)
-    return SequencerState(memory, regs, pc, True, steps)
+    return SequencerState(memory, *(regs[n] for n in REGISTERS), pc, True,
+                          steps)
 
 
 def random_source(rng, height, width, edges=False):
@@ -693,7 +682,7 @@ def test_resume_from_every_pc_matches_reference(name):
         table = rand_table(rng, height, width)
         regs = {reg: rand_bitvector(rng, width) for reg in REGISTERS}
         for pc in range(len(program.instructions) + 1):
-            state = SequencerState(table, regs, pc)
+            state = SequencerState(table, **regs, pc=pc)
             for max_steps in (5, 1000):
                 assert outcome(run_sequencer, state, program, max_steps) == \
                     outcome(reference_run, state, program, max_steps)
