@@ -12,7 +12,6 @@ _EXPORTS = {
     "assoc": (
         "AssociativeTable",
         "DiagnosisMode",
-        "DiagnosisResult",
         "best_match",
         "diagnose",
         "feasible_mask",
@@ -27,7 +26,6 @@ _EXPORTS = {
         "Infeasible",
         "NotCovering",
         "RepairInstance",
-        "RepairPlan",
         "Spare",
         "TooLarge",
         "build_repair_table",

@@ -79,15 +79,6 @@ class DiagnosisMode(Enum):
     MULTIPLE = "multiple"
 
 
-@value_type
-class DiagnosisResult:
-    """Candidate fault columns (1 = candidate) and whether any exist."""
-
-    candidates: BitVector
-    mode: DiagnosisMode
-    consistent: bool
-
-
 def _check_query(table: AssociativeTable, query: BitVector) -> None:
     if query.length != table.width:
         raise LengthMismatch(
@@ -112,8 +103,9 @@ def restrict(table: AssociativeTable, query: BitVector) -> AssociativeTable:
 
 
 def diagnose(table: AssociativeTable, response: BitVector,
-             mode: DiagnosisMode = DiagnosisMode.SINGLE) -> DiagnosisResult:
-    """Locate fault columns from a test-response vector.
+             mode: DiagnosisMode = DiagnosisMode.SINGLE) -> BitVector:
+    """Candidate fault columns (1 = candidate) from a test-response vector;
+    no candidate at all means the response is inconsistent.
 
     Rows are test signatures (columns are faults); response bit i = 1 means
     test i failed.  Single mode intersects the failing rows; multiple mode
@@ -123,7 +115,8 @@ def diagnose(table: AssociativeTable, response: BitVector,
     """
     if response.length != table.height:
         raise LengthMismatch(
-            f"response width {response.length} vs table height {table.height}")
+            f"response width {response.length} does not match table height "
+            f"{table.height}")
     single = mode is DiagnosisMode.SINGLE
     hits = (1 << table.width) - 1 if single else 0
     misses = 0
@@ -132,9 +125,7 @@ def diagnose(table: AssociativeTable, response: BitVector,
             hits = hits & row.value if single else hits | row.value
         else:
             misses |= row.value
-    candidates = hits & ~misses
-    return DiagnosisResult(BitVector(candidates, table.width), mode,
-                           candidates != 0)
+    return BitVector(hits & ~misses, table.width)
 
 
 def best_match(query: BitVector,

@@ -156,25 +156,22 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     text, digest = _read(args.table)
     table = _parsed(assoc.parse_table, text, "table")
     response = _parsed(BitVector.from_string, args.response, "response")
-    if response.length != table.height:
-        raise InputError(f"response width {response.length} does not match "
-                         f"table height {table.height}")
     mode = assoc.DiagnosisMode(args.mode)
-    result = assoc.diagnose(table, response, mode)
+    candidates = assoc.diagnose(table, response, mode)
     labels = table.col_labels or tuple(f"c{j}" for j in
                                        range(1, table.width + 1))
-    named = [label for label, flag in zip(labels, str(result.candidates))
+    named = [label for label, flag in zip(labels, str(candidates))
              if flag == "1"]
     report: Report = [
         ("table", args.table),
         ("table-digest", digest),
         ("response", args.response),
         ("mode", mode.value),
-        ("candidate-vector", _bits(result.candidates)),
+        ("candidate-vector", _bits(candidates)),
         ("candidates", " ".join(named) or "(none)"),
-        ("status", "ok" if result.consistent else "inconsistent"),
+        ("status", "ok" if candidates.value else "inconsistent"),
     ]
-    return report, 0 if result.consistent else 1
+    return report, 0 if candidates.value else 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +203,11 @@ def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
 
     status, code = "ok", 0
     try:
-        plan = cover.repair_plan(instance, chosen)
-        report.append(("plan", "valid" if plan.valid else "invalid"))
+        remap = cover.repair_plan(instance, chosen)
+        report.append(("plan", "valid"))
         report.append(("remap", " ".join(
             f"{spare.label}->spare-{spare.axis}-{ordinal}"
-            for spare, ordinal in plan.remap)))
+            for spare, ordinal in remap)))
     except cover.BudgetExceeded as exc:
         report.append(("plan", f"budget-exceeded ({exc})"))
         status, code = "budget-exceeded", 1
@@ -282,7 +279,7 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
     files: Report = [("program", program_path),
                      ("program-digest", program_digest),
                      ("data", data_path), ("data-digest", data_digest)]
-    return program, lamp.SequencerState.fresh(table, **presets), files
+    return program, lamp.SequencerState(table, **presets), files
 
 
 def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:

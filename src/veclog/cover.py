@@ -102,15 +102,6 @@ class RepairInstance:
                                  f"{self.rows}x{self.cols} memory")
 
 
-@value_type
-class RepairPlan:
-    """Chosen spare lines plus the faulty-line -> spare-ordinal remap."""
-
-    chosen: frozenset[Spare]
-    remap: tuple[tuple[Spare, int], ...]
-    valid: bool
-
-
 def greedy_cover(instance: CoverageInstance) -> BitVector:
     """Single-pass cover scan: one bit per row, 1 = row taken.
 
@@ -233,8 +224,9 @@ def build_repair_table(instance: RepairInstance) -> CoverageInstance:
 
 
 def repair_plan(instance: RepairInstance,
-                cover: Iterable[Spare]) -> RepairPlan:
-    """Validate a cover against the instance and assign spare ordinals.
+                cover: Iterable[Spare]) -> tuple[tuple[Spare, int], ...]:
+    """Validate a cover against the instance and assign spare ordinals:
+    the faulty-line -> spare-ordinal remap, as ``((Spare, ordinal), ...)``.
 
     Raises ``NotCovering`` when some fault lies on no chosen line, and
     ``BudgetExceeded`` when the cover repairs everything but overruns the
@@ -255,7 +247,7 @@ def repair_plan(instance: RepairInstance,
              for ordinal, c in enumerate(sorted(col_lines), start=1)]
     remap += [(Spare("row", r), ordinal)
               for ordinal, r in enumerate(sorted(row_lines), start=1)]
-    return RepairPlan(chosen, tuple(remap), True)
+    return tuple(remap)
 
 
 def run_test(uut: AssociativeTable, mut: AssociativeTable) -> BitVector:

@@ -262,35 +262,28 @@ def _assemble(source: str) -> tuple[Instruction, ...]:
 class SequencerState:
     """One sequencer: data memory, the four registers, and run bookkeeping.
 
-    ``steps`` counts instructions executed by the run that produced the
-    state; fresh states carry 0.
+    A register not given starts as zeros of the memory's width; one of
+    another width raises ValueError.  ``steps`` counts instructions executed
+    by the run that produced the state; new states carry 0.
     """
 
     memory: AssociativeTable
-    ma: BitVector
-    mb: BitVector
-    mc: BitVector
-    md: BitVector
+    ma: Optional[BitVector] = None
+    mb: Optional[BitVector] = None
+    mc: Optional[BitVector] = None
+    md: Optional[BitVector] = None
     pc: int = 0
-    halted: bool = False
     steps: int = 0
 
-    @classmethod
-    def fresh(cls, memory: AssociativeTable,
-              **presets: BitVector) -> "SequencerState":
-        width = memory.width
-        regs = []
+    def __post_init__(self):
+        width = self.memory.width
         for name in REGISTERS:
-            value = presets.pop(name, None)
+            value = self.__dict__[name]
             if value is None:
-                value = BitVector.zeros(width)
+                self.__dict__[name] = BitVector.zeros(width)
             elif value.length != width:
-                raise ValueError(f"register {name} preset has width "
-                                 f"{value.length}, memory width is {width}")
-            regs.append(value)
-        if presets:
-            raise ValueError(f"unknown registers: {sorted(presets)}")
-        return cls(memory, *regs)
+                raise ValueError(f"register {name} has width {value.length}, "
+                                 f"memory width is {width}")
 
 
 def run_sequencer(state: SequencerState, program: Program,
@@ -306,9 +299,8 @@ def run_sequencer(state: SequencerState, program: Program,
     if stored:
         memory = AssociativeTable([BitVector(row, width) for row in rows],
                                   memory.row_labels, memory.col_labels)
-    # a run ends only at a HALT or past the last instruction
     return SequencerState(memory, *(BitVector(v, width) for v in regs),
-                          pc, True, steps)
+                          pc, steps)
 
 
 @lru_cache(maxsize=32)  # a grid runs at most 16 distinct programs
@@ -442,12 +434,12 @@ GRID_CELLS = GRID_SIDE * GRID_SIDE
 
 
 class GridCellError(SimulationError):
-    """A cell's program failed; carries the 1-based grid coordinates."""
+    """A cell's program failed; carries the 1-based grid coordinates, and
+    the fault as ``__cause__``."""
 
     def __init__(self, row: int, col: int, cause: Exception):
         self.row = row
         self.col = col
-        self.cause = cause
         super().__init__(f"cell ({row},{col}): {cause}")
 
 

@@ -75,14 +75,12 @@ class Choice(Enum):
 
 @value_type
 class CompactedQuality:
-    """Left-justified quality vector plus its 1-count; renders as (ones/len)."""
+    """Left-justified quality vector; renders as (ones/length)."""
 
     compacted: BitVector
-    ones: int
-    length: int
 
     def __str__(self) -> str:
-        return f"({self.ones}/{self.length})"
+        return f"({self.compacted.popcount}/{self.compacted.length})"
 
 
 def quality_arith(query: TernaryVector, stored: TernaryVector) -> ArithQuality:
@@ -143,17 +141,15 @@ def quality_vector(query: BitVector, stored: BitVector) -> QualityVector:
 def compact_quality(qv: QualityVector) -> CompactedQuality:
     """Crowd the quality vector's 1s to the left; the run length grades the
     solution (fewer 1s is better)."""
-    q = qv.quality
-    return CompactedQuality(slc(q), q.popcount, q.length)
+    return CompactedQuality(slc(qv.quality))
 
 
 def better_of(first: CompactedQuality, second: CompactedQuality) -> Choice:
     """Pick the better of two compacted qualities with vector logic alone.
 
     The first wins when its compacted 1-run is contained in the second's;
-    ties resolve to the first.
+    ties resolve to the first.  Different lengths raise LengthMismatch.
     """
-    same_length(first, second)
     overlap = first.compacted & second.compacted
     excess = overlap ^ first.compacted
     return Choice.FIRST if devectorize(excess) == 0 else Choice.SECOND

@@ -110,8 +110,8 @@ TABLE = AssociativeTable([_bits("101"), _bits("011")])
     (quality_arith, (_ternary("1x0"), _ternary("x1")), OPERANDS),
     (quality_counts, (_bits("101"), _bits("10")), OPERANDS),
     (quality_vector, (_bits("101"), _bits("10")), OPERANDS),
-    (better_of, (CompactedQuality(_bits("100"), 1, 3),
-                 CompactedQuality(_bits("10"), 1, 2)), OPERANDS),
+    (better_of, (CompactedQuality(_bits("100")),
+                 CompactedQuality(_bits("10"))), OPERANDS),
     (feasible_mask, (TABLE, _bits("10")), QUERY),
     (restrict, (TABLE, _bits("10")), QUERY),
     (best_match, (_bits("10"), TABLE), QUERY),

@@ -292,9 +292,7 @@ class TestRepairPlan:
     def test_greedy_cover_is_valid(self):
         instance = memory_instance()
         cover = [Spare("column", c) for c in (2, 3, 5, 7, 8)]
-        plan = repair_plan(instance, cover)
-        assert plan.valid
-        assert plan.remap == tuple(
+        assert repair_plan(instance, cover) == tuple(
             (Spare("column", c), k) for k, c in enumerate((2, 3, 5, 7, 8), 1))
         # every fault's row and column are rows of its repair table, so
         # greedy's choice repairs every fault and at worst overruns a budget
@@ -319,17 +317,18 @@ class TestRepairPlan:
             chosen = [table.kinds[k - 1]
                       for k in selected_rows(greedy_cover(table))]
             try:  # NotCovering would escape
-                outcomes.add(repair_plan(instance, chosen).valid)
+                repair_plan(instance, chosen)
+                outcomes.add("planned")
             except BudgetExceeded:
                 outcomes.add("budget-exceeded")
-        assert outcomes == {True, "budget-exceeded"}
+        assert outcomes == {"planned", "budget-exceeded"}
 
     def test_non_minimal_cover_is_still_valid(self):
         instance = memory_instance()
         cover = [Spare("column", c) for c in (2, 3, 5, 7, 8)] + [Spare("row", 2)]
-        plan = repair_plan(instance, cover)
-        assert plan.valid
-        assert len(plan.chosen) == 6
+        assert repair_plan(instance, cover) == tuple(
+            (Spare("column", c), k) for k, c in enumerate((2, 3, 5, 7, 8), 1)
+        ) + ((Spare("row", 2), 1),)
 
     def test_budget_exceeded(self):
         instance = RepairInstance(
@@ -349,15 +348,16 @@ class TestRepairPlan:
     def test_row_and_column_ordinals_are_independent(self):
         instance = RepairInstance(9, 9,
                                   frozenset({(2, 3), (4, 5)}), 2, 2)
-        plan = repair_plan(instance, [Spare("row", 2), Spare("row", 4)])
-        assert plan.remap == ((Spare("row", 2), 1), (Spare("row", 4), 2))
+        remap = repair_plan(instance, [Spare("row", 2), Spare("row", 4)])
+        assert remap == ((Spare("row", 2), 1), (Spare("row", 4), 2))
 
     def test_every_oracle_minimum_cover_plans_cleanly(self):
         instance = memory_instance()
         coverage = build_repair_table(instance)
         for rows in exact_cover_oracle(coverage):
             chosen = [coverage.kinds[k - 1] for k in rows]
-            assert repair_plan(instance, chosen).valid
+            remap = repair_plan(instance, chosen)
+            assert {spare for spare, _ in remap} == set(chosen)
 
 
 class TestRunTest:
@@ -397,7 +397,7 @@ class TestPipeline:
         bitmap = AssociativeTable([u ^ m for u, m in zip(uut.rows, mut.rows)])
         located = diagnose(bitmap, outcome, DiagnosisMode.MULTIPLE)
         faulty_cols = {c for _, c in instance.faults}
-        assert located.candidates == BitVector(
+        assert located == BitVector(
             sum(1 << (15 - c) for c in faulty_cols), 15)
 
         # recover coordinates from the bitmap and plan the repair
@@ -410,7 +410,7 @@ class TestPipeline:
         mask = greedy_cover(coverage)
         chosen = [coverage.kinds[k - 1] for k in selected_rows(mask)]
         assert [s.label for s in chosen] == ["C2", "C3", "C5", "C7", "C8"]
-        assert repair_plan(instance, chosen).valid
+        assert [spare for spare, _ in repair_plan(instance, chosen)] == chosen
 
 
 class TestInstanceParsing:

@@ -62,7 +62,7 @@ def registers(state):
 
 def fresh(rows, **presets):
     table = AssociativeTable([bv(r) for r in rows])
-    return SequencerState.fresh(table, **presets)
+    return SequencerState(table, **presets)
 
 
 class TestAssemble:
@@ -163,7 +163,6 @@ class TestRunSequencer:
         state = fresh(["000011110101"], mb=bv("110011001100"))
         out = run_sequencer(state, program)
         assert out.md == bv("110000111001")
-        assert out.halted
         assert out.steps == 3
 
     def test_nop_program_leaves_registers(self):
@@ -171,7 +170,6 @@ class TestRunSequencer:
         out = run_sequencer(state, assemble("NOP ma\nHALT\n"))
         assert registers(out) == registers(state)
         assert out.memory.rows == state.memory.rows
-        assert out.halted
 
     def test_input_state_not_mutated(self):
         state = fresh(["1111"])
@@ -228,7 +226,7 @@ class TestRunSequencer:
 
     def test_missing_halt_falls_off_the_end(self):
         out = run_sequencer(fresh(["10"]), assemble("SETALL ma\n"))
-        assert out.halted
+        assert out.pc == 1
         assert out.ma == bv("11")
 
     def test_operands_are_only_registers_rows_or_numbers(self, capsys):
@@ -269,8 +267,8 @@ class TestRunSequencer:
         rng = random.Random(rng_seed)
         table = rand_table(rng, 5, 8)
         program = assemble(coverage_search_source())
-        first = run_sequencer(SequencerState.fresh(table), program)
-        second = run_sequencer(SequencerState.fresh(table), program)
+        first = run_sequencer(SequencerState(table), program)
+        second = run_sequencer(SequencerState(table), program)
         assert first == second
 
 
@@ -283,7 +281,7 @@ class TestShippedPrograms:
             row = rand_bitvector(rng, w)
             query = rand_bitvector(rng, w)
             out = run_sequencer(
-                SequencerState.fresh(AssociativeTable([row]), mb=query),
+                SequencerState(AssociativeTable([row]), mb=query),
                 program)
             expected = quality_vector(query, row).quality
             assert out.mc == expected
@@ -297,7 +295,7 @@ class TestShippedPrograms:
             n = rng.randint(1, w)
             table = rand_table(rng, n, w)
             query = rand_bitvector(rng, w)
-            out = run_sequencer(SequencerState.fresh(table, mb=query), program)
+            out = run_sequencer(SequencerState(table, mb=query), program)
             mask = feasible_mask(table, query)
             assert out.ma == BitVector(mask.value << (w - n), w)
 
@@ -308,7 +306,7 @@ class TestShippedPrograms:
             w = rng.randint(3, 12)
             n = rng.randint(1, w)
             table = rand_table(rng, n, w)
-            out = run_sequencer(SequencerState.fresh(table), program)
+            out = run_sequencer(SequencerState(table), program)
             taken = greedy_cover(CoverageInstance(table))
             assert out.ma == BitVector(taken.value << (w - n), w)
 
@@ -322,8 +320,8 @@ class TestShippedPrograms:
                 response = rand_bitvector(rng, n)
                 augmented = with_response_column(table, response)
                 program = assemble(diagnosis_source(augmented.width, mode))
-                out = run_sequencer(SequencerState.fresh(augmented), program)
-                lib = diagnose(table, response, mode).candidates
+                out = run_sequencer(SequencerState(augmented), program)
+                lib = diagnose(table, response, mode)
                 assert out.mb == BitVector(lib.value << 1, w + 1)
 
     def test_restrict_program_matches_library(self):
@@ -332,7 +330,7 @@ class TestShippedPrograms:
         for _ in range(20):
             table = rand_table(rng, rng.randint(1, 8), rng.randint(2, 10))
             query = rand_bitvector(rng, table.width)
-            out = run_sequencer(SequencerState.fresh(table, mb=query), program)
+            out = run_sequencer(SequencerState(table, mb=query), program)
             assert out.memory.rows == restrict(table, query).rows
 
     def test_every_opcode_is_shipped(self):
@@ -353,7 +351,7 @@ class TestGrid:
         rng = random.Random(rng_seed + 5)
         table = rand_table(rng, 4, 6)
         query = rand_bitvector(rng, 6)
-        cell = SequencerState.fresh(table, mb=query)
+        cell = SequencerState(table, mb=query)
         program = assemble(feasible_search_source())
         out = run_grid(GridState((cell,) * 16), [program] * 16)
         assert all(c == out.cells[0] for c in out.cells)
@@ -365,7 +363,7 @@ class TestGrid:
         for _ in range(16):
             height = rng.randint(1, 4)  # row masks need height <= width
             table = rand_table(rng, height, rng.randint(height, 6))
-            cells.append(SequencerState.fresh(
+            cells.append(SequencerState(
                 table, mb=rand_bitvector(rng, table.width)))
             programs.append(assemble(rng.choice(
                 [feasible_search_source(), coverage_search_source(),
@@ -383,10 +381,10 @@ class TestGrid:
         table_c = rand_table(rng, 6, 8)
         response = rand_bitvector(rng, 6)
         augmented = with_response_column(table_c, response)
-        cells = [SequencerState.fresh(table_a, mb=query),
-                 SequencerState.fresh(table_b),
-                 SequencerState.fresh(augmented)]
-        cells += [SequencerState.fresh(rand_table(rng, 1, 8))] * 13
+        cells = [SequencerState(table_a, mb=query),
+                 SequencerState(table_b),
+                 SequencerState(augmented)]
+        cells += [SequencerState(rand_table(rng, 1, 8))] * 13
         programs = [assemble(feasible_search_source()),
                     assemble(coverage_search_source()),
                     assemble(diagnosis_source(augmented.width))]
@@ -396,33 +394,32 @@ class TestGrid:
         assert out.cells[0].ma == BitVector(mask.value << 4, 8)
         taken = greedy_cover(CoverageInstance(table_b))
         assert out.cells[1].ma == BitVector(taken.value << 3, 8)
-        located = diagnose(table_c, response).candidates
+        located = diagnose(table_c, response)
         assert out.cells[2].mb == BitVector(located.value << 1, 9)
 
     def test_empty_programs_leave_grid_unchanged(self):
         rng = random.Random(rng_seed + 8)
-        cells = tuple(SequencerState.fresh(rand_table(rng, 2, 4))
+        cells = tuple(SequencerState(rand_table(rng, 2, 4))
                       for _ in range(16))
         out = run_grid(GridState(cells), [assemble("; idle\n")] * 16)
         for before, after in zip(cells, out.cells):
             assert registers(after) == registers(before)
             assert after.memory.rows == before.memory.rows
-            assert after.halted
 
     def test_cell_error_carries_coordinates(self):
         rng = random.Random(rng_seed + 9)
-        cells = [SequencerState.fresh(rand_table(rng, 2, 4))
+        cells = [SequencerState(rand_table(rng, 2, 4))
                  for _ in range(16)]
         programs = [assemble("HALT\n")] * 16
         programs[6] = assemble("LOADROW ma A[9]\nHALT\n")  # cell (2,3)
         with pytest.raises(GridCellError) as err:
             run_grid(GridState(tuple(cells)), programs)
         assert (err.value.row, err.value.col) == (2, 3)
-        assert isinstance(err.value.cause, RowOutOfRange)
+        assert isinstance(err.value.__cause__, RowOutOfRange)
 
     def test_grid_needs_sixteen_programs(self):
         rng = random.Random(rng_seed + 10)
-        grid = GridState((SequencerState.fresh(rand_table(rng, 1, 2)),) * 16)
+        grid = GridState((SequencerState(rand_table(rng, 1, 2)),) * 16)
         with pytest.raises(ValueError):
             run_grid(grid, [assemble("HALT\n")] * 15)
 
@@ -447,7 +444,7 @@ class TestResume:
     def test_resuming_inside_a_loop_body(self, body, line, what):
         program = assemble(f"LOOP *\nHALT\n{body}\nENDLOOP\nHALT\n")
         first = run_sequencer(fresh(["10", "01"]), program)
-        assert (first.pc, first.halted, first.steps) == (2, True, 2)
+        assert (first.pc, first.steps) == (2, 2)
         with pytest.raises(SimulationError) as err:
             run_sequencer(first, program)
         assert str(err.value) == f"{what} with no LOOP running (line {line})"
@@ -460,7 +457,7 @@ class TestResume:
         first = run_sequencer(fresh(["10", "01"], mb=bv("10")), program)
         assert (first.pc, first.steps, first.ma) == (3, 3, bv("10"))
         second = run_sequencer(first, program)
-        assert (second.pc, second.halted, second.steps) == (5, True, 2)
+        assert (second.pc, second.steps) == (5, 2)
         assert (second.ma, second.mb) == (bv("10"), bv("01"))
         for state in (first, second):
             assert outcome(run_sequencer, state, program, 10) == \
@@ -472,7 +469,7 @@ class TestResume:
     def test_rows_past_a_halt_are_never_read(self):
         program = assemble("HALT\nLOADROW ma A[9]\nHALT\n")
         out = run_sequencer(fresh(["10"]), program)
-        assert (out.pc, out.halted, out.steps) == (1, True, 1)
+        assert (out.pc, out.steps) == (1, 1)
         with pytest.raises(RowOutOfRange, match=r"^row 9 out of 1\.\.1 "
                                                 r"\(line 2\)$"):
             run_sequencer(out, program)
@@ -549,8 +546,7 @@ def reference_run(state, program, max_steps):
     memory = state.memory
     if rows != list(memory.rows):
         memory = AssociativeTable(rows, memory.row_labels, memory.col_labels)
-    return SequencerState(memory, *(regs[n] for n in REGISTERS), pc, True,
-                          steps)
+    return SequencerState(memory, *(regs[n] for n in REGISTERS), pc, steps)
 
 
 def random_source(rng, height, width, edges=False):
@@ -643,7 +639,7 @@ def test_executor_matches_reference(width):
     rng = random.Random(f"executor/{width}")
     for _ in range(150):
         height = rng.randint(1, 5)
-        state = SequencerState.fresh(
+        state = SequencerState(
             rand_table(rng, height, width),
             **{name: rand_bitvector(rng, width) for name in ("ma", "mb")})
         program = assemble(random_source(rng, height, width))
@@ -655,7 +651,7 @@ def test_executor_matches_reference(width):
     rng = random.Random(f"executor-edges/{width}")
     for _ in range(80):
         height = rng.randint(1, 5)
-        state = SequencerState.fresh(
+        state = SequencerState(
             rand_table(rng, height, width),
             **{name: rand_bitvector(rng, width) for name in ("ma", "mb")})
         program = assemble(random_source(rng, height, width, edges=True))
@@ -690,7 +686,7 @@ def test_resume_from_every_pc_matches_reference(name):
 
 def grid_of(sources, height, width_of):
     rng = random.Random(f"grid/{len(set(sources))}")
-    cells = [SequencerState.fresh(rand_table(rng, height, width_of(source)))
+    cells = [SequencerState(rand_table(rng, height, width_of(source)))
              for source in sources]
     return GridState(tuple(cells)), [assemble(source) for source in sources]
 

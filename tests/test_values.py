@@ -14,8 +14,8 @@ import pytest
 
 from helpers import run_python
 import veclog
-from veclog.assoc import AssociativeTable, DiagnosisMode, DiagnosisResult
-from veclog.cover import CoverageInstance, RepairInstance, RepairPlan, Spare
+from veclog.assoc import AssociativeTable
+from veclog.cover import CoverageInstance, RepairInstance, Spare
 from veclog.dq import DesignQualityInput, DesignQualityOutput, DomainError
 from veclog.lamp import (REGISTERS, GridState, Instruction, Opcode, Program,
                          RowRef, SequencerState)
@@ -29,12 +29,16 @@ def bv(s: str) -> BitVector:
     return BitVector.from_string(s)
 
 
+def registers(state: SequencerState) -> list[BitVector]:
+    return [getattr(state, name) for name in REGISTERS]
+
+
 TABLE = AssociativeTable([bv("101"), bv("011")])
 REGS = (bv("000"),) * len(REGISTERS)
 STATE = SequencerState(TABLE, *REGS)
 STATE_REPR = ("SequencerState(memory=AssociativeTable(2x3), "
               "ma=BitVector('000'), mb=BitVector('000'), mc=BitVector('000'), "
-              "md=BitVector('000'), pc=0, halted=False, steps=0)")
+              "md=BitVector('000'), pc=0, steps=0)")
 
 # class, field values, the same values with one field changed, repr
 CASES = [
@@ -61,22 +65,13 @@ CASES = [
      "QualityVector(mismatch=BitVector('110'), "
      "stored_only=BitVector('010'), query_only=BitVector('000'), "
      "quality=BitVector('110'))"),
-    (CompactedQuality, (bv("110"), 2, 3), (bv("100"), 1, 3),
-     "CompactedQuality(compacted=BitVector('110'), ones=2, length=3)"),
-    (DiagnosisResult, (bv("010"), DiagnosisMode.SINGLE, True),
-     (bv("010"), DiagnosisMode.MULTIPLE, True),
-     "DiagnosisResult(candidates=BitVector('010'), "
-     "mode=<DiagnosisMode.SINGLE: 'single'>, consistent=True)"),
+    (CompactedQuality, (bv("110"),), (bv("100"),),
+     "CompactedQuality(compacted=BitVector('110'))"),
     (Spare, ("row", 3), ("column", 3), "Spare(axis='row', index=3)"),
     (RepairInstance, (2, 3, frozenset({(1, 2)}), 1, 0),
      (2, 3, frozenset({(1, 2)}), 1, 1),
      "RepairInstance(rows=2, cols=3, faults=frozenset({(1, 2)}), "
      "spare_rows=1, spare_cols=0)"),
-    (RepairPlan, (frozenset({Spare("row", 1)}), ((Spare("row", 1), 1),),
-                  True),
-     (frozenset({Spare("row", 1)}), ((Spare("row", 1), 1),), False),
-     "RepairPlan(chosen=frozenset({Spare(axis='row', index=1)}), "
-     "remap=((Spare(axis='row', index=1), 1),), valid=True)"),
     (DesignQualityInput, (0.1, 10, 0.5, 1.0, 2.0), (0.1, 10, 0.5, 1.0, 3.0),
      "DesignQualityInput(fault_probability=0.1, undetected_faults=10, "
      "testability=0.5, scan_complexity=1.0, logic_complexity=2.0)"),
@@ -91,8 +86,7 @@ CASES = [
      "src1=RowRef(index=None), src2='mb', imm=None, line=4)"),
     (Program, ("NOT ma\nHALT\n",), ("NOT mb\nHALT\n",),
      r"Program(source='NOT ma\nHALT\n')"),
-    (SequencerState, (TABLE, *REGS, 0, False, 0),
-     (TABLE, *REGS, 0, True, 0), STATE_REPR),
+    (SequencerState, (TABLE, *REGS, 0, 0), (TABLE, *REGS, 1, 0), STATE_REPR),
     (GridState, ((STATE,) * 16,),
      ((STATE,) * 15 + (SequencerState(TABLE, *REGS, steps=1),),),
      "GridState(cells=(" + ", ".join([STATE_REPR] * 16) + "))"),
@@ -171,7 +165,7 @@ def test_every_exported_class_is_a_value_type():
     cases = {case[0]: case for case in CASES}
     # every value class but the two a Program is built from
     assert classes == set(cases) - {RowRef, Instruction}
-    assert len(classes) == 18
+    assert len(classes) == 16
     for cls in classes:
         _, args, other, _ = cases[cls]
         value = cls(*args)
@@ -187,10 +181,10 @@ def test_every_exported_class_is_a_value_type():
 
 # veclog's public names before its exports became lazy, by defining module
 PUBLIC_NAMES = {
-    "assoc": "AssociativeTable DiagnosisMode DiagnosisResult best_match "
-             "diagnose feasible_mask parse_table parse_ternary_rows restrict",
+    "assoc": "AssociativeTable DiagnosisMode best_match diagnose "
+             "feasible_mask parse_table parse_ternary_rows restrict",
     "cover": "BudgetExceeded CoverageInstance DimensionMismatch Infeasible "
-             "NotCovering RepairInstance RepairPlan Spare TooLarge "
+             "NotCovering RepairInstance Spare TooLarge "
              "build_repair_table coverage_of exact_cover_oracle greedy_cover "
              "parse_repair_instance repair_plan run_test selected_rows",
     "dq": "DesignQualityInput DesignQualityOutput DomainError design_quality",
@@ -226,7 +220,7 @@ print(json.dumps({"dir": listed, "star": sorted(star), "wrong": wrong}))
 
 def test_lazy_exports_keep_every_name_and_object():
     names = {*PUBLIC_NAMES, *" ".join(PUBLIC_NAMES.values()).split()}
-    assert len(names) == 73
+    assert len(names) == 71
     out = json.loads(run_python(NAMESPACE_PROBE, json.dumps(PUBLIC_NAMES)))
     assert names | {"__version__"} <= set(out["dir"])
     assert set(out["star"]) - {"__builtins__"} == names
@@ -239,7 +233,7 @@ def test_defaults():
         (None, None, None, None, 0)
     assert Instruction(Opcode.HALT, line=3).line == 3
     state = SequencerState(TABLE, *REGS)
-    assert (state.pc, state.halted, state.steps) == (0, False, 0)
+    assert (state.pc, state.steps) == (0, 0)
     instance = CoverageInstance(TABLE)
     assert instance.kinds == (None, None)
     assert (instance.max_spare_rows, instance.max_spare_cols) == (None, None)
@@ -249,9 +243,16 @@ def test_defaults():
     assert table == AssociativeTable(TABLE.rows, ("r1", "r2"))
     assert (table.rows, table.row_labels, table.col_labels) == \
         (TABLE.rows, ("r1", "r2"), None)
-    assert state == SequencerState(TABLE, *REGS, 0, False, 0)
-    with pytest.raises(TypeError, match="missing"):
-        SequencerState(TABLE)
+    assert state == SequencerState(TABLE, *REGS, 0, 0)
+
+
+def test_sequencer_state_zeroes_registers_not_given():
+    # a register of another width raises; see test_post_init_checks
+    assert SequencerState(TABLE) == SequencerState(TABLE, *REGS)
+    assert registers(SequencerState(TABLE, mc=bv("110"))) == \
+        [bv("000"), bv("000"), bv("110"), bv("000")]
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        SequencerState(TABLE, me=bv("000"))  # there is no fifth register
 
 
 def test_spare_ordering():
@@ -320,6 +321,11 @@ def test_spare_ordering():
      "complexities must be >= 0"),
     (lambda: DesignQualityInput(0.5, 1, 0.5, 0, 0), DomainError,
      "total complexity must be positive"),
+    (lambda: SequencerState(AssociativeTable([bv("10")]), BitVector(1, 1),
+                            *[bv("00")] * 3), ValueError,
+     "register ma has width 1, memory width is 2"),
+    (lambda: SequencerState(TABLE, mb=bv("10")), ValueError,
+     "register mb has width 2, memory width is 3"),
     (lambda: GridState((STATE,) * 15), ValueError,
      "grid needs 16 cells, got 15"),
     (lambda: GridState(cells=(STATE,) * 17), ValueError,
