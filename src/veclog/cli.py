@@ -8,9 +8,9 @@ diagnosis, not repairable, runtime fault), 2 input error.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from veclog import vlcore
@@ -27,6 +27,7 @@ except ImportError:
         from hashlib import sha256
 
 if TYPE_CHECKING:  # each subcommand imports its own layer when it runs
+    import argparse
     from fractions import Fraction
 
     from veclog import lamp
@@ -38,17 +39,25 @@ class InputError(Exception):
     """Bad file or argument; maps to exit code 2."""
 
 
-def _read(path: str) -> tuple[str, str]:
-    """The file's text and the digest of the same bytes, from one read."""
+def _read(path: str) -> str:
+    """The file's text, which must be ASCII."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-        text = data.decode("ascii")
+            return fh.read().decode("ascii")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return text, "sha256:" + sha256(data).hexdigest()[:12]
+
+
+def _digest(text: str) -> str:
+    """The report digest of an ASCII file's text: its bytes' SHA-256."""
+    digest = sha256()
+    # In 64 KiB pieces: the heap block one encode of a megabyte-sized text
+    # takes stays resident after it is freed, which raises peak RSS.
+    for start in range(0, len(text), 1 << 16):
+        digest.update(text[start:start + (1 << 16)].encode("ascii"))
+    return "sha256:" + digest.hexdigest()[:12]
 
 
 def _bits(vector: BitVector, dots: bool = False) -> str:
@@ -90,7 +99,8 @@ def _parsed(parse, text: str, what: str):
 def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import assoc
 
-    text, digest = _read(args.table)
+    text = _read(args.table)
+    digest = _digest(text)
     if args.arith:
         rows, labels = _parsed(assoc.parse_ternary_rows, text, "table")
         query = _parsed(vlcore.TernaryVector.from_string, args.query, "query")
@@ -153,7 +163,8 @@ def _query_arith(query: vlcore.TernaryVector,
 def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import assoc
 
-    text, digest = _read(args.table)
+    text = _read(args.table)
+    digest = _digest(text)
     table = _parsed(assoc.parse_table, text, "table")
     response = _parsed(BitVector.from_string, args.response, "response")
     mode = assoc.DiagnosisMode(args.mode)
@@ -180,7 +191,8 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
 def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import cover
 
-    text, digest = _read(args.instance)
+    text = _read(args.instance)
+    digest = _digest(text)
     instance = _parsed(cover.parse_repair_instance, text, "instance")
     report: Report = [
         ("instance", args.instance),
@@ -260,26 +272,25 @@ def _parse_reg_presets(items: Sequence[str], width: int) -> dict:
 
 def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
                programs: dict) -> tuple[lamp.Program, lamp.SequencerState,
-                                        Report]:
-    """The cell's program and start state, and the report lines naming its
-    two files; program errors are raised before data errors.  ``programs``
-    keeps each program file's program and digest, so it is read once."""
+                                        str, str]:
+    """The cell's program and start state, and the texts of its program and
+    data files; program errors are raised before data errors.
+    ``programs`` keeps each program file's program and text, so it is read
+    once."""
     from veclog import assoc, lamp
 
     if program_path not in programs:
-        program_text, digest = _read(program_path)
+        program_text = _read(program_path)
         try:
-            programs[program_path] = lamp.assemble(program_text), digest
+            programs[program_path] = lamp.assemble(program_text), program_text
         except (lamp.AssemblyError, EmptyInput) as exc:
             raise InputError(f"{program_path}: {exc}") from exc
-    program, program_digest = programs[program_path]
-    data_text, data_digest = _read(data_path)
+    program, program_text = programs[program_path]
+    data_text = _read(data_path)
     table = _parsed(assoc.parse_table, data_text, f"table {data_path}")
     presets = _parse_reg_presets(reg_specs, table.width)
-    files: Report = [("program", program_path),
-                     ("program-digest", program_digest),
-                     ("data", data_path), ("data-digest", data_digest)]
-    return program, lamp.SequencerState(table, **presets), files
+    return (program, lamp.SequencerState(table, **presets), program_text,
+            data_text)
 
 
 def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
@@ -291,8 +302,11 @@ def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
     if not args.program or not args.data:
         raise InputError("sim needs a program file and a data file "
                          "(or --grid MANIFEST)")
-    program, state, report = _load_cell(args.program, args.data,
-                                        args.reg or [], {})
+    program, state, program_text, data_text = _load_cell(
+        args.program, args.data, args.reg or [], {})
+    report: Report = [("program", args.program),
+                      ("program-digest", _digest(program_text)),
+                      ("data", args.data), ("data-digest", _digest(data_text))]
     try:
         final = lamp.run_sequencer(state, program, max_steps)
     except lamp.SimulationError as exc:
@@ -326,7 +340,7 @@ def _sim_grid(args: argparse.Namespace,
     if unused:  # a manifest line names each cell's files and presets
         raise InputError(f"sim --grid does not use {', '.join(unused)}")
     base = os.path.dirname(os.path.abspath(args.grid))
-    lines = [ln.strip() for ln in _read(args.grid)[0].splitlines()
+    lines = [ln.strip() for ln in _read(args.grid).splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
     if len(lines) != lamp.GRID_CELLS:
         raise InputError(f"grid manifest needs {lamp.GRID_CELLS} lines, "
@@ -342,8 +356,8 @@ def _sim_grid(args: argparse.Namespace,
         paths = [p if os.path.isabs(p) else os.path.join(base, p)
                  for p in parts[:2]]
         try:
-            program, state, _ = _load_cell(paths[0], paths[1], parts[2:],
-                                           assembled)
+            program, state, *_ = _load_cell(paths[0], paths[1], parts[2:],
+                                            assembled)
         except InputError as exc:
             raise InputError(f"cell ({row},{col}): {exc}") from exc
         programs.append(program)
@@ -390,78 +404,139 @@ def positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
     value = int(text)  # argparse reports a ValueError by this type's name
     if value < 1:
+        import argparse  # only the error needs it
+
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
+_JSON = ("--json", dict(action="store_true"))
+
+# Each subcommand's function, help line and arguments in argparse's order,
+# an argument as its name or option string and its add_argument keywords.
+# build_parser builds argparse from this table, and _accept reads the plain
+# command lines argparse would accept straight from it.
+_COMMANDS = {
+    "query": (cmd_query, "feasibility and best match for a query", (
+        ("table", dict(help="table file")),
+        ("query", dict(help="query bit string (ternary with --arith)")),
+        ("--arith", dict(action="store_true",
+                         help="exact-rational ternary quality instead of the "
+                              "vector criterion")),
+        _JSON)),
+    "diagnose": (cmd_diagnose, "locate fault columns from a test response", (
+        ("table", dict(help="fault table file (rows = tests)")),
+        ("response", dict(help="response bit string, one bit per test")),
+        ("--mode", dict(choices=["single", "multiple"], default="single")),
+        _JSON)),
+    "repair": (cmd_repair, "plan spare-line repair for a faulty memory", (
+        ("instance", dict(help="repair instance file")),
+        ("--oracle", dict(action="store_true",
+                          help="also list every minimum cover")),
+        _JSON)),
+    "sim": (cmd_sim, "run a microprogram on a sequencer or a 4x4 grid", (
+        ("program", dict(nargs="?", help="program file")),
+        ("data", dict(nargs="?", help="table file for the data memory")),
+        ("--grid", dict(metavar="MANIFEST",
+                        help="run 16 cells; one 'program data "
+                             "[reg=bits...]' line per cell")),
+        ("--reg", dict(action="append", metavar="NAME=BITS",
+                       help="preset a register (repeatable)")),
+        ("--max-steps", dict(type=positive_int)),  # None: lamp's default
+        ("--dump-memory", dict(action="store_true")),
+        ("--dots", dict(action="store_true",
+                        help="render 0 coordinates as dots")),
+        _JSON)),
+    "quality": (cmd_quality, "design-quality estimates", (
+        ("--fault-prob", dict(type=float, required=True,
+                              help="fault-existence probability in [0,1]")),
+        ("--faults", dict(type=int, required=True,
+                          help="undetected-fault count")),
+        ("--testability", dict(type=float, required=True,
+                               help="testability grade in [0,1]")),
+        ("--scan", dict(type=float, required=True,
+                        help="assertion / boundary-scan complexity")),
+        ("--logic", dict(type=float, required=True,
+                         help="functional-logic complexity")),
+        _JSON)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only help, usage and errors need it; see _accept
+
     parser = argparse.ArgumentParser(
         prog="veclog",
         description="Vector-logic analysis: table queries, fault diagnosis, "
                     "repair planning, sequencer simulation, design quality.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    q = sub.add_parser("query", help="feasibility and best match for a query")
-    q.add_argument("table", help="table file")
-    q.add_argument("query", help="query bit string (ternary with --arith)")
-    q.add_argument("--arith", action="store_true",
-                   help="exact-rational ternary quality instead of the "
-                        "vector criterion")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_query)
-
-    d = sub.add_parser("diagnose", help="locate fault columns from a "
-                                        "test response")
-    d.add_argument("table", help="fault table file (rows = tests)")
-    d.add_argument("response", help="response bit string, one bit per test")
-    d.add_argument("--mode", choices=["single", "multiple"], default="single")
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(func=cmd_diagnose)
-
-    r = sub.add_parser("repair", help="plan spare-line repair for a "
-                                      "faulty memory")
-    r.add_argument("instance", help="repair instance file")
-    r.add_argument("--oracle", action="store_true",
-                   help="also list every minimum cover")
-    r.add_argument("--json", action="store_true")
-    r.set_defaults(func=cmd_repair)
-
-    s = sub.add_parser("sim", help="run a microprogram on a sequencer "
-                                   "or a 4x4 grid")
-    s.add_argument("program", nargs="?", help="program file")
-    s.add_argument("data", nargs="?", help="table file for the data memory")
-    s.add_argument("--grid", metavar="MANIFEST",
-                   help="run 16 cells; one 'program data [reg=bits...]' "
-                        "line per cell")
-    s.add_argument("--reg", action="append", metavar="NAME=BITS",
-                   help="preset a register (repeatable)")
-    s.add_argument("--max-steps", type=positive_int)  # None: lamp's default
-    s.add_argument("--dump-memory", action="store_true")
-    s.add_argument("--dots", action="store_true",
-                   help="render 0 coordinates as dots")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_sim)
-
-    y = sub.add_parser("quality", help="design-quality estimates")
-    y.add_argument("--fault-prob", type=float, required=True,
-                   help="fault-existence probability in [0,1]")
-    y.add_argument("--faults", type=int, required=True,
-                   help="undetected-fault count")
-    y.add_argument("--testability", type=float, required=True,
-                   help="testability grade in [0,1]")
-    y.add_argument("--scan", type=float, required=True,
-                   help="assertion / boundary-scan complexity")
-    y.add_argument("--logic", type=float, required=True,
-                   help="functional-logic complexity")
-    y.add_argument("--json", action="store_true")
-    y.set_defaults(func=cmd_quality)
-
+    for name, (func, text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for argument, keywords in arguments:
+            command.add_argument(argument, **keywords)
+        command.set_defaults(func=func)
     return parser
+
+
+def _accept(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` returns, read from
+    ``_COMMANDS`` without argparse, when argv is a subcommand, then its
+    positionals, then options each spelled in full and followed by its
+    value, if it takes one, that does not start with '-'.  None for any
+    other argv (help, abbreviations, ``--opt=value``, ``--``, options before
+    positionals, every error), which argparse reads instead."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    args = {"subcommand": argv[0], "func": func}
+    options = {}
+    at = 1
+    for name, keywords in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name.startswith("-"):
+            options[name] = dest, keywords
+            if keywords.get("action") == "store_true":
+                args[dest] = False
+            elif not keywords.get("required"):
+                args[dest] = keywords.get("default")
+        elif at < len(argv) and not argv[at].startswith("-"):
+            args[dest] = argv[at]
+            at += 1
+        elif keywords.get("nargs") == "?":
+            args[dest] = None
+        else:
+            return None
+    while at < len(argv):
+        if argv[at] not in options:
+            return None
+        dest, keywords = options[argv[at]]
+        action = keywords.get("action")
+        if action == "store_true":
+            args[dest] = True
+            at += 1
+            continue
+        if at + 1 == len(argv) or argv[at + 1].startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(argv[at + 1])
+        except Exception:  # argparse names the error, or raises it again
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        if action == "append":
+            value = [*(args[dest] or ()), value]
+        args[dest] = value
+        at += 2
+    if any(dest not in args for dest, _ in options.values()):
+        return None  # a required option is missing
+    return SimpleNamespace(**args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = _accept(argv)
+    if args is None:  # argparse alone writes help, usage and argv errors
+        args = build_parser().parse_args(argv)
     try:
         report, status = args.func(args)
     except (InputError, LengthMismatch, ParseError, EmptyInput) as exc:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from helpers import run_python
 import veclog
 from veclog import lamp
-from veclog.cli import main
+from veclog import cli
+from veclog.cli import _accept, build_parser, main
 from veclog.lamp import feasible_search_source, quality_source
 
 QUERY_TABLE = "3 4\n1100\n1111\n0011\n#labels\nrows: r1 r2 r3\n"
@@ -609,10 +610,13 @@ def test_grid_never_escapes(tmp_path_factory, text):
 # ---------------------------------------------------------------------------
 # Fuzz of whole command lines: a subcommand with its positionals, then its
 # flags and options in any order, each value usually one that works and
-# about one time in eight an odd one (float strings such as nan, inf and
-# -0, a count past the largest float or past int()'s 4300 digits, a bad
-# register preset).  Every argv ends in exit 0, 1 or 2, argparse's own exit
-# included, and a rerun prints the same bytes.
+# about one time in eight an odd one (float strings such as nan, inf, -inf
+# and -0, a count past the largest float or past int()'s 4300 digits, a bad
+# register preset).  About one argv in four has a shape that only argparse
+# reads: an abbreviated flag, --opt=value, a stray --, -h or --help, or a
+# positional moved in among the options.  Every argv ends in exit 0, 1 or 2,
+# argparse's own exit included, and a rerun prints the same bytes; where
+# _accept reads the argv itself, it reads what argparse reads.
 
 _ARGV_FILES = {
     "t.tbl": "3 4\n1100\n1111\n0011\n#labels\nrows: r1 r2 r3\n",
@@ -651,16 +655,18 @@ def _argv(draw):
     elif command == "diagnose":
         head = [draw(pick(["d.tbl", "t.tbl", "bad.tbl"])),
                 draw(pick(["110", "101", "000", "1x0", "11"]))]
-        options.append(["--mode", draw(_value(["single", "multiple"]))])
+        options += [["--mode", draw(_value(["single", "multiple"]))]
+                    for _ in range(draw(st.integers(1, 2)))]
     elif command == "repair":
         head = [draw(pick(["m.rep", "bad.rep", "absent.rep", "t.tbl"]))]
         options.append(["--oracle"])
     elif command == "sim":
         head = draw(pick([["copy.lamp", "t.tbl"], ["spin.lamp", "t.tbl"],
                           ["fault.lamp", "t.tbl"], ["bad.lamp", "t.tbl"],
-                          ["copy.lamp", "bad.tbl"], ["copy.lamp"], [],
-                          ["--grid", "grid.txt"],
-                          ["--grid", "grid-fault.txt"]]))
+                          ["copy.lamp", "bad.tbl"], ["copy.lamp"], []]))
+        if not head:
+            options.append(["--grid", draw(pick(["grid.txt",
+                                                 "grid-fault.txt"]))])
         options += [["--reg", draw(_value(["mb=1100", "MA=0011", "mb=1x00",
                                            "zz=0000", "mb", "mc=11"]))],
                     ["--reg", draw(_value(["mc=0001", "md=1111"]))],
@@ -681,8 +687,27 @@ def _argv(draw):
     kept = [o for i, o in enumerate(options) if i != skip]
     if draw(st.integers(0, 7)) == 7:
         kept.append(["--frob"])
-    return [command, *head, *(a for o in draw(st.permutations(kept))
-                              for a in o)]
+    words = [[a] for a in head] + draw(st.permutations(kept))
+    shape = draw(st.integers(0, 11))
+    at = draw(st.integers(0, len(words) - 1))
+    if shape == 0 and words[at][0].startswith("--"):  # --ora, --dump, ...
+        flag = words[at][0]
+        words[at] = [flag[:draw(st.integers(3, len(flag) - 1))],
+                     *words[at][1:]]
+    elif shape == 1 and len(words[at]) == 2:  # --mode=single
+        words[at] = ["=".join(words[at])]
+    elif shape == 2:
+        words.insert(at, [draw(pick(["--", "-h", "--help"]))])
+    elif shape == 3 and head:  # an option before or between positionals
+        words.insert(draw(st.integers(0, len(head) - 1)), words.pop(at))
+    return [command, *(a for word in words for a in word)]
+
+
+def _fields(args):
+    """An argument namespace as comparable text: nan equals nan, 0.0 is
+    not -0.0."""
+    return {key: (type(value), repr(value))
+            for key, value in vars(args).items()}
 
 
 @settings(max_examples=300)
@@ -694,6 +719,9 @@ def test_argv_never_escapes(tmp_path_factory, argv):
         (workdir / name).write_text(body, encoding="ascii")
     argv = [str(workdir / a) if a in _ARGV_FILES or a.startswith("absent")
             else a for a in argv]
+    accepted = _accept(argv)
+    if accepted is not None:
+        assert _fields(accepted) == _fields(build_parser().parse_args(argv))
     runs = []
     for _ in range(2):
         out, err = io.StringIO(), io.StringIO()
@@ -705,6 +733,56 @@ def test_argv_never_escapes(tmp_path_factory, argv):
         assert code in (0, 1, 2)
         runs.append((code, out.getvalue(), err.getvalue()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    # the benchmark's command lines
+    ["query", "t.tbl", "1100"],
+    ["diagnose", "d.tbl", "110", "--mode", "multiple"],
+    ["repair", "m.rep"],
+    ["repair", "m.rep", "--oracle"],
+    ["sim", "--grid", "grid.txt"],
+    # each subcommand with every option given
+    ["query", "tern.tbl", "1x00", "--arith", "--json"],
+    ["diagnose", "d.tbl", "110", "--mode", "single", "--json"],
+    ["repair", "m.rep", "--oracle", "--json"],
+    ["sim", "copy.lamp", "t.tbl", "--grid", "grid.txt", "--reg", "mb=1100",
+     "--reg", "MA=0011", "--max-steps", "300", "--dump-memory", "--dots",
+     "--json"],
+    ["quality", "--fault-prob", "0.1", "--faults", "10", "--testability",
+     "0.5", "--scan", "1", "--logic", "1", "--json"],
+], ids=" ".join)
+def test_plain_command_lines_skip_argparse(argv):
+    """The command lines users and the benchmark write are read without
+    argparse, into what argparse would read."""
+    accepted = _accept(argv)
+    assert accepted is not None
+    assert _fields(accepted) == _fields(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["frob"], ["query", "-h"], ["repair", "m.rep", "--help"],
+    ["repair", "m.rep", "--ora"], ["sim", "--grid", "grid.txt", "--dump"],
+    ["diagnose", "d.tbl", "110", "--mode=single"],
+    ["diagnose", "d.tbl", "110", "--mode", "ten"],
+    ["diagnose", "d.tbl", "110", "--mode"],
+    ["query", "--", "t.tbl", "1100"], ["query", "t.tbl", "--", "1100"],
+    ["query", "--json", "t.tbl", "1100"], ["query", "t.tbl", "--json", "1100"],
+    ["query", "t.tbl"], ["query", "t.tbl", "1100", "1100"],
+    ["sim", "copy.lamp", "--dots", "t.tbl"],
+    ["sim", "copy.lamp", "t.tbl", "--max-steps", "0"],
+    ["sim", "copy.lamp", "t.tbl", "--max-steps", "-1"],
+    ["quality", "--fault-prob", "0.1", "--faults", "10", "--testability",
+     "0.5", "--scan", "1"],
+    ["quality", "--fault-prob", "0.1", "--faults", "1e3", "--testability",
+     "0.5", "--scan", "1", "--logic", "1"],
+    ["quality", "--fault-prob", "0.1", "--faults", "10", "--testability",
+     "0.5", "--scan", "-0", "--logic", "1"],
+], ids=" ".join)
+def test_other_command_lines_go_to_argparse(argv):
+    """Help, abbreviations, --opt=value, --, misplaced or missing arguments
+    and bad values are left to argparse, which prints the help or error."""
+    assert _accept(argv) is None
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"],
@@ -734,15 +812,16 @@ def test_closed_pipe_exits_1_without_a_traceback(tmp_path, extra,
 
 def test_import_loads_no_single_use_module():
     """``import veclog.cli`` loads neither the modules only one subcommand
-    uses, nor the dataclass machinery, nor hashlib with its OpenSSL binding;
-    checked on module names, not time."""
+    uses, nor the dataclass machinery, nor hashlib with its OpenSSL binding,
+    nor argparse; checked on module names, not time."""
     out = run_python("import sys; before = set(sys.modules); import veclog.cli; "
                      "print(veclog.cli.__file__, *set(sys.modules) - before)"
                      ).split()
     assert out[0].startswith(str(Path(veclog.__file__).parents[1]))
     unused = {"dataclasses", "inspect", "fractions", "decimal", "json",
-              "hashlib", "_hashlib", "veclog.assoc", "veclog.metric",
-              "veclog.cover", "veclog.dq", "veclog.lamp"}
+              "hashlib", "_hashlib", "argparse", "gettext", "locale",
+              "veclog.assoc", "veclog.metric", "veclog.cover", "veclog.dq",
+              "veclog.lamp"}
     assert not unused & set(out[1:])
     assert {"veclog", "veclog.cli", "veclog.vlcore"} <= set(out[1:])
 
@@ -760,6 +839,8 @@ LAYERS_RUN = {
 
 @pytest.mark.parametrize("subcommand", sorted(LAYERS_RUN))
 def test_each_subcommand_loads_only_its_layer(tmp_path, subcommand):
+    """A well-formed command line loads its layer and no argparse, whose
+    gettext lookups would also load locale."""
     files = {"q.tbl": QUERY_TABLE, "d.tbl": DIAG_TABLE,
              "r.inst": MEMORY_INSTANCE, "p.lamp": "LOADROW ma A[1]\nHALT\n"}
     args, layers = LAYERS_RUN[subcommand]
@@ -768,8 +849,8 @@ def test_each_subcommand_loads_only_its_layer(tmp_path, subcommand):
                      "from veclog.cli import main\n"
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
                      "    code = main(sys.argv[1:])\n"
-                     "print(code, *(m for m in sys.modules\n"
-                     "            if m.partition('.')[0] == 'veclog'))",
+                     "print(code, *(m for m in sys.modules if m.partition('.')"
+                     "[0] in ('veclog', 'argparse', 'gettext', 'locale')))",
                      subcommand, *args).split()
     assert out[0] == "0"
     assert set(out[1:]) == {"veclog", "veclog.cli",
@@ -785,11 +866,43 @@ def test_digest_is_sha256_with_or_without_the_builtin_module(tmp_path,
     (tmp_path / "t.tbl").write_bytes(data)
     out = run_python("import sys\n"
                      "for name in sys.argv[2:]: sys.modules[name] = None\n"
-                     "from veclog.cli import _read\n"
-                     "print(_read(sys.argv[1])[1], 'hashlib' in sys.modules)",
+                     "from veclog.cli import _digest, _read\n"
+                     "print(_digest(_read(sys.argv[1])),\n"
+                     "      'hashlib' in sys.modules)",
                      str(tmp_path / "t.tbl"), *blocked).split()
     assert out == ["sha256:" + hashlib.sha256(data).hexdigest()[:12],
                    str(bool(blocked))]
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["query", "t.tbl", "1100"], 1),
+    (["sim", "p.lamp", "t.tbl"], 2),
+    (["sim", "--grid", "grid.txt"], 0),
+])
+def test_digest_only_where_a_digest_line_is_printed(capsys, tmp_path,
+                                                    monkeypatch, argv,
+                                                    digests):
+    write(tmp_path, "t.tbl", QUERY_TABLE)
+    write(tmp_path, "p.lamp", "LOADROW ma A[1]\nHALT\n")
+    write(tmp_path, "grid.txt", "p.lamp t.tbl\n" * 16)
+    monkeypatch.chdir(tmp_path)
+    hashed, sha256 = [], cli.sha256
+    monkeypatch.setattr(cli, "sha256",
+                        lambda *data: hashed.append(data) or sha256(*data))
+    code, out, _ = run(capsys, *argv)
+    assert (code, len(hashed), out.count("-digest: ")) == (0, digests,
+                                                          digests)
+
+
+def test_help_still_comes_from_argparse():
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(veclog.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "veclog.cli", "query", "-h"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(
+        "usage: veclog query [-h] [--arith] [--json] table query\n")
+    assert "query bit string (ternary with --arith)" in proc.stdout
 
 
 class TestQuality:
