@@ -24,7 +24,6 @@ Execution is a pure function of (state, program): rerunning is bit-identical.
 """
 from __future__ import annotations
 
-import re
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import groupby
@@ -85,6 +84,8 @@ class Opcode(Enum):
     ENDLOOP = "endloop"
     HALT = "halt"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's is Python
+
 
 @value_type
 class RowRef:
@@ -96,11 +97,16 @@ class RowRef:
 @value_type
 class Instruction:
     opcode: Opcode
-    dst: Union[str, RowRef, None] = None
-    src1: Union[str, RowRef, None] = None
-    src2: Union[str, RowRef, None] = None
-    imm: Optional[int] = None  # LOOP count (None = *), DEVOR index (None = @)
-    line: int = 0
+    dst: Union[str, RowRef, None]
+    src1: Union[str, RowRef, None]
+    src2: Union[str, RowRef, None]
+    imm: Optional[int]  # LOOP count (None = *), DEVOR index (None = @)
+    line: int
+
+    def __init__(self, opcode, dst=None, src1=None, src2=None, imm=None,
+                 line=0):  # value_type's generic one costs twice as much
+        self.__dict__.update(opcode=opcode, dst=dst, src1=src1, src2=src2,
+                             imm=imm, line=line)
 
 
 @value_type
@@ -147,36 +153,37 @@ _OPS = {  # opcode: (shape, statement)
 # ---------------------------------------------------------------------------
 # Assembler
 
-_ROW_RE = re.compile(r"^a\[(\d+|@)\]$", re.IGNORECASE)
-_LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# operation name: (opcode, its shape's letters, whether the last is optional)
+_SHAPES = {op.value: (op, shape.rstrip("?"), shape.endswith("?"))
+           for op, (shape, _) in _OPS.items()}
+# looking a member up on its Enum class is slow
+_LOOP, _ENDLOOP, _DEVOR, _HALT = (Opcode.LOOP, Opcode.ENDLOOP, Opcode.DEVOR,
+                                  Opcode.HALT)
 
 
-def _register(token: str, line: int, in_loop: bool = False) -> str:
-    name = token.lower()
-    if name not in REGISTERS:
-        raise UnknownRegister(f"unknown register {token!r}", line)
-    return name
-
-
-def _row(token: str, line: int, in_loop: bool) -> RowRef:
-    match = _ROW_RE.match(token)
-    if not match:
-        raise AssemblyError(f"expected a row reference like A[1], got {token!r}",
-                            line)
-    body = match.group(1)
+def _row(token: str, line: int, in_loop: bool) -> Optional[RowRef]:
+    """The row that ``token`` names as ``A[i]``, ``a[i]`` or ``A[@]``, or
+    None when it has none of these forms."""
+    if token[:2] not in ("A[", "a[") or token[-1:] != "]":
+        return None
+    body = token[2:-1]
     if body == "@":
         if not in_loop:
             raise AssemblyError("A[@] is only meaningful inside a LOOP", line)
         return RowRef(None)
+    if not body.isdecimal():
+        return None
     index = decimal(body, line, AssemblyError)
     if index < 1:
         raise AssemblyError("row numbers start at 1", line)
     return RowRef(index)
 
 
-def _number(token: str, line: int, in_loop: bool, wildcard: str,
-            what: str) -> Optional[int]:
-    """A positive integer, or None for the wildcard (@ needs a LOOP)."""
+def _number(token: str, line: int, in_loop: bool, kind: str) -> Optional[int]:
+    """A positive integer, or None for the wildcard of shape letter ``kind``
+    (k: @, which needs a LOOP; n: *)."""
+    wildcard, what = ("@", "DEVOR index") if kind == "k" else \
+        ("*", "LOOP count")
     if token == wildcard:
         if wildcard == "@" and not in_loop:
             raise AssemblyError("@ is only meaningful inside a LOOP", line)
@@ -187,15 +194,6 @@ def _number(token: str, line: int, in_loop: bool, wildcard: str,
             return value
     raise AssemblyError(f"{what} must be a positive integer or {wildcard}, "
                         f"got {token!r}", line)
-
-
-_KINDS = {
-    "r": _register, "R": _row,
-    "s": lambda token, line, in_loop: (_row if _ROW_RE.match(token)
-                                       else _register)(token, line, in_loop),
-    "k": partial(_number, wildcard="@", what="DEVOR index"),
-    "n": partial(_number, wildcard="*", what="LOOP count"),
-}
 
 
 def assemble(source: str) -> Program:
@@ -213,7 +211,7 @@ def _assemble(source: str) -> tuple[Instruction, ...]:
         tokens = raw.split(";", 1)[0].split()
         while tokens and tokens[0].endswith(":"):
             name = tokens[0][:-1]
-            if not _LABEL_RE.match(name):
+            if not (name.isascii() and name.isidentifier()):
                 raise AssemblyError(f"bad label {tokens[0]!r}", lineno)
             if name in labels:
                 raise AssemblyError(f"duplicate label {name!r}", lineno)
@@ -222,11 +220,10 @@ def _assemble(source: str) -> tuple[Instruction, ...]:
         if not tokens:
             continue
         try:
-            opcode = Opcode(tokens[0].lower())
-        except ValueError:
-            raise AssemblyError(f"unknown operation {tokens[0]!r}", lineno) from None
-        shape = _OPS[opcode][0]
-        kinds, optional = shape.rstrip("?"), shape.endswith("?")
+            opcode, kinds, optional = _SHAPES[tokens[0].lower()]
+        except KeyError:
+            raise AssemblyError(f"unknown operation {tokens[0]!r}",
+                                lineno) from None
         operands = tokens[1:]
         if optional and len(operands) == len(kinds) - 1:
             operands.append(operands[0])  # operate on a register in place
@@ -236,18 +233,24 @@ def _assemble(source: str) -> tuple[Instruction, ...]:
             raise BadArity(f"{opcode.value} expects {wanted} "
                            f"operands, got {len(operands)}", lineno)
         in_loop = loop_line is not None
-        if opcode in (Opcode.LOOP, Opcode.ENDLOOP):
-            if in_loop == (opcode is Opcode.LOOP):
+        if opcode is _LOOP or opcode is _ENDLOOP:
+            if in_loop == (opcode is _LOOP):
                 raise AssemblyError("LOOP does not nest" if in_loop
                                     else "ENDLOOP without LOOP", lineno)
             loop_line = None if in_loop else lineno
         fields, imm = [], None
         for kind, token in zip(kinds, operands):
-            value = _KINDS[kind](token, lineno, in_loop)
             if kind in "kn":
-                imm = value
+                imm = _number(token, lineno, in_loop, kind)
+            elif kind != "r" and (row := _row(token, lineno, in_loop)):
+                fields.append(row)
+            elif kind != "R" and token.lower() in REGISTERS:
+                fields.append(token.lower())
+            elif kind != "R":
+                raise UnknownRegister(f"unknown register {token!r}", lineno)
             else:
-                fields.append(value)
+                raise AssemblyError(f"expected a row reference like A[1], "
+                                    f"got {token!r}", lineno)
         fields += [None] * (3 - len(fields))  # dst, src1, src2
         instructions.append(Instruction(opcode, *fields, imm, lineno))
     if loop_line is not None:
@@ -289,12 +292,12 @@ class SequencerState:
 def run_sequencer(state: SequencerState, program: Program,
                   max_steps: int = DEFAULT_MAX_STEPS) -> SequencerState:
     """Execute until HALT or the end of the program; the input state is
-    never mutated.  The program runs as the function ``emit_source`` writes,
-    compiled once per distinct program."""
+    never mutated.  The program runs as the function ``emit_source`` writes
+    for the state's pc, compiled once per distinct program and pc."""
     memory, width = state.memory, state.memory.width
     rows = [row.value for row in memory.rows]
-    pc, steps, stored, *regs = _compiled(program)(
-        rows, width, state.pc, max_steps,
+    pc, steps, stored, *regs = _compiled(program, state.pc)(
+        rows, width, max_steps,
         state.ma.value, state.mb.value, state.mc.value, state.md.value)
     if stored:
         memory = AssociativeTable([BitVector(row, width) for row in rows],
@@ -304,110 +307,145 @@ def run_sequencer(state: SequencerState, program: Program,
 
 
 @lru_cache(maxsize=32)  # a grid runs at most 16 distinct programs
-def _compiled(program: Program):
-    bytecode = compile(emit_source(program), "<lamp program>", "exec")
+def _compiled(program: Program, pc: int):
+    bytecode = compile(emit_source(program, pc), "<lamp program>", "exec")
     exec(bytecode, globals(), scope := {})  # its globals are this module's
-    code = tuple((ins, _reads(ins)) for ins in program.instructions)
-    return partial(scope["run"], code)
+    return partial(scope["run"], program.instructions)
 
 
-_ENDLOOP = Opcode.ENDLOOP  # looking a member up on its Enum class is slow
-
-
-def _check(code: Sequence[tuple], pc: int, at: int, steps: int,
-           limit: int, n: int, width: int) -> int:
-    """``steps + 1`` if instruction ``pc`` can run with loop row ``at`` (0:
-    no loop runs) on ``n`` rows of ``width``, else the fault it meets first:
-    the step limit, a row or coordinate it reads, ENDLOOP with no loop.
-    ``code`` holds each instruction with its ``_reads``."""
-    if steps >= limit:
-        raise StepLimitExceeded(f"exceeded {limit} steps")
-    ins, reads = code[pc]
-    for noun, k, bound in reads:
-        k, bound = k or at, n if bound == "n" else width
-        if not k:
-            raise SimulationError(f"@ with no LOOP running (line {ins.line})")
-        if k > bound:  # the assembler keeps a constant k at 1 or more
-            error = RowOutOfRange if noun == "row" else BitOutOfRange
-            raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
-    if not at and ins.opcode is _ENDLOOP:
-        raise SimulationError(f"ENDLOOP with no LOOP running "
-                              f"(line {ins.line})")
-    return steps + 1
+def _check(code: Sequence[Instruction], first: int, end: int, at: int,
+           steps: int, limit: int, n: int, width: int, fits: bool) -> int:
+    """``steps`` plus one per instruction ``first`` to ``end - 1``, a
+    straight-line run, at once if ``fits`` (their rows and coordinates are
+    in range) and that stays within ``limit``.  Else each is checked in
+    turn with loop row ``at`` (0: no loop runs) on ``n`` rows of ``width``,
+    and the first fault met is raised: the step limit, a row or coordinate
+    it reads, ENDLOOP with no loop."""
+    if fits and steps + end - first <= limit:
+        return steps + end - first
+    for pc in range(first, end):
+        if steps >= limit:
+            raise StepLimitExceeded(f"exceeded {limit} steps")
+        ins = code[pc]
+        for noun, k, bound in _reads(ins):
+            k, bound = k or at, n if bound == "n" else width
+            if not k:
+                raise SimulationError(f"@ with no LOOP running "
+                                      f"(line {ins.line})")
+            if k > bound:  # the assembler keeps a constant k at 1 or more
+                error = RowOutOfRange if noun == "row" else BitOutOfRange
+                raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
+        if not at and ins.opcode is _ENDLOOP:
+            raise SimulationError(f"ENDLOOP with no LOOP running "
+                                  f"(line {ins.line})")
+        steps += 1
+    return steps
 
 
 def _reads(ins: Instruction) -> list[tuple]:
     """(noun, number or None for @, bound) of each row or coordinate
     ``ins`` reads, in order."""
-    reads = [("coordinate", ins.imm, "width")] * (ins.opcode is Opcode.DEVOR)
-    return reads + [("row", op.index, "n")
-                    for op in (ins.dst, ins.src1, ins.src2)
-                    if isinstance(op, RowRef)]
+    reads = [("coordinate", ins.imm, "width")] if ins.opcode is _DEVOR else []
+    for op in (ins.dst, ins.src1, ins.src2):
+        if op.__class__ is RowRef:
+            reads.append(("row", op.index, "n"))
+    return reads
 
 
-_CHECK = "steps = _check(code, {}, at, steps, limit, n, width)"
+def _bounds(code: Sequence[Instruction]) -> tuple[list[str], list[str]]:
+    """The tests that the largest constant row and coordinate ``code``
+    reads are in range (the assembler keeps them at 1 or more), and the
+    bounds that ``@`` must meet."""
+    reads = sorted((bound, k or 0) for ins in code
+                   for _, k, bound in _reads(ins))  # 0 for @
+    return ([f"{k} <= {bound}" for bound, k in dict(reads).items() if k],
+            sorted({bound for bound, k in reads if not k}))
 
 
-def emit_source(program: Program) -> str:
-    """The source of ``run(code, A, width, pc, limit, ma, mb, mc, md)``,
-    which runs ``program`` (``code`` as ``_check`` takes it) from ``pc`` on
-    int rows and registers and returns the end pc, the steps, whether a
-    STOREROW ran and the registers.  Each instruction is written once, as
-    ``_check`` and its ``_OPS`` statement; a loop without HALT first runs as
-    a ``for`` the iterations that cannot fault, with ``_runs`` folded."""
-    code = program.instructions
-    marks = [pc for pc, ins in enumerate(code)
-             if ins.opcode in (Opcode.LOOP, Opcode.ENDLOOP)]
-    loops = {start: end for start, end in zip(marks[::2], marks[1::2])
-             if all(ins.opcode is not Opcode.HALT for ins in code[start:end])}
-    lines, pc = [], 0
-    while pc < len(code):
-        if pc in loops:
-            lines += _loop(code, pc, loops[pc])
-            pc = loops[pc]
-        else:
-            lines += [f"if pc <= {pc}:  # line {code[pc].line}", *_indent(
-                [_CHECK.format(pc), _statement([code[pc]], pc)])]
-        pc += 1
-    tail = _OPS[Opcode.HALT][1].format(next=f"max(pc, {len(code)})")
+_CHECK = "steps = _check(code, {}, {}, at, steps, limit, n, width, {})"
+
+
+def emit_source(program: Program, pc: int = 0) -> str:
+    """The source of ``run(code, A, width, limit, ma, mb, mc, md)``, which
+    runs ``program`` (``code``, its instructions, as ``_check`` takes them)
+    from instruction ``pc`` on int rows and registers and returns the end
+    pc, the steps, whether a STOREROW ran and the registers.  Each
+    instruction is written once, as its ``_OPS`` statement, in a
+    straight-line run behind one ``_check``; a loop without HALT runs as a
+    ``for`` over the iterations that cannot fault, with ``_runs`` folded."""
+    code, start = program.instructions, max(pc, 0)
+    marks = [i for i, ins in enumerate(code)
+             if ins.opcode is _LOOP or ins.opcode is _ENDLOOP]
+    loops = {loop: end for loop, end in zip(marks[::2], marks[1::2])
+             if all(ins.opcode is not _HALT for ins in code[loop:end])}
+    lines = []
+    for loop, end in loops.items():
+        if loop < start <= end:  # resumed in the body: no loop runs
+            lines = [_CHECK.format(start, end + 1, False) + "  # faults"]
+            start = end + 1
+    while start < len(code):
+        end = start + 1  # a straight-line run ends at a HALT or a LOOP
+        while end < len(code) and code[end - 1].opcode not in (_HALT, _LOOP):
+            end += 1
+        lines += _straight(code, start, end, loops.get(end - 1))
+        if code[end - 1].opcode is _HALT:
+            break
+        start = loops.get(end - 1, end - 1) + 1
+    else:  # past the last instruction
+        lines.append(_OPS[_HALT][1].format(next=max(pc, len(code))))
     return "\n".join([
-        "def run(code, A, width, pc, limit, ma, mb, mc, md):",
+        "def run(code, A, width, limit, ma, mb, mc, md):",
         "    n, ones, steps, stored = len(A), (1 << width) - 1, 0, False",
-        "    at = 0  # no loop runs", *_indent(lines + [tail])]) + "\n"
+        "    at = 0  # no loop runs", *_indent(lines)]) + "\n"
 
 
 def _indent(lines: Sequence[str]) -> list[str]:
     return ["    " + line for line in lines if line]
 
 
+def _straight(code: Sequence[Instruction], start: int, end: int,
+              loop_end: Optional[int]) -> list[str]:
+    """Instructions ``start`` to ``end - 1``, only the last of which may be
+    a HALT or a LOOP (of the loop to ``loop_end``, if it has no HALT): one
+    ``_check``, told whether their rows and coordinates are in range, then
+    their statements."""
+    run = code[start:end]
+    fixed, at_bounds = _bounds(run)
+    fits = fixed + ([f"0 < at <= {bound}" for bound in at_bounds] or
+                    ["at"] * any(ins.opcode is _ENDLOOP for ins in run))
+    where = f"line {run[0].line}" if len(run) == 1 else \
+        f"lines {run[0].line}-{run[-1].line}"
+    lines = [_CHECK.format(start, end, " and ".join(fits) or True)
+             + f"  # {where}"]
+    lines += [_statement([ins], pc) for pc, ins in enumerate(run, start)]
+    if loop_end is not None:
+        lines[-1:] = _loop(code, end - 1, loop_end) + [_CHECK.format(
+            "pc", loop_end + 1, False) + "  # only the checks of that iteration"]
+    return lines
+
+
 def _loop(code: Sequence[Instruction], start: int, end: int) -> list[str]:
-    """The loop from ``start`` to ``end``, whose body holds no HALT.  Its
-    iteration ``last + 1``, or the rest of the body after a resume inside
-    it (with no loop running), faults, so only its checks run."""
+    """The loop from ``start`` to ``end``, whose body holds no HALT, once
+    its LOOP is counted.  Its iteration ``last + 1`` faults, so only its
+    checks run."""
     count = f"{code[start].imm or 'n'}"
-    reads = sorted((bound, k or 0) for ins in code[start + 1:end]
-                   for _, k, bound in _reads(ins))  # 0 for @
+    fixed, at_bounds = _bounds(code[start + 1:end])
     bounds = [count, f"(limit - steps) // {end - start}",
-              *sorted({bound for bound, k in reads if not k} - {count})]
-    fixed = " and ".join(f"{k} <= {bound}"  # the largest number per bound
-                         for bound, k in dict(reads).items() if k)
+              *[bound for bound in at_bounds if bound != count]]
+    fixed = " and ".join(fixed)
     last = f"min({', '.join(bounds)})" + f" if {fixed} else 0" * bool(fixed)
     fast = [_statement(run) for run in _runs(code[start + 1:end])]
-    return [f"if pc <= {start}:  # line {code[start].line}: LOOP", *_indent([
-        _CHECK.format(start), f"last = {last}",
-        "for at in range(1, last + 1):", *_indent(fast or ["pass"]),
-        f"steps += {end - start} * last",
-        f"pc, at = {end + 1} if last == {count} else {start + 1}, last + 1"
-        "  # past the loop, or into the iteration that faults"]),
-        f"for pc in range(pc, {end + 1}):  # only the checks of that iteration",
-        "    " + _CHECK.format("pc")]
+    return [f"last = {last}", "for at in range(1, last + 1):",
+            *_indent(fast or ["pass"]), f"steps += {end - start} * last",
+            f"pc, at = {end + 1} if last == {count} else {start + 1}, "
+            "last + 1  # past the loop, or into the iteration that faults"]
 
 
 def _runs(code: Sequence[Instruction]) -> list[list[Instruction]]:
     """The instructions, with each run of DEVORs with one d and s and
     constant k as one list."""
     return [list(run) for _, run in groupby(code, lambda ins: (
-        (ins.dst, ins.src1) if ins.imm and ins.opcode is Opcode.DEVOR
+        (ins.dst, ins.src1) if ins.imm and ins.opcode is _DEVOR
         else object()))]
 
 

@@ -4,7 +4,12 @@
     PYTHONPATH=src python tests/golden/record.py
 
 ``tests/test_golden.py`` replays every case through ``veclog.cli.main``
-with ``inputs/`` as the working directory and compares bytes.  The
+with ``inputs/`` as the working directory and compares bytes.  The same
+replay runs without pytest, on any interpreter, as
+
+    PYTHONPATH=src python tests/golden/record.py --check
+
+which prints the id of each case that differs and exits 1 if any does.  The
 transcripts pin the CLI's behaviour: a case whose output changes is a
 behaviour change, named as such where the change is recorded, never a file
 to regenerate quietly.  Rerun this script to add cases, then check that
@@ -477,5 +482,20 @@ def main() -> None:
     print(f"{len(cases)} cases", file=sys.stderr)
 
 
+def check() -> int:
+    """Replay ``cases.json`` as ``tests/test_golden.py`` does; print the id
+    of each case that differs and return 1 if any does, else 0."""
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage to the terminal
+    cases = json.loads((HERE / "cases.json").read_text(encoding="ascii"))
+    os.chdir(INPUTS)
+    differ = [case["id"] for case in cases if run_case(case["argv"]) !=
+              {key: case[key] for key in ("stdout", "stderr", "exit")}]
+    for name in differ:
+        print(name)
+    print(f"{len(cases) - len(differ)} of {len(cases)} cases match",
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(check() if sys.argv[1:] == ["--check"] else main())

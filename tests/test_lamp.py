@@ -1,6 +1,8 @@
 import contextlib
 import io
 import random
+import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -47,7 +49,7 @@ from veclog.lamp import (
     with_response_column,
 )
 from veclog.metric import quality_vector
-from veclog.vlcore import BitVector, EmptyInput, slc
+from veclog.vlcore import BitVector, EmptyInput, decimal, slc
 
 rng_seed = 41
 
@@ -682,6 +684,49 @@ def test_resume_from_every_pc_matches_reference(name):
             for max_steps in (5, 1000):
                 assert outcome(run_sequencer, state, program, max_steps) == \
                     outcome(reference_run, state, program, max_steps)
+            sweep_step_limit(state, program)
+
+
+def sweep_step_limit(state, program):
+    """Compare with the reference at every step limit from 1 to one past
+    the run's steps (the first 60 of a long run), so that the limit lands
+    on every instruction of each straight-line run."""
+    full = outcome(reference_run, state, program, 10 ** 6)
+    steps = full.steps if isinstance(full, SequencerState) else 60
+    for max_steps in range(1, min(steps, 60) + 2):
+        assert outcome(run_sequencer, state, program, max_steps) == \
+            outcome(reference_run, state, program, max_steps)
+
+
+def bound_sources(height, width):
+    """Straight-line runs that read a constant row ``height`` or
+    ``height + 1`` and a DEVOR coordinate ``width`` or ``width + 1``, at the
+    start, in the middle and at the end of a run, before a HALT, before a
+    loop and after one."""
+    sources = []
+    for row in (height, height + 1):
+        for k in (width, width + 1):
+            for slot in range(3):
+                run = ["SETALL ma", "NOT mb ma", "XOR mc ma mb"]
+                run.insert(slot, f"LOADROW md A[{row}]")
+                other = ["CLRALL mc", "OR mb mb mc", "NOT md"]
+                other.insert(2 - slot, f"DEVOR mc {k} ma")
+                sources.append("\n".join(
+                    run + ["HALT"] + other + ["LOOP 2", "OR mc A[@] mc",
+                                              "ENDLOOP"] + run) + "\n")
+    return sources
+
+
+@pytest.mark.parametrize("height, width", [(3, 5), (1, 1)])
+def test_straight_runs_at_their_bounds_match_reference(height, width):
+    rng = random.Random(f"bounds/{height}x{width}")
+    table = rand_table(rng, max(height, 2), width)
+    table = AssociativeTable(table.rows[:height])
+    regs = {reg: rand_bitvector(rng, width) for reg in REGISTERS}
+    for source in bound_sources(height, width):
+        program = assemble(source)
+        for pc in range(len(program.instructions) + 1):
+            sweep_step_limit(SequencerState(table, **regs, pc=pc), program)
 
 
 def grid_of(sources, height, width_of):
@@ -748,3 +793,179 @@ def test_sim_never_escapes(tmp_path_factory, lines):
         assert code in (0, 1, 2)
         reports.append(out.getvalue())
     assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the assembler against the regex-based one it
+# replaced, kept here as the reference the way reference_run mirrors the
+# executor.
+
+_REF_ROW = re.compile(r"^a\[(\d+|@)\]$", re.IGNORECASE)
+_REF_LABEL = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def _ref_register(token, line, in_loop=False):
+    name = token.lower()
+    if name not in REGISTERS:
+        raise UnknownRegister(f"unknown register {token!r}", line)
+    return name
+
+
+def _ref_row(token, line, in_loop):
+    match = _REF_ROW.match(token)
+    if not match:
+        raise AssemblyError(f"expected a row reference like A[1], got {token!r}",
+                            line)
+    body = match.group(1)
+    if body == "@":
+        if not in_loop:
+            raise AssemblyError("A[@] is only meaningful inside a LOOP", line)
+        return RowRef(None)
+    index = decimal(body, line, AssemblyError)
+    if index < 1:
+        raise AssemblyError("row numbers start at 1", line)
+    return RowRef(index)
+
+
+def _ref_number(token, line, in_loop, wildcard, what):
+    if token == wildcard:
+        if wildcard == "@" and not in_loop:
+            raise AssemblyError("@ is only meaningful inside a LOOP", line)
+        return None
+    if token.isdecimal():
+        value = decimal(token, line, AssemblyError)
+        if value >= 1:
+            return value
+    raise AssemblyError(f"{what} must be a positive integer or {wildcard}, "
+                        f"got {token!r}", line)
+
+
+_REF_KINDS = {
+    "r": _ref_register, "R": _ref_row,
+    "s": lambda token, line, in_loop: (_ref_row if _REF_ROW.match(token)
+                                       else _ref_register)(token, line, in_loop),
+    "k": partial(_ref_number, wildcard="@", what="DEVOR index"),
+    "n": partial(_ref_number, wildcard="*", what="LOOP count"),
+}
+
+
+def reference_assemble(source):
+    if not source.strip():
+        raise EmptyInput("empty program source")
+    instructions = []
+    labels = set()
+    loop_line = None  # line of the open LOOP
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        tokens = raw.split(";", 1)[0].split()
+        while tokens and tokens[0].endswith(":"):
+            name = tokens[0][:-1]
+            if not _REF_LABEL.match(name):
+                raise AssemblyError(f"bad label {tokens[0]!r}", lineno)
+            if name in labels:
+                raise AssemblyError(f"duplicate label {name!r}", lineno)
+            labels.add(name)
+            tokens = tokens[1:]
+        if not tokens:
+            continue
+        try:
+            opcode = Opcode(tokens[0].lower())
+        except ValueError:
+            raise AssemblyError(f"unknown operation {tokens[0]!r}",
+                                lineno) from None
+        shape = lamp._OPS[opcode][0]
+        kinds, optional = shape.rstrip("?"), shape.endswith("?")
+        operands = tokens[1:]
+        if optional and len(operands) == len(kinds) - 1:
+            operands.append(operands[0])  # operate on a register in place
+        if len(operands) != len(kinds):
+            wanted = f"{len(kinds) - 1} or {len(kinds)}" if optional \
+                else len(kinds)
+            raise BadArity(f"{opcode.value} expects {wanted} "
+                           f"operands, got {len(operands)}", lineno)
+        in_loop = loop_line is not None
+        if opcode in (Opcode.LOOP, Opcode.ENDLOOP):
+            if in_loop == (opcode is Opcode.LOOP):
+                raise AssemblyError("LOOP does not nest" if in_loop
+                                    else "ENDLOOP without LOOP", lineno)
+            loop_line = None if in_loop else lineno
+        fields, imm = [], None
+        for kind, token in zip(kinds, operands):
+            value = _REF_KINDS[kind](token, lineno, in_loop)
+            if kind in "kn":
+                imm = value
+            else:
+                fields.append(value)
+        fields += [None] * (3 - len(fields))  # dst, src1, src2
+        instructions.append(Instruction(opcode, *fields, imm, lineno))
+    if loop_line is not None:
+        raise AssemblyError("LOOP never closed", loop_line)
+    return tuple(instructions)
+
+
+# numbers as int() reads them but the ASCII digits do not spell them, and
+# tokens one character away from a row, a register or a label
+_ODD_TOKENS = [
+    "\u00b2", "\u0663", "\u0661\u0660", "A[\u00b2]", "A[\u0663]",
+    "a[\u0661\u0660]", "A[01]", "A[]", "a[1]]", "A[1x]", "[1]", "A[-1]",
+    "Ma", "mA", "MD", "m", "A[" + "1" * 4301 + "]", "1" * 4301, "_l2:",
+    "\u00e9:", "a-b:", ":", "x::", "A[@]:", "\uff41[1]", "\u212a"]
+
+
+def random_asm_source(rng):
+    """A few lines, each a run of random tokens or a well-formed use of a
+    random opcode (its operands drawn per shape letter), now and then with
+    labels in front and a comment behind."""
+    def register():
+        return rng.choice(("ma", "mb", "mc", "md", "MA", "Mc", "me"))
+
+    def row():
+        return rng.choice(("A", "a")) + "[" + rng.choice(
+            ("1", "3", "@", "@", "0", "\u0663", "\u00b2", "12")) + "]"
+
+    def number(wildcard):
+        return rng.choice((wildcard, wildcard, "1", "4", "64", "0", "\u0663",
+                           "\u00b2", "-1", "x"))
+
+    operand = {"r": register, "R": row, "k": lambda: number("@"),
+               "n": lambda: number("*"),
+               "s": lambda: row() if rng.random() < 0.5 else register()}
+    tokens = _TOKENS + _ODD_TOKENS
+    lines = []
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.3:
+            words = [rng.choice(tokens) for _ in range(rng.randint(0, 5))]
+        else:
+            opcode = rng.choice(list(Opcode))
+            shape = lamp._OPS[opcode][0]
+            kinds = shape.rstrip("?")
+            if shape.endswith("?") and rng.random() < 0.3:
+                kinds = kinds[:-1]
+            name = rng.choice((opcode.value, opcode.name, opcode.name.title()))
+            words = [name] + [operand[kind]() for kind in kinds]
+        while rng.random() < 0.15:
+            words.insert(0, rng.choice(("x:", "start:", "_l2:", "1x:",
+                                        "\u00e9:", "a-b:")))
+        if rng.random() < 0.2:
+            words.append("; " + rng.choice(_TOKENS))
+        lines.append(" ".join(words))
+    return "\n".join(lines) + "\n"
+
+
+def assembled(assemble_source, source):
+    try:
+        return [repr(ins) for ins in assemble_source(source)]
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def test_assembler_matches_reference():
+    rng = random.Random("assembler")
+    kinds = set()
+    for _ in range(6000):
+        source = random_asm_source(rng)
+        got = assembled(lamp._assemble, source)
+        assert got == assembled(reference_assemble, source), source
+        kinds.add(got[0] if isinstance(got, tuple) else "ok")
+    # both outcomes, and each kind of error, were drawn
+    assert kinds == {"ok", AssemblyError, UnknownRegister, BadArity,
+                     EmptyInput}
