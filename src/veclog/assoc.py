@@ -7,7 +7,8 @@ line order in the table file); Python sequences stay 0-indexed.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import islice, repeat
+from typing import Iterator, Optional, Sequence
 
 from veclog.metric import CompactedQuality, compact_quality, quality_vector
 from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
@@ -157,9 +158,8 @@ def best_match(query: BitVector,
 
 def parse_table(text: str) -> AssociativeTable:
     """Parse the text table format into a binary table."""
-    rows, row_labels, col_labels = _parse_rows(text, ternary=False)
-    width = len(rows[0])
-    return AssociativeTable([BitVector(int(row, 2), width) for row in rows],
+    values, width, row_labels, col_labels = _parse_rows(text, ternary=False)
+    return AssociativeTable(list(map(BitVector, values, repeat(width))),
                             row_labels, col_labels)
 
 
@@ -167,47 +167,74 @@ def parse_ternary_rows(
         text: str) -> tuple[list[TernaryVector], Optional[tuple[str, ...]]]:
     """Parse the same format allowing the x symbol; returns rows and any
     row labels."""
-    rows, row_labels, _ = _parse_rows(text, ternary=True)
-    return [TernaryVector.from_string(r) for r in rows], row_labels
+    rows, _, row_labels, _ = _parse_rows(text, ternary=True)
+    return list(map(TernaryVector.from_symbols, rows)), row_labels
+
+
+def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:
+    """The 1-based numbers of the non-blank lines from the ``k``-th (0-based)
+    on; counted only where a check reports them."""
+    return islice((n for n, raw in enumerate(lines, 1) if raw.strip()), k,
+                  None)
+
+
+def _binary_values(text: str, rows: list[str],
+                   width: int) -> Optional[list[int]]:
+    """Each row as an int, or None when a row may be malformed.  On ASCII
+    text, ``int(row, 2)`` rejects every symbol but 0, 1 and the five below,
+    which no well-formed table holds before its trailer."""
+    end = text.find("#labels")
+    end = len(text) if end < 0 else end
+    if (list(map(len, rows)).count(width) < len(rows) or not text.isascii()
+            or any(text.find(ch, 0, end) >= 0 for ch in "+-_bB")):
+        return None
+    try:
+        return list(map(int, rows, repeat(2)))
+    except ValueError:
+        return None
 
 
 def _parse_rows(text: str, ternary: bool):
-    alphabet = "01x" if ternary else "01"
-    body = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
-            if (line := raw.strip())]
+    """(rows, width, row labels, column labels); a binary table's rows come
+    as ints, a ternary table's as checked strings.  A binary table is
+    checked row by row only when ``_binary_values`` cannot vouch for it."""
+    lines = text.splitlines()
+    body = list(filter(None, map(str.strip, lines)))
     if not body:
         raise ParseError("empty table")
-    header_line, header = body[0]
-    height, width = decimals(header, 2, header_line,
+    header_line = next(_numbers(lines))
+    height, width = decimals(body[0], 2, header_line,
                              "header must be two integers: height width")
     if height < 1 or width < 1:
         raise ParseError("table dimensions must be at least 1x1",
                          line=header_line)
-    if len(body) < 1 + height:
-        raise ParseError(f"expected {height} rows, found {len(body) - 1}",
-                         line=body[-1][0])
-    rows = []
-    for lineno, row in body[1:1 + height]:
-        if len(row) != width:
-            raise ParseError(f"row has {len(row)} symbols, expected {width}",
-                             line=lineno)
-        check_symbols(row, alphabet, line=lineno)
-        rows.append(row)
+    rows = body[1:1 + height]
+    if len(rows) < height:
+        raise ParseError(f"expected {height} rows, found {len(rows)}",
+                         line=next(_numbers(lines, len(body) - 1)))
+    values = None if ternary else _binary_values(text, rows, width)
+    if values is None:
+        alphabet = "01x" if ternary else "01"
+        for lineno, row in zip(_numbers(lines, 1), rows):
+            if len(row) != width:
+                raise ParseError(f"row has {len(row)} symbols, expected "
+                                 f"{width}", line=lineno)
+            check_symbols(row, alphabet, line=lineno)
+        values = rows if ternary else list(map(int, rows, repeat(2)))
     labels: dict[str, tuple[str, ...]] = {}
     shape = {"rows": (height, "row"), "cols": (width, "column")}
     trailer = body[1 + height:]
-    if trailer:
-        lineno, sentinel = trailer[0]
-        if sentinel != "#labels":
-            raise ParseError("unexpected content after table rows "
-                             "(expecting '#labels')", line=lineno)
-        for lineno, entry in trailer[1:]:
-            key, _, names = entry.partition(":")
-            if key not in shape:
-                raise ParseError("label lines must start with 'rows:' or "
-                                 "'cols:'", line=lineno)
-            try:
-                labels[key] = _checked_labels(names.split(), *shape[key])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-    return rows, labels.get("rows"), labels.get("cols")
+    if trailer and trailer[0] != "#labels":
+        raise ParseError("unexpected content after table rows "
+                         "(expecting '#labels')",
+                         line=next(_numbers(lines, 1 + height)))
+    for k, entry in enumerate(trailer[1:], 2 + height):
+        key, _, names = entry.partition(":")
+        if key not in shape:
+            raise ParseError("label lines must start with 'rows:' or 'cols:'",
+                             line=next(_numbers(lines, k)))
+        try:
+            labels[key] = _checked_labels(names.split(), *shape[key])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=next(_numbers(lines, k))) from None
+    return values, width, labels.get("rows"), labels.get("cols")

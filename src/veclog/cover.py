@@ -271,8 +271,8 @@ def run_test(uut: AssociativeTable, mut: AssociativeTable) -> BitVector:
 #   <one "r c" fault coordinate per line>
 
 def parse_repair_instance(text: str) -> RepairInstance:
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())
-             if ln.strip()]
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
+             if (line := raw.strip())]
     if not lines:
         raise ParseError("empty repair instance")
     header_line, header = lines[0]

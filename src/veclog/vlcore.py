@@ -257,6 +257,12 @@ class TernaryVector:
         if not text:
             raise EmptyInput("empty ternary string")
         check_symbols(text, "01x", " in ternary string")
+        return cls.from_symbols(text)
+
+    @classmethod
+    def from_symbols(cls, text: str) -> "TernaryVector":
+        """The vector of a non-empty string already checked to hold only
+        0, 1 and x."""
         ones = int(text.replace("x", "0"), 2)
         xs = int(text.replace("1", "0").replace("x", "1"), 2)
         return cls(ones, xs, len(text))

@@ -29,6 +29,9 @@ HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
 LONG = "1" * 4301  # one digit more than int() converts by default
 PLACE = "<inputs>"  # stands for the absolute path of INPUTS in a transcript
+INT_ROWS = [("plus", "+101"), ("minus", "-101"), ("prefix", "0b01"),
+            ("upper-prefix", "0B01"), ("underscore", "1_01"),
+            ("upper-b", "10B1")]
 
 
 def _table(rng: random.Random, height: int, width: int,
@@ -74,6 +77,8 @@ def _files(lamp) -> dict[str, str | bytes]:
         "junk-trailer.tbl": "2 2\n10\n01\nrows: a b\n",
         "bad-key.tbl": "2 2\n10\n01\n#labels\nnames: a b\n",
         "nonascii.tbl": "2 2\n10\n01\n".encode("ascii") + b"\xc3\xa9\n",
+        # rows that int(row, 2) reads, or nearly reads, though not binary
+        **{f"int-{name}.tbl": f"2 4\n1100\n{row}\n" for name, row in INT_ROWS},
         # label trailers that do not fit (binary and ternary tables)
         "rows-short.tbl": labelled + "rows: r1 r2\n",
         "rows-long.tbl": labelled + "rows: r1 r2 r3 r4\n",
@@ -444,6 +449,11 @@ def _cases() -> list[tuple[str, list[str]]]:
         "--max-steps", "ten")
     add("diagnose-bad-mode", "diagnose", "diag.tbl", "110", "--mode", "all")
     add("repair-unknown-flag", "repair", "memory.rep", "--greedy")
+    # rows that int(row, 2) reads, or nearly reads, through every table reader
+    for name, _ in INT_ROWS:
+        add(f"query-int-{name}", "query", f"int-{name}.tbl", "1100")
+        add(f"diagnose-int-{name}", "diagnose", f"int-{name}.tbl", "10")
+        add(f"sim-int-{name}", "sim", "halt.lamp", f"int-{name}.tbl")
     return cases
 
 

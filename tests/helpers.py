@@ -10,11 +10,11 @@ from itertools import combinations, product
 from pathlib import Path
 
 import veclog
-from veclog.assoc import AssociativeTable
+from veclog.assoc import AssociativeTable, _checked_labels
 from veclog.cover import (EXHAUSTIVE_LIMIT, CoverageInstance, Infeasible,
                           TooLarge)
 from veclog.vlcore import (BitVector, EmptyInput, ParseError, TernaryVector,
-                           vectorize)
+                           check_symbols, decimals, vectorize)
 
 
 def rand_bitvector(rng: random.Random, width: int) -> BitVector:
@@ -68,6 +68,73 @@ def reference_ternary(text: str) -> TernaryVector:
             raise ParseError(f"invalid symbol {ch!r} in ternary string",
                              column=col)
     return TernaryVector(ones, xs, len(text))
+
+
+def reference_parse_table(text: str) -> AssociativeTable:
+    """``parse_table`` as one loop over numbered lines that checks every row
+    symbol by symbol, with the same results and errors (oracle use only)."""
+    rows, row_labels, col_labels = _reference_parse_rows(text, ternary=False)
+    width = len(rows[0])
+    return AssociativeTable([BitVector(int(row, 2), width) for row in rows],
+                            row_labels, col_labels)
+
+
+def reference_parse_ternary_rows(text: str):
+    """``parse_ternary_rows`` in the same form (oracle use only)."""
+    rows, row_labels, _ = _reference_parse_rows(text, ternary=True)
+    return [TernaryVector.from_string(r) for r in rows], row_labels
+
+
+def _reference_parse_rows(text: str, ternary: bool):
+    alphabet = "01x" if ternary else "01"
+    body = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.strip())]
+    if not body:
+        raise ParseError("empty table")
+    header_line, header = body[0]
+    height, width = decimals(header, 2, header_line,
+                             "header must be two integers: height width")
+    if height < 1 or width < 1:
+        raise ParseError("table dimensions must be at least 1x1",
+                         line=header_line)
+    if len(body) < 1 + height:
+        raise ParseError(f"expected {height} rows, found {len(body) - 1}",
+                         line=body[-1][0])
+    rows = []
+    for lineno, row in body[1:1 + height]:
+        if len(row) != width:
+            raise ParseError(f"row has {len(row)} symbols, expected {width}",
+                             line=lineno)
+        check_symbols(row, alphabet, line=lineno)
+        rows.append(row)
+    labels: dict[str, tuple[str, ...]] = {}
+    shape = {"rows": (height, "row"), "cols": (width, "column")}
+    trailer = body[1 + height:]
+    if trailer:
+        lineno, sentinel = trailer[0]
+        if sentinel != "#labels":
+            raise ParseError("unexpected content after table rows "
+                             "(expecting '#labels')", line=lineno)
+        for lineno, entry in trailer[1:]:
+            key, _, names = entry.partition(":")
+            if key not in shape:
+                raise ParseError("label lines must start with 'rows:' or "
+                                 "'cols:'", line=lineno)
+            try:
+                labels[key] = _checked_labels(names.split(), *shape[key])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+    return rows, labels.get("rows"), labels.get("cols")
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the ValueError it raises as (type,
+    message, line, column)."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
 
 
 def reference_cover_oracle(

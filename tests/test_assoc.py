@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
-from helpers import rand_table
+from helpers import (outcome, rand_table, reference_parse_table,
+                     reference_parse_ternary_rows)
 from veclog.assoc import (
     AssociativeTable,
     DiagnosisMode,
@@ -237,6 +239,92 @@ def test_parse_table_matches_row_by_row_construction(width):
         assert labelled == AssociativeTable(vectors, names, cols)
         assert [(type(r), r.length) for r in labelled.rows] == \
             [(BitVector, width)] * height
+
+
+# every line break str.splitlines knows, whitespace that str.strip removes
+# but that breaks no line, rows int(row, 2) reads although they are not
+# binary, and digits int() reads that are not ASCII
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+PADS = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+INT_ROWS = ["+101", "-101", "0b01", "0B01", "1_01", "10B1"]
+NON_ASCII_DIGITS = ["\u0661", "\uff11", "\U0001d7cf"]  # 1 in three scripts
+LABEL_NAMES = ["b", "B", "_", "-", "b_1", "B-2", "0b1", "-1", "+1", "x"]
+
+
+def _random_table_text(rng: random.Random) -> str:
+    """A table text near the edge of the format: odd breaks and padding,
+    blank lines, and often one fault of a kind the parser must name."""
+    width = rng.choice([1, 2, 3, 4, 4, 4, 5, 7, 8, 64])
+    if rng.random() < 0.01:  # wider than int() converts in base 10
+        width = max(sys.get_int_max_str_digits(), 4300) + 1
+    height = rng.randint(1, 5)
+    symbols = "01x" if rng.random() < 0.1 else "01"
+    rows = ["".join(rng.choice(symbols) for _ in range(width))
+            for _ in range(height)]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        if not rows:
+            break
+        k = rng.randrange(len(rows))
+        col = rng.randrange(width)
+        fault = rng.randrange(7)
+        if fault == 0:
+            rows[k] = rng.choice(INT_ROWS) + "0" * max(0, width - 4)
+        elif fault in (1, 2):
+            bad = rng.choice(NON_ASCII_DIGITS if fault == 1
+                             else [chr(c) for c in range(128)])
+            rows[k] = rows[k][:col] + bad + rows[k][col + 1:]
+        elif fault == 3:
+            rows[k] = rows[k][:col] + rows[k][col + 1:]
+        elif fault == 4:
+            rows[k] = rows[k][:col] + rng.choice("01") + rows[k][col:]
+        elif fault == 5:
+            del rows[k]
+        else:
+            rows[k] = "#labels" + rows[k][7:]
+    lines = [f"{height + rng.choice([0] * 8 + [1, -1])} {width}", *rows]
+    trailer = rng.random()
+    if trailer < 0.3:
+        lines.append("#labels")
+        for key, count in (("rows", height), ("cols", width)):
+            if width < 100 and rng.random() < 0.7:
+                count += rng.choice([0] * 8 + [1, -1])
+                names = [f"{rng.choice(LABEL_NAMES)}{n}" for n in range(count)]
+                lines.append(f"{key}: " + " ".join(names))
+    elif trailer < 0.35:
+        lines.append(rng.choice(["rows: a b", "#label", "+101"]))
+    # most texts keep one break and ASCII padding, as the reader's fast
+    # path needs ASCII text
+    style = rng.choice(BREAKS)
+    pads = PADS if rng.random() < 0.3 else PADS[:3]
+
+    def brk() -> str:
+        return rng.choice(BREAKS) if rng.random() < 0.1 else style
+
+    text = ""
+    for line in lines:
+        while rng.random() < 0.2:  # blank and whitespace-only lines
+            text += rng.choice(["", *pads]) + brk()
+        if rng.random() < 0.2:
+            line = rng.choice(pads) + line + rng.choice(["", *pads])
+        text += line + brk()
+    return text if rng.random() < 0.9 else text.rstrip("\n")
+
+
+def test_parse_matches_reference_on_random_texts():
+    """Both readers return what the row-by-row reference returns, or raise
+    its exception with the same message, line and column."""
+    rng = random.Random("parse-diff")
+    parsed = failed = 0
+    for _ in range(5000):
+        text = _random_table_text(rng)
+        got = outcome(parse_table, text)
+        assert got == outcome(reference_parse_table, text), repr(text)
+        assert outcome(parse_ternary_rows, text) == \
+            outcome(reference_parse_ternary_rows, text), repr(text)
+        parsed += isinstance(got, AssociativeTable)
+        failed += not isinstance(got, AssociativeTable)
+    assert min(parsed, failed) > 1000
 
 
 class TestTableParsing:

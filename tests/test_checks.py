@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import reference_ternary
+from helpers import (outcome, reference_parse_table,
+                     reference_parse_ternary_rows, reference_ternary)
 from veclog.assoc import (AssociativeTable, best_match, feasible_mask,
                           parse_table, parse_ternary_rows, restrict)
 from veclog.cover import parse_repair_instance
@@ -76,8 +77,19 @@ def test_bit_string_errors(width):
         (EmptyInput, "empty bit string", None, None)
 
 
+# every ASCII character, digits int() reads that are not ASCII, a digit it
+# does not read and a line break outside ASCII
+SYMBOLS = [chr(c) for c in range(128)] + ["\u0661", "\uff11", "\xb2",
+                                          "\u2028"]
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_table_row_errors(width):
+    """A bad symbol is named with its line and column, the first of two
+    bad symbols too.  So is each other symbol that is not whitespace, in
+    the first, the second (after a 0, as in int()'s 0b prefix), a middle
+    and the last column; whitespace reshapes the rows as the row-by-row
+    reference reads them."""
     good = "01" * (width // 2) + "0" * (width % 2)
     for columns in _bad_columns(width):
         row = _with_bad(good, columns, "x2")
@@ -87,6 +99,18 @@ def test_table_row_errors(width):
         row = _with_bad(good, columns, "2x")
         assert _error(parse_ternary_rows, f"2 {width}\n{good}\n\n{row}\n") \
             == (ParseError, "invalid symbol '2'", 4, columns[0])
+    for parse, reference, alphabet in (
+            (parse_table, reference_parse_table, "01"),
+            (parse_ternary_rows, reference_parse_ternary_rows, "01x")):
+        for ch in SYMBOLS:
+            for col in sorted({1, min(2, width), (width + 1) // 2, width}):
+                row = good[:col - 1] + ch + good[col:]
+                text = f"2 {width}\n{good}\n\n{row}\n"
+                got = outcome(parse, text)
+                assert got == outcome(reference, text), (ch, col)
+                if ch not in alphabet and not ch.isspace():
+                    assert got == (ParseError, f"invalid symbol {ch!r}", 4,
+                                   col)
 
 
 def _bits(text: str) -> BitVector:
