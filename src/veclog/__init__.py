@@ -17,12 +17,10 @@ _EXPORTS = {
         "feasible_mask",
         "parse_table",
         "parse_ternary_rows",
-        "restrict",
     ),
     "cover": (
         "BudgetExceeded",
         "CoverageInstance",
-        "DimensionMismatch",
         "Infeasible",
         "NotCovering",
         "RepairInstance",
@@ -34,7 +32,6 @@ _EXPORTS = {
         "greedy_cover",
         "parse_repair_instance",
         "repair_plan",
-        "run_test",
         "selected_rows",
     ),
     "dq": ("DesignQualityInput", "DesignQualityOutput", "DomainError",

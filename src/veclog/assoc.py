@@ -17,34 +17,39 @@ from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
 
 @value_type
 class AssociativeTable:
-    """Ordered, immutable rows of equal-width bit vectors with optional
-    row/column labels; any sequence given is stored as a tuple."""
+    """Ordered, immutable rows of ``width`` bits with optional row/column
+    labels.  Row i is the int ``values[i]``, whose ``width``-digit binary
+    form reads as the row, coordinate 1 first; any sequence given is stored
+    as a tuple."""
 
-    rows: tuple[BitVector, ...]
+    values: tuple[int, ...]
+    width: int
     row_labels: Optional[tuple[str, ...]] = None
     col_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        rows = tuple(self.rows)
-        if not rows:
+        values, width = tuple(self.values), self.width
+        if not values:
             raise ValueError("a table needs at least one row")
-        width = rows[0].length
-        for i, row in enumerate(rows):
-            if row.length != width:
-                raise LengthMismatch(
-                    f"row {i + 1} has width {row.length}, expected {width}")
+        if width < 1:
+            raise ValueError(f"table width must be at least 1, got {width}")
+        if min(values) < 0 or max(values) >> width:  # rows walked on failure
+            bad = next(k for k, v in enumerate(values, 1)
+                       if v < 0 or v >> width)
+            raise ValueError(f"row {bad} does not fit width {width}")
         self.__dict__.update(
-            rows=rows,
-            row_labels=_checked_labels(self.row_labels, len(rows), "row"),
+            values=values,
+            row_labels=_checked_labels(self.row_labels, len(values), "row"),
             col_labels=_checked_labels(self.col_labels, width, "column"))
 
     @property
     def height(self) -> int:
-        return len(self.rows)
+        return len(self.values)
 
     @property
-    def width(self) -> int:
-        return self.rows[0].length
+    def rows(self) -> tuple[BitVector, ...]:
+        """The rows as bit vectors, built on each call."""
+        return tuple(map(BitVector, self.values, repeat(self.width)))
 
     def widened(self, width: int) -> "AssociativeTable":
         """Copy with zero columns appended on the right up to ``width``."""
@@ -53,11 +58,11 @@ class AssociativeTable:
         if width == self.width:
             return self
         pad = width - self.width
-        rows = [BitVector(row.value << pad, width) for row in self.rows]
         cols = None
         if self.col_labels is not None:
             cols = list(self.col_labels) + [f"pad{k}" for k in range(1, pad + 1)]
-        return AssociativeTable(rows, self.row_labels, cols)
+        return AssociativeTable([v << pad for v in self.values], width,
+                                self.row_labels, cols)
 
     def __repr__(self) -> str:
         return f"AssociativeTable({self.height}x{self.width})"
@@ -91,16 +96,8 @@ def feasible_mask(table: AssociativeTable, query: BitVector) -> BitVector:
     (feasible), 1 when the row contradicts the query."""
     _check_query(table, query)
     q = query.value
-    flags = ["0" if q & row.value == q else "1" for row in table.rows]
+    flags = ["0" if q & row == q else "1" for row in table.values]
     return BitVector(int("".join(flags), 2), table.height)
-
-
-def restrict(table: AssociativeTable, query: BitVector) -> AssociativeTable:
-    """Conjunct every row with the query, dropping coordinates that cannot
-    matter for it; dimensions and labels are preserved."""
-    _check_query(table, query)
-    return AssociativeTable([row & query for row in table.rows],
-                            table.row_labels, table.col_labels)
 
 
 def diagnose(table: AssociativeTable, response: BitVector,
@@ -121,11 +118,11 @@ def diagnose(table: AssociativeTable, response: BitVector,
     single = mode is DiagnosisMode.SINGLE
     hits = (1 << table.width) - 1 if single else 0
     misses = 0
-    for flag, row in zip(str(response), table.rows):
+    for flag, row in zip(str(response), table.values):
         if flag == "1":
-            hits = hits & row.value if single else hits | row.value
+            hits = hits & row if single else hits | row
         else:
-            misses |= row.value
+            misses |= row
     return BitVector(hits & ~misses, table.width)
 
 
@@ -141,10 +138,10 @@ def best_match(query: BitVector,
     """
     _check_query(table, query)
     q = query.value
-    ones = [(q ^ row.value).bit_count() for row in table.rows]
+    ones = [(q ^ row).bit_count() for row in table.values]
     least = min(ones)
     best_rows = [k for k, n in enumerate(ones, start=1) if n == least]
-    winner = table.rows[best_rows[0] - 1]
+    winner = BitVector(table.values[best_rows[0] - 1], table.width)
     return best_rows, compact_quality(quality_vector(query, winner))
 
 
@@ -159,8 +156,7 @@ def best_match(query: BitVector,
 def parse_table(text: str) -> AssociativeTable:
     """Parse the text table format into a binary table."""
     values, width, row_labels, col_labels = _parse_rows(text, ternary=False)
-    return AssociativeTable(list(map(BitVector, values, repeat(width))),
-                            row_labels, col_labels)
+    return AssociativeTable(values, width, row_labels, col_labels)
 
 
 def parse_ternary_rows(

@@ -104,19 +104,19 @@ def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
     if args.arith:
         rows, labels = _parsed(assoc.parse_ternary_rows, text, "table")
         query = _parsed(vlcore.TernaryVector.from_string, args.query, "query")
+        height, width = len(rows), rows[0].length
     else:
         table = _parsed(assoc.parse_table, text, "table")
         query = _parsed(BitVector.from_string, args.query, "query")
-        rows, labels = table.rows, table.row_labels
-    width = rows[0].length
+        labels, height, width = table.row_labels, table.height, table.width
     if query.length != width:
         raise InputError(f"query width {query.length} does not match table "
                          f"width {width}")
-    names = [f"row-{k}" for k in range(1, len(rows) + 1)]
+    names = [f"row-{k}" for k in range(1, height + 1)]
     if labels:
         names = [f"{name} ({label})" for name, label in zip(names, labels)]
     report: Report = [("table", args.table), ("table-digest", digest),
-                      ("query", args.query), ("rows", len(rows)),
+                      ("query", args.query), ("rows", height),
                       ("width", width)]
     if args.arith:
         return _query_arith(query, rows, names, report)

@@ -4,6 +4,7 @@ test/diagnose/repair pipeline pieces.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from veclog.assoc import AssociativeTable
@@ -40,10 +41,6 @@ class BudgetExceeded(ValueError):
         super().__init__(
             f"cover needs {rows_used} spare rows (budget {max_rows}) and "
             f"{cols_used} spare columns (budget {max_cols})")
-
-
-class DimensionMismatch(ValueError):
-    """Unit and model tables disagree in shape."""
 
 
 @value_type
@@ -96,10 +93,15 @@ class RepairInstance:
             raise ValueError("memory dimensions must be at least 1x1")
         if self.spare_rows < 0 or self.spare_cols < 0:
             raise ValueError("spare budgets must be non-negative")
-        for r, c in self.faults:
-            if not (1 <= r <= self.rows and 1 <= c <= self.cols):
-                raise ValueError(f"fault ({r},{c}) outside "
-                                 f"{self.rows}x{self.cols} memory")
+        if not self.faults:
+            return
+        rows, cols = zip(*self.faults)
+        if (min(rows) < 1 or max(rows) > self.rows or min(cols) < 1
+                or max(cols) > self.cols):  # faults walked on failure
+            r, c = next((r, c) for r, c in self.faults
+                        if not (1 <= r <= self.rows and 1 <= c <= self.cols))
+            raise ValueError(f"fault ({r},{c}) outside "
+                             f"{self.rows}x{self.cols} memory")
 
 
 def greedy_cover(instance: CoverageInstance) -> BitVector:
@@ -111,8 +113,8 @@ def greedy_cover(instance: CoverageInstance) -> BitVector:
     """
     covered = 0
     taken = []
-    for row in instance.table.rows:
-        gain = row.value & ~covered
+    for row in instance.table.values:
+        gain = row & ~covered
         taken.append("1" if gain else "0")
         covered |= gain
     return BitVector(int("".join(taken), 2), len(taken))
@@ -125,9 +127,9 @@ def coverage_of(instance: CoverageInstance, taken: BitVector) -> BitVector:
         raise LengthMismatch(
             f"selection width {taken.length} vs table height {table.height}")
     covered = 0
-    for flag, row in zip(str(taken), table.rows):
+    for flag, row in zip(str(taken), table.values):
         if flag == "1":
-            covered |= row.value
+            covered |= row
     return BitVector(covered, table.width)
 
 
@@ -158,7 +160,7 @@ def exact_cover_oracle(instance: CoverageInstance) -> tuple[tuple[int, ...], ...
                        f"{EXHAUSTIVE_LIMIT}")
     width = instance.table.width
     full = (1 << width) - 1
-    masks = [row.value for row in instance.table.rows]
+    masks = instance.table.values
     union = 0
     for m in masks:
         union |= m
@@ -214,7 +216,7 @@ def build_repair_table(instance: RepairInstance) -> CoverageInstance:
     spares = [Spare("column", c) for c in sorted(lines["column"])]
     spares += [Spare("row", r) for r in sorted(lines["row"])]
     table = AssociativeTable(
-        [BitVector(lines[s.axis][s.index], n) for s in spares],
+        [lines[s.axis][s.index] for s in spares], n,
         row_labels=[s.label for s in spares],
         col_labels=[f"F{r},{c}" for r, c in faults],
     )
@@ -250,40 +252,44 @@ def repair_plan(instance: RepairInstance,
     return tuple(remap)
 
 
-def run_test(uut: AssociativeTable, mut: AssociativeTable) -> BitVector:
-    """Compare unit-under-test responses against the reference model.
-
-    Row i holds the response to test pattern i; result bit i = 1 means test
-    i exposed a mismatch.
-    """
-    if uut.height != mut.height or uut.width != mut.width:
-        raise DimensionMismatch(
-            f"unit is {uut.height}x{uut.width}, model is "
-            f"{mut.height}x{mut.width}")
-    flags = ["0" if u.value == m.value else "1"
-             for u, m in zip(uut.rows, mut.rows)]
-    return BitVector(int("".join(flags), 2), uut.height)
-
-
 # ---------------------------------------------------------------------------
 # Repair instance file format:
 #   R C r_max c_max
 #   <one "r c" fault coordinate per line>
 
 def parse_repair_instance(text: str) -> RepairInstance:
+    rows, cols, spare_rows, spare_cols, *coords = _repair_numbers(text)
+    pairs = iter(coords)
+    # through a set, as faults were always gathered: the fault outside the
+    # memory that an error names is the first in the set's order
+    faults = frozenset(set(zip(pairs, pairs)))
+    try:
+        return RepairInstance(rows, cols, faults, spare_rows, spare_cols)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _repair_numbers(text: str) -> list[int]:
+    """The header's four numbers, then each fault's row and column.  The
+    lines are read one by one, naming the first bad one, only when the
+    text as a whole is in doubt."""
+    entries = list(filter(None, map(str.split, text.splitlines())))
+    tokens = list(chain.from_iterable(entries))
+    if (entries and len(entries[0]) == 4 and "".join(tokens).isdecimal()
+            and list(map(len, entries)).count(2) == len(entries) - 1):
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # a number longer than int() converts
+            pass
     lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
              if (line := raw.strip())]
     if not lines:
         raise ParseError("empty repair instance")
     header_line, header = lines[0]
-    rows, cols, spare_rows, spare_cols = decimals(
+    numbers = decimals(
         header, 4, header_line,
         "header must be four integers: rows cols spare_rows spare_cols")
-    faults = {tuple(decimals(entry, 2, lineno,
-                             "fault line must be two integers: row col"))
-              for lineno, entry in lines[1:]}
-    try:
-        return RepairInstance(rows, cols, frozenset(faults),
-                              spare_rows, spare_cols)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    for lineno, entry in lines[1:]:
+        numbers += decimals(entry, 2, lineno,
+                            "fault line must be two integers: row col")
+    return numbers

@@ -295,13 +295,13 @@ def run_sequencer(state: SequencerState, program: Program,
     never mutated.  The program runs as the function ``emit_source`` writes
     for the state's pc, compiled once per distinct program and pc."""
     memory, width = state.memory, state.memory.width
-    rows = [row.value for row in memory.rows]
+    rows = list(memory.values)
     pc, steps, stored, *regs = _compiled(program, state.pc)(
         rows, width, max_steps,
         state.ma.value, state.mb.value, state.mc.value, state.md.value)
     if stored:
-        memory = AssociativeTable([BitVector(row, width) for row in rows],
-                                  memory.row_labels, memory.col_labels)
+        memory = AssociativeTable(rows, width, memory.row_labels,
+                                  memory.col_labels)
     return SequencerState(memory, *(BitVector(v, width) for v in regs),
                           pc, steps)
 
@@ -641,9 +641,8 @@ def with_response_column(table: AssociativeTable,
     if response.length != table.height:
         raise ValueError(f"response width {response.length} vs table height "
                          f"{table.height}")
-    width = table.width + 1
-    rows = [BitVector((row.value << 1) | int(flag), width)
-            for flag, row in zip(str(response), table.rows)]
+    values = [row << 1 | int(flag)
+              for flag, row in zip(str(response), table.values)]
     cols = None if table.col_labels is None \
         else (*table.col_labels, "response")
-    return AssociativeTable(rows, table.row_labels, cols)
+    return AssociativeTable(values, table.width + 1, table.row_labels, cols)

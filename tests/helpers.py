@@ -12,9 +12,16 @@ from pathlib import Path
 import veclog
 from veclog.assoc import AssociativeTable, _checked_labels
 from veclog.cover import (EXHAUSTIVE_LIMIT, CoverageInstance, Infeasible,
-                          TooLarge)
+                          RepairInstance, TooLarge)
 from veclog.vlcore import (BitVector, EmptyInput, ParseError, TernaryVector,
                            check_symbols, decimals, vectorize)
+
+
+# every line break str.splitlines knows, and whitespace that str.strip
+# removes but that breaks no line
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+PADS = [" ", "\t", "\x1f", "\xa0", "\u3000"]
 
 
 def rand_bitvector(rng: random.Random, width: int) -> BitVector:
@@ -22,7 +29,8 @@ def rand_bitvector(rng: random.Random, width: int) -> BitVector:
 
 
 def rand_table(rng: random.Random, height: int, width: int) -> AssociativeTable:
-    return AssociativeTable([rand_bitvector(rng, width) for _ in range(height)])
+    return AssociativeTable([rng.getrandbits(width) for _ in range(height)],
+                            width)
 
 
 def with_bit(v: BitVector, k: int, bit: int) -> BitVector:
@@ -75,8 +83,8 @@ def reference_parse_table(text: str) -> AssociativeTable:
     symbol by symbol, with the same results and errors (oracle use only)."""
     rows, row_labels, col_labels = _reference_parse_rows(text, ternary=False)
     width = len(rows[0])
-    return AssociativeTable([BitVector(int(row, 2), width) for row in rows],
-                            row_labels, col_labels)
+    return AssociativeTable([int(row, 2) for row in rows], width, row_labels,
+                            col_labels)
 
 
 def reference_parse_ternary_rows(text: str):
@@ -125,6 +133,33 @@ def _reference_parse_rows(text: str, ternary: bool):
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
     return rows, labels.get("rows"), labels.get("cols")
+
+
+def reference_parse_repair_instance(text: str) -> RepairInstance:
+    """``parse_repair_instance`` as one loop over numbered lines, with the
+    faults checked one by one, with the same results and errors (oracle use
+    only)."""
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
+             if (line := raw.strip())]
+    if not lines:
+        raise ParseError("empty repair instance")
+    header_line, header = lines[0]
+    rows, cols, spare_rows, spare_cols = decimals(
+        header, 4, header_line,
+        "header must be four integers: rows cols spare_rows spare_cols")
+    faults = {tuple(decimals(entry, 2, lineno,
+                             "fault line must be two integers: row col"))
+              for lineno, entry in lines[1:]}
+    faults = frozenset(faults)
+    if rows >= 1 and cols >= 1 and min(spare_rows, spare_cols) >= 0:
+        for r, c in faults:
+            if not (1 <= r <= rows and 1 <= c <= cols):
+                raise ParseError(f"fault ({r},{c}) outside {rows}x{cols} "
+                                 f"memory")
+    try:
+        return RepairInstance(rows, cols, faults, spare_rows, spare_cols)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def outcome(call, *args):

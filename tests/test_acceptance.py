@@ -218,10 +218,9 @@ def test_diagnosis_matches_oracle():
         for w in range(1, 6):
             if n * (w + 1) > 20:
                 continue
-            row_cache = [BitVector(v, w) for v in range(1 << w)]
             responses = [BitVector(r, n) for r in range(1 << n)]
             for combo in product(range(1 << w), repeat=n):
-                table = AssociativeTable([row_cache[v] for v in combo])
+                table = AssociativeTable(combo, w)
                 checked += _check_all_responses(table, list(combo), responses)
     # the remaining sizes up to 5x5: all responses against a dense,
     # deterministic table sample plus structured edge tables; set
@@ -229,7 +228,6 @@ def test_diagnosis_matches_oracle():
     full = os.environ.get("VECLOG_DIAG_FULL") == "1"
     rng = random.Random(2077)
     for n, w in ((4, 5), (5, 4), (5, 5)):
-        row_cache = [BitVector(v, w) for v in range(1 << w)]
         responses = [BitVector(r, n) for r in range(1 << n)]
         if full:
             tables = product(range(1 << w), repeat=n)
@@ -240,12 +238,12 @@ def test_diagnosis_matches_oracle():
                        for _ in range(6000)}
             tables = structured + sorted(sampled)
         for combo in tables:
-            table = AssociativeTable([row_cache[v] for v in combo])
+            table = AssociativeTable(combo, w)
             checked += _check_all_responses(table, list(combo), responses)
     # 10^3 random 12x12 tables, mixed random and planted responses
     for _ in range(1000):
         table = rand_table(rng, 12, 12)
-        columns = _columns([row.value for row in table.rows], 12, 12)
+        columns = _columns(table.values, 12, 12)
         planted = vectorize_column(table, rng.randint(1, 12))
         for response in (rand_bitvector(rng, 12), planted,
                          BitVector.zeros(12)):
@@ -275,7 +273,7 @@ def test_greedy_against_oracle():
             if not union & bit:
                 rows[rng.randrange(n)] |= bit
                 union |= bit
-        table = AssociativeTable([BitVector(v, w) for v in rows])
+        table = AssociativeTable(rows, w)
         instance = CoverageInstance(table)
         taken = greedy_cover(instance)
         assert coverage_of(instance, taken) == BitVector.ones(w)

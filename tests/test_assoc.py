@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from helpers import (outcome, rand_table, reference_parse_table,
-                     reference_parse_ternary_rows)
+from helpers import (BREAKS, PADS, outcome, rand_table,
+                     reference_parse_table, reference_parse_ternary_rows)
 from veclog.assoc import (
     AssociativeTable,
     DiagnosisMode,
@@ -13,7 +13,6 @@ from veclog.assoc import (
     feasible_mask,
     parse_table,
     parse_ternary_rows,
-    restrict,
 )
 from veclog.vlcore import BitVector, LengthMismatch, ParseError
 
@@ -23,7 +22,7 @@ def bv(s):
 
 
 def table(*rows, **kw):
-    return AssociativeTable([bv(r) for r in rows], **kw)
+    return AssociativeTable([int(r, 2) for r in rows], len(rows[0]), **kw)
 
 
 def oracle_single_candidates(t: AssociativeTable, response: BitVector) -> str:
@@ -42,8 +41,8 @@ class TestTable:
         assert (t.height, t.width) == (2, 4)
 
     def test_ragged_rows_rejected(self):
-        with pytest.raises(LengthMismatch):
-            AssociativeTable([bv("110"), bv("1100")])
+        with pytest.raises(ValueError, match="^row 2 does not fit width 3$"):
+            AssociativeTable([0b110, 0b1100], 3)
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
@@ -76,8 +75,7 @@ class TestFeasibleMask:
         # exhaustive unit; oracle is plain set containment of the 1s
         for w in range(1, 9):
             for row_value in range(1 << w):
-                row = BitVector(row_value, w)
-                t = AssociativeTable([row])
+                t = AssociativeTable([row_value], w)
                 for query_value in range(1 << w):
                     q = BitVector(query_value, w)
                     feasible = (query_value & row_value) == query_value
@@ -96,25 +94,6 @@ class TestFeasibleMask:
     def test_width_mismatch(self):
         with pytest.raises(LengthMismatch):
             feasible_mask(table("110"), bv("11"))
-
-
-class TestRestrict:
-    def test_all_ones_is_identity(self):
-        t = table("1010", "0110")
-        assert restrict(t, bv("1111")).rows == t.rows
-
-    def test_all_zero_clears(self):
-        t = table("1010", "0110")
-        assert all(r.value == 0 for r in restrict(t, bv("0000")).rows)
-
-    def test_coordinatewise(self):
-        t = table("1100", "1111")
-        out = restrict(t, bv("1010"))
-        assert [str(r) for r in out.rows] == ["1000", "1010"]
-
-    def test_labels_preserved(self):
-        t = table("10", "01", row_labels=["a", "b"])
-        assert restrict(t, bv("11")).row_labels == ("a", "b")
 
 
 class TestDiagnose:
@@ -148,8 +127,8 @@ class TestDiagnose:
 
     def test_single_matches_oracle_exhaustive_3x3(self):
         for t_value in range(1 << 9):
-            rows = [BitVector((t_value >> (3 * i)) & 7, 3) for i in range(3)]
-            t = AssociativeTable(rows)
+            t = AssociativeTable([(t_value >> (3 * i)) & 7 for i in range(3)],
+                                 3)
             for r_value in range(8):
                 response = BitVector(r_value, 3)
                 got = diagnose(t, response, DiagnosisMode.SINGLE)
@@ -210,12 +189,14 @@ class TestBestMatch:
         rng = random.Random(25)
         rows = [BitVector(rng.getrandbits(6), 6) for _ in range(8)]
         q = BitVector(rng.getrandbits(6), 6)
-        base, base_quality = best_match(q, AssociativeTable(rows))
+        base, base_quality = best_match(
+            q, AssociativeTable([r.value for r in rows], 6))
         base_set = {str(rows[k - 1]) for k in base}
         for _ in range(10):
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            got, quality = best_match(q, AssociativeTable(shuffled))
+            got, quality = best_match(
+                q, AssociativeTable([r.value for r in shuffled], 6))
             assert {str(shuffled[k - 1]) for k in got} == base_set
             assert quality.compacted.popcount == \
                 base_quality.compacted.popcount
@@ -232,21 +213,17 @@ def test_parse_table_matches_row_by_row_construction(width):
         names = [f"r{i}" for i in range(1, height + 1)]
         cols = [f"c{j}" for j in range(1, width + 1)]
         text = f"{height} {width}\n" + "\n".join(rows) + "\n"
-        vectors = [BitVector.from_string(row) for row in rows]
-        assert parse_table(text) == AssociativeTable(vectors)
+        values = [int(row, 2) for row in rows]
+        assert parse_table(text) == AssociativeTable(values, width)
         labelled = parse_table(text + "#labels\nrows: " + " ".join(names)
                                + "\ncols: " + " ".join(cols) + "\n")
-        assert labelled == AssociativeTable(vectors, names, cols)
+        assert labelled == AssociativeTable(values, width, names, cols)
         assert [(type(r), r.length) for r in labelled.rows] == \
             [(BitVector, width)] * height
 
 
-# every line break str.splitlines knows, whitespace that str.strip removes
-# but that breaks no line, rows int(row, 2) reads although they are not
-# binary, and digits int() reads that are not ASCII
-BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-          "\u2028", "\u2029"]
-PADS = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+# rows int(row, 2) reads although they are not binary, and digits int()
+# reads that are not ASCII
 INT_ROWS = ["+101", "-101", "0b01", "0B01", "1_01", "10B1"]
 NON_ASCII_DIGITS = ["\u0661", "\uff11", "\U0001d7cf"]  # 1 in three scripts
 LABEL_NAMES = ["b", "B", "_", "-", "b_1", "B-2", "0b1", "-1", "+1", "x"]

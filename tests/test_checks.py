@@ -7,7 +7,7 @@ import pytest
 from helpers import (outcome, reference_parse_table,
                      reference_parse_ternary_rows, reference_ternary)
 from veclog.assoc import (AssociativeTable, best_match, feasible_mask,
-                          parse_table, parse_ternary_rows, restrict)
+                          parse_table, parse_ternary_rows)
 from veclog.cover import parse_repair_instance
 from veclog.metric import (CompactedQuality, better_of, quality_arith,
                            quality_counts, quality_vector)
@@ -123,7 +123,7 @@ def _ternary(text: str) -> TernaryVector:
 
 OPERANDS = "operand lengths differ: 3 vs 2"
 QUERY = "query width 2 vs table width 3"
-TABLE = AssociativeTable([_bits("101"), _bits("011")])
+TABLE = AssociativeTable([0b101, 0b011], 3)
 
 
 @pytest.mark.parametrize("call, args, message", [
@@ -137,11 +137,10 @@ TABLE = AssociativeTable([_bits("101"), _bits("011")])
     (better_of, (CompactedQuality(_bits("100")),
                  CompactedQuality(_bits("10"))), OPERANDS),
     (feasible_mask, (TABLE, _bits("10")), QUERY),
-    (restrict, (TABLE, _bits("10")), QUERY),
     (best_match, (_bits("10"), TABLE), QUERY),
 ], ids=["and", "or", "xor", "ternary_intersect", "quality_arith",
         "quality_counts", "quality_vector", "better_of", "feasible_mask",
-        "restrict", "best_match"])
+        "best_match"])
 def test_length_mismatch_messages(call, args, message):
     assert _error(call, *args) == (LengthMismatch, message, None, None)
 

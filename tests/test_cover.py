@@ -1,14 +1,15 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
-from helpers import rand_table, reference_cover_oracle
+from helpers import (BREAKS, PADS, outcome, rand_table,
+                     reference_cover_oracle, reference_parse_repair_instance)
 from veclog.assoc import AssociativeTable, DiagnosisMode, diagnose
 from veclog.cover import (
     BudgetExceeded,
     CoverageInstance,
-    DimensionMismatch,
     Infeasible,
     NotCovering,
     RepairInstance,
@@ -20,10 +21,9 @@ from veclog.cover import (
     greedy_cover,
     parse_repair_instance,
     repair_plan,
-    run_test,
     selected_rows,
 )
-from veclog.vlcore import BitVector, LengthMismatch, ParseError
+from veclog.vlcore import BitVector, LengthMismatch, ParseError, vectorize
 
 MEMORY_FAULTS = frozenset({(2, 2), (2, 5), (2, 8), (4, 3), (5, 5),
                            (5, 8), (7, 2), (8, 5), (9, 3), (9, 7)})
@@ -39,7 +39,8 @@ def bv(s):
 
 
 def generic_instance(*rows):
-    return CoverageInstance(AssociativeTable([bv(r) for r in rows]))
+    return CoverageInstance(AssociativeTable([int(r, 2) for r in rows],
+                                             len(rows[0])))
 
 
 def cover_labels(instance, mask):
@@ -115,7 +116,7 @@ class TestExactOracle:
         assert exact_cover_oracle(generic_instance("10", "01")) == ((1, 2),)
 
     def test_too_large(self):
-        table = AssociativeTable([bv("1")] * 25)
+        table = AssociativeTable([1] * 25, 1)
         with pytest.raises(TooLarge):
             exact_cover_oracle(CoverageInstance(table))
 
@@ -125,7 +126,7 @@ class TestExactOracle:
 
     def test_budget_infeasible(self):
         # two columns, coverable only by one row spare plus one column spare
-        table = AssociativeTable([bv("10"), bv("01")])
+        table = AssociativeTable([0b10, 0b01], 2)
         kinds = (Spare("row", 1), Spare("row", 2))
         with pytest.raises(Infeasible):
             exact_cover_oracle(CoverageInstance(table, kinds,
@@ -202,9 +203,8 @@ class TestOracleMatchesReference:
         rng = random.Random("oracle/generic")
         for _ in range(400):
             n, w = rng.randint(1, 12), rng.randint(1, 10)
-            rows = [BitVector(rng.getrandbits(w) & rng.getrandbits(w), w)
-                    for _ in range(n)]
-            self.check(CoverageInstance(AssociativeTable(rows)))
+            rows = [rng.getrandbits(w) & rng.getrandbits(w) for _ in range(n)]
+            self.check(CoverageInstance(AssociativeTable(rows, w)))
 
     def test_random_kinds_and_budgets(self):
         rng = random.Random("oracle/budgets")
@@ -238,13 +238,13 @@ class TestOracleMatchesReference:
 
     def test_failures(self):
         assert self.check(generic_instance("10", "10"))[0] is Infeasible
-        table = AssociativeTable([bv("10"), bv("01")])
+        table = AssociativeTable([0b10, 0b01], 2)
         assert self.check(CoverageInstance(
             table, (Spare("row", 1), Spare("row", 2)),
             max_spare_rows=1, max_spare_cols=0))[0] is Infeasible
         assert self.check(CoverageInstance(
-            AssociativeTable([bv("1")] * 25)))[0] is TooLarge
-        at_bound = CoverageInstance(AssociativeTable([bv("1")] * 24))
+            AssociativeTable([1] * 25, 1)))[0] is TooLarge
+        at_bound = CoverageInstance(AssociativeTable([1] * 24, 1))
         assert self.check(at_bound) == tuple((k,) for k in range(1, 25))
 
 
@@ -360,41 +360,27 @@ class TestRepairPlan:
             assert {spare for spare, _ in remap} == set(chosen)
 
 
-class TestRunTest:
-    def test_fault_free(self):
-        rng = random.Random(35)
-        t = rand_table(rng, 4, 6)
-        assert run_test(t, t) == bv("0000")
-
-    def test_single_row_difference(self):
-        mut = AssociativeTable([bv("0000"), bv("1111"), bv("1010")])
-        uut = AssociativeTable([bv("0000"), bv("1101"), bv("1010")])
-        assert run_test(uut, mut) == bv("010")
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            run_test(AssociativeTable([bv("10")]),
-                     AssociativeTable([bv("100")]))
-
-
 class TestPipeline:
     def test_memory_module_end_to_end(self):
         """Test, diagnose, build the coverage table, cover, plan."""
         rng = random.Random(36)
         instance = memory_instance()
-        model_rows = [BitVector(rng.getrandbits(15), 15) for _ in range(13)]
-        mut = AssociativeTable(model_rows)
+        model_rows = [rng.getrandbits(15) for _ in range(13)]
+        mut = AssociativeTable(model_rows, 15)
         unit_rows = list(model_rows)
         for r, c in instance.faults:
-            unit_rows[r - 1] = unit_rows[r - 1] ^ BitVector(1 << (15 - c), 15)
-        uut = AssociativeTable(unit_rows)
+            unit_rows[r - 1] ^= 1 << (15 - c)
+        uut = AssociativeTable(unit_rows, 15)
 
-        outcome = run_test(uut, mut)
+        # test i fails when the unit's response differs from the model's
+        outcome = vectorize(int(u != m)
+                            for u, m in zip(uut.values, mut.values))
         assert outcome == bv("0101101110000")  # rows 2,4,5,7,8,9 fail
 
         # fault bitmap doubles as the diagnosis table: columns are memory
         # columns, a failing test detects the faulty columns in its row
-        bitmap = AssociativeTable([u ^ m for u, m in zip(uut.rows, mut.rows)])
+        bitmap = AssociativeTable(
+            [u ^ m for u, m in zip(uut.values, mut.values)], 15)
         located = diagnose(bitmap, outcome, DiagnosisMode.MULTIPLE)
         faulty_cols = {c for _, c in instance.faults}
         assert located == BitVector(
@@ -433,3 +419,71 @@ class TestInstanceParsing:
     def test_out_of_range_fault(self):
         with pytest.raises(ParseError):
             parse_repair_instance("4 4 1 1\n5 1\n")
+
+
+def _random_repair_text(rng: random.Random) -> str:
+    """A repair instance text near the edge of the format: odd breaks and
+    padding, blank lines, repeated faults and faults outside the memory,
+    and sometimes a token or a line of a kind the parser must name."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    spares = [rng.randint(0, 3), rng.randint(0, 3)]
+    faults = [[rng.randint(1, rows), rng.randint(1, cols)]
+              for _ in range(rng.choice([0, 1, 2, 5, 9]))]
+    for fault in faults:
+        if rng.random() < 0.1:  # outside the memory, often more than one
+            fault[rng.randrange(2)] = rng.choice([0, rows + 1, cols + 1, 9])
+    faults += rng.sample(faults, min(len(faults), rng.choice([0, 0, 1, 2])))
+    lines = [[str(n) for n in (rows, cols, *spares)]]
+    lines += [[str(n) for n in fault] for fault in faults]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        tokens = rng.choice(lines)
+        k = rng.randrange(len(tokens))
+        fault = rng.randrange(7)
+        if fault == 0:  # a sign
+            tokens[k] = rng.choice("+-") + tokens[k]
+        elif fault == 1:  # a digit int() reads that is not ASCII
+            tokens[k] = rng.choice(["\u0661", "\uff11"]) + tokens[k]
+        elif fault == 2:  # more digits than int() converts
+            tokens[k] = "1" * (max(sys.get_int_max_str_digits(), 4300) + 1)
+        elif fault == 3:
+            del tokens[k]
+        elif fault == 4:
+            tokens.insert(k, str(rng.randint(0, 9)))
+        elif fault == 5:
+            tokens[k] = rng.choice(["x", "1.5", "1e3", "0x1", "1_0"])
+        else:  # a digit that is not decimal
+            tokens[k] = tokens[k] + "\u00b2"
+    if rng.random() < 0.02:
+        lines = []  # an empty text
+    style = rng.choice(BREAKS)
+    pads = PADS if rng.random() < 0.3 else PADS[:3]
+
+    def brk() -> str:
+        return rng.choice(BREAKS) if rng.random() < 0.1 else style
+
+    text = ""
+    for tokens in lines:
+        while rng.random() < 0.2:  # blank and whitespace-only lines
+            text += rng.choice(["", *pads]) + brk()
+        pad = rng.choice(pads) if rng.random() < 0.2 else " "
+        text += rng.choice(["", *pads]) + pad.join(tokens) + brk()
+    return text if rng.random() < 0.9 else text.rstrip("\n")
+
+
+def test_parse_repair_instance_matches_reference_on_random_texts():
+    """The reader returns what the line-by-line reference returns, or
+    raises its exception with the same message and line."""
+    rng = random.Random("repair-parse-diff")
+    results = []
+    for _ in range(3000):
+        text = _random_repair_text(rng)
+        got = outcome(parse_repair_instance, text)
+        assert got == outcome(reference_parse_repair_instance, text), text
+        results.append(got if isinstance(got, tuple) else "parsed")
+    messages = {result[1].split(" ")[0] for result in results
+                if result != "parsed"}
+    parsed = results.count("parsed")
+    assert parsed >= 1000 and len(results) - parsed >= 1000
+    assert messages == {"empty", "header", "fault", "number"}
+    assert sum("outside" in result[1] for result in results
+               if result != "parsed") >= 100

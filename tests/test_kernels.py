@@ -1,11 +1,13 @@
 """Differential tests: each int-native table kernel against the vector-logic
-reference formulation it replaces, at word-boundary widths and on tables
-taller than 2**16 rows."""
+reference formulation it replaces and against the kernel as it read tables
+of BitVector rows, at word-boundary widths and heights and on tables taller
+than 2**16 rows."""
 import random
 
 import pytest
 
-from helpers import rand_bitvector, rand_table
+from helpers import (outcome, rand_bitvector, rand_table,
+                     reference_cover_oracle)
 from veclog.assoc import (
     AssociativeTable,
     DiagnosisMode,
@@ -19,8 +21,10 @@ from veclog.cover import (
     Spare,
     build_repair_table,
     coverage_of,
+    exact_cover_oracle,
     greedy_cover,
 )
+from veclog.lamp import with_response_column
 from veclog.metric import Choice, better_of, compact_quality, quality_vector
 from veclog.vlcore import BitVector, devectorize, vectorize
 
@@ -100,17 +104,76 @@ def ref_repair_rows(instance, spares):
 
 
 # ---------------------------------------------------------------------------
+# The kernels as they were when a table held its rows as BitVectors: each
+# walks ``table.rows`` and unwraps every row.
+
+def bv_feasible_mask(table, query):
+    q = query.value
+    flags = ["0" if q & row.value == q else "1" for row in table.rows]
+    return BitVector(int("".join(flags), 2), table.height)
+
+
+def bv_diagnose(table, response, mode):
+    single = mode is DiagnosisMode.SINGLE
+    hits = (1 << table.width) - 1 if single else 0
+    misses = 0
+    for flag, row in zip(str(response), table.rows):
+        if flag == "1":
+            hits = hits & row.value if single else hits | row.value
+        else:
+            misses |= row.value
+    return BitVector(hits & ~misses, table.width)
+
+
+def bv_best_match(query, table):
+    q = query.value
+    ones = [(q ^ row.value).bit_count() for row in table.rows]
+    least = min(ones)
+    best_rows = [k for k, n in enumerate(ones, start=1) if n == least]
+    winner = table.rows[best_rows[0] - 1]
+    return best_rows, compact_quality(quality_vector(query, winner))
+
+
+def bv_greedy_cover(instance):
+    covered = 0
+    taken = []
+    for row in instance.table.rows:
+        gain = row.value & ~covered
+        taken.append("1" if gain else "0")
+        covered |= gain
+    return BitVector(int("".join(taken), 2), len(taken))
+
+
+def bv_coverage_of(instance, taken):
+    covered = 0
+    for flag, row in zip(str(taken), instance.table.rows):
+        if flag == "1":
+            covered |= row.value
+    return BitVector(covered, instance.table.width)
+
+
+def bv_widened(table, width):
+    pad = width - table.width
+    return tuple(BitVector(row.value << pad, width) for row in table.rows)
+
+
+def bv_with_response_column(table, response):
+    width = table.width + 1
+    return tuple(BitVector((row.value << 1) | int(flag), width)
+                 for flag, row in zip(str(response), table.rows))
+
+
+# ---------------------------------------------------------------------------
 
 def tables(seed, width):
     """Random tables of the width, one with repeated rows so that best-match
     ties occur, and the all-zero and all-one extremes."""
     rng = random.Random(f"{seed}/{width}")
-    for height in (1, 2, 7, 40):
+    for height in (1, 2, 7, 40, 64, 65):
         yield rng, rand_table(rng, height, width)
-    pool = [rand_bitvector(rng, width) for _ in range(3)]
-    yield rng, AssociativeTable([rng.choice(pool) for _ in range(30)])
-    yield rng, AssociativeTable([BitVector.zeros(width),
-                                 BitVector.ones(width)] * 3)
+    pool = [rng.getrandbits(width) for _ in range(3)]
+    yield rng, AssociativeTable([rng.choice(pool) for _ in range(30)], width)
+    yield rng, AssociativeTable([0, (1 << width) - 1] * 3, width)
 
 
 def queries(rng, table):
@@ -184,3 +247,38 @@ def test_build_repair_table(faults):
     assert got.kinds == tuple(ref_default_spares(instance))
     assert list(got.table.rows) == ref_repair_rows(instance, got.kinds)
     assert got.table.width == faults
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_kernels_match_their_bit_vector_forms(width):
+    for rng, table in tables(7, width):
+        height = table.height
+        for query in queries(rng, table):
+            assert feasible_mask(table, query) == \
+                bv_feasible_mask(table, query)
+            assert best_match(query, table) == bv_best_match(query, table)
+        for response in (rand_bitvector(rng, height),
+                         BitVector.zeros(height), BitVector.ones(height)):
+            for mode in DiagnosisMode:
+                assert diagnose(table, response, mode) == \
+                    bv_diagnose(table, response, mode)
+            assert with_response_column(table, response).rows == \
+                bv_with_response_column(table, response)
+        instance = CoverageInstance(table)
+        taken = greedy_cover(instance)
+        assert taken == bv_greedy_cover(instance)
+        for selection in (taken, rand_bitvector(rng, height)):
+            assert coverage_of(instance, selection) == \
+                bv_coverage_of(instance, selection)
+        for pad in (0, 1, 64):
+            assert table.widened(width + pad).rows == \
+                bv_widened(table, width + pad)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_exact_cover_oracle_matches_brute_force(width):
+    # tables past EXHAUSTIVE_LIMIT rows raise TooLarge on both sides
+    for _, table in tables(8, width):
+        instance = CoverageInstance(table)
+        assert outcome(exact_cover_oracle, instance) == \
+            outcome(reference_cover_oracle, instance)

@@ -16,7 +16,6 @@ from veclog.assoc import (
     DiagnosisMode,
     diagnose,
     feasible_mask,
-    restrict,
 )
 from veclog.cli import main
 from veclog.cover import CoverageInstance, greedy_cover
@@ -63,7 +62,7 @@ def registers(state):
 
 
 def fresh(rows, **presets):
-    table = AssociativeTable([bv(r) for r in rows])
+    table = AssociativeTable([int(r, 2) for r in rows], len(rows[0]))
     return SequencerState(table, **presets)
 
 
@@ -283,7 +282,7 @@ class TestShippedPrograms:
             row = rand_bitvector(rng, w)
             query = rand_bitvector(rng, w)
             out = run_sequencer(
-                SequencerState(AssociativeTable([row]), mb=query),
+                SequencerState(AssociativeTable([row.value], w), mb=query),
                 program)
             expected = quality_vector(query, row).quality
             assert out.mc == expected
@@ -333,7 +332,8 @@ class TestShippedPrograms:
             table = rand_table(rng, rng.randint(1, 8), rng.randint(2, 10))
             query = rand_bitvector(rng, table.width)
             out = run_sequencer(SequencerState(table, mb=query), program)
-            assert out.memory.rows == restrict(table, query).rows
+            assert out.memory.values == \
+                tuple(row & query.value for row in table.values)
 
     def test_every_opcode_is_shipped(self):
         shipped = (quality_source() + feasible_search_source()
@@ -547,7 +547,8 @@ def reference_run(state, program, max_steps):
                 loop = None
     memory = state.memory
     if rows != list(memory.rows):
-        memory = AssociativeTable(rows, memory.row_labels, memory.col_labels)
+        memory = AssociativeTable([row.value for row in rows], width,
+                                  memory.row_labels, memory.col_labels)
     return SequencerState(memory, *(regs[n] for n in REGISTERS), pc, steps)
 
 
@@ -687,6 +688,23 @@ def test_resume_from_every_pc_matches_reference(name):
             sweep_step_limit(state, program)
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 256])
+def test_storerow_memory_matches_reference(width):
+    rng = random.Random(f"storerow/{width}")
+    changed = 0
+    for height in (1, 2, 64, 65):
+        table = AssociativeTable(rand_table(rng, height, width).values, width,
+                                 [f"r{i}" for i in range(1, height + 1)])
+        for source in (restrict_source(), "SETALL ma\nSTOREROW A[1] ma\n"
+                       f"NOT mb ma\nSTOREROW A[{height}] mb\nHALT\n"):
+            state = SequencerState(table, mb=rand_bitvector(rng, width))
+            got = run_sequencer(state, assemble(source))
+            assert got == reference_run(state, assemble(source), 10 ** 6)
+            assert got.memory.row_labels == table.row_labels
+            changed += got.memory != table
+    assert changed >= 7  # the write-back was exercised
+
+
 def sweep_step_limit(state, program):
     """Compare with the reference at every step limit from 1 to one past
     the run's steps (the first 60 of a long run), so that the limit lands
@@ -721,7 +739,7 @@ def bound_sources(height, width):
 def test_straight_runs_at_their_bounds_match_reference(height, width):
     rng = random.Random(f"bounds/{height}x{width}")
     table = rand_table(rng, max(height, 2), width)
-    table = AssociativeTable(table.rows[:height])
+    table = AssociativeTable(table.values[:height], width)
     regs = {reg: rand_bitvector(rng, width) for reg in REGISTERS}
     for source in bound_sources(height, width):
         program = assemble(source)

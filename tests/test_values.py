@@ -7,6 +7,7 @@ first written, so a report or a log that shows a value reads the same."""
 import copy
 import json
 import pickle
+import random
 from enum import Enum
 from fractions import Fraction
 
@@ -14,15 +15,14 @@ import pytest
 
 from helpers import run_python
 import veclog
-from veclog.assoc import AssociativeTable
+from veclog.assoc import AssociativeTable, parse_table
 from veclog.cover import CoverageInstance, RepairInstance, Spare
 from veclog.dq import DesignQualityInput, DesignQualityOutput, DomainError
 from veclog.lamp import (REGISTERS, GridState, Instruction, Opcode, Program,
                          RowRef, SequencerState)
 from veclog.metric import (ArithQuality, CompactedQuality, CountQuality,
                            QualityVector)
-from veclog.vlcore import (BitVector, EmptyIntersection, LengthMismatch,
-                           TernaryVector)
+from veclog.vlcore import BitVector, EmptyIntersection, TernaryVector
 
 
 def bv(s: str) -> BitVector:
@@ -33,7 +33,7 @@ def registers(state: SequencerState) -> list[BitVector]:
     return [getattr(state, name) for name in REGISTERS]
 
 
-TABLE = AssociativeTable([bv("101"), bv("011")])
+TABLE = AssociativeTable([0b101, 0b011], 3)
 REGS = (bv("000"),) * len(REGISTERS)
 STATE = SequencerState(TABLE, *REGS)
 STATE_REPR = ("SequencerState(memory=AssociativeTable(2x3), "
@@ -44,8 +44,9 @@ STATE_REPR = ("SequencerState(memory=AssociativeTable(2x3), "
 CASES = [
     (BitVector, (5, 3), (5, 4), "BitVector('101')"),
     (TernaryVector, (4, 1, 3), (4, 2, 3), "TernaryVector('10x')"),
-    (AssociativeTable, (TABLE.rows, ("r1", "r2"), ("a", "b", "c")),
-     (TABLE.rows, ("r1", "r2"), ("a", "b", "d")), "AssociativeTable(2x3)"),
+    (AssociativeTable, (TABLE.values, 3, ("r1", "r2"), ("a", "b", "c")),
+     (TABLE.values, 3, ("r1", "r2"), ("a", "b", "d")),
+     "AssociativeTable(2x3)"),
     (CoverageInstance, (TABLE, (Spare("row", 1), None), 1, None),
      (TABLE, (Spare("row", 1), None), 1, 0),
      "CoverageInstance(table=AssociativeTable(2x3), "
@@ -182,11 +183,11 @@ def test_every_exported_class_is_a_value_type():
 # veclog's public names before its exports became lazy, by defining module
 PUBLIC_NAMES = {
     "assoc": "AssociativeTable DiagnosisMode best_match diagnose "
-             "feasible_mask parse_table parse_ternary_rows restrict",
-    "cover": "BudgetExceeded CoverageInstance DimensionMismatch Infeasible "
-             "NotCovering RepairInstance Spare TooLarge "
-             "build_repair_table coverage_of exact_cover_oracle greedy_cover "
-             "parse_repair_instance repair_plan run_test selected_rows",
+             "feasible_mask parse_table parse_ternary_rows",
+    "cover": "BudgetExceeded CoverageInstance Infeasible NotCovering "
+             "RepairInstance Spare TooLarge build_repair_table coverage_of "
+             "exact_cover_oracle greedy_cover parse_repair_instance "
+             "repair_plan selected_rows",
     "dq": "DesignQualityInput DesignQualityOutput DomainError design_quality",
     "lamp": "AssemblyError GridState Program SequencerState StepLimitExceeded "
             "assemble coverage_search_source diagnosis_source "
@@ -220,7 +221,7 @@ print(json.dumps({"dir": listed, "star": sorted(star), "wrong": wrong}))
 
 def test_lazy_exports_keep_every_name_and_object():
     names = {*PUBLIC_NAMES, *" ".join(PUBLIC_NAMES.values()).split()}
-    assert len(names) == 71
+    assert len(names) == 68
     out = json.loads(run_python(NAMESPACE_PROBE, json.dumps(PUBLIC_NAMES)))
     assert names | {"__version__"} <= set(out["dir"])
     assert set(out["star"]) - {"__builtins__"} == names
@@ -239,10 +240,10 @@ def test_defaults():
     assert (instance.max_spare_rows, instance.max_spare_cols) == (None, None)
     # sequences are stored as tuples, so equal contents give equal values
     assert CoverageInstance(TABLE, [None, None]) == instance
-    table = AssociativeTable(list(TABLE.rows), ["r1", "r2"])
-    assert table == AssociativeTable(TABLE.rows, ("r1", "r2"))
-    assert (table.rows, table.row_labels, table.col_labels) == \
-        (TABLE.rows, ("r1", "r2"), None)
+    table = AssociativeTable(list(TABLE.values), 3, ["r1", "r2"])
+    assert table == AssociativeTable(TABLE.values, 3, ("r1", "r2"))
+    assert (table.values, table.width, table.row_labels, table.col_labels) \
+        == ((0b101, 0b011), 3, ("r1", "r2"), None)
     assert state == SequencerState(TABLE, *REGS, 0, 0)
 
 
@@ -285,14 +286,14 @@ def test_spare_ordering():
      "coordinate masks do not fit the stated length"),
     (lambda: TernaryVector(1, 1, 3), ValueError,
      "a coordinate cannot be both 1 and x"),
-    (lambda: AssociativeTable([]), ValueError,
+    (lambda: AssociativeTable([], 3), ValueError,
      "a table needs at least one row"),
-    (lambda: AssociativeTable([BitVector(1, 1), BitVector(1, 2)]),
-     LengthMismatch, "row 2 has width 2, expected 1"),
-    (lambda: AssociativeTable(TABLE.rows, ["r1"]), ValueError,
+    (lambda: AssociativeTable([1, 2], 1), ValueError,
+     "row 2 does not fit width 1"),
+    (lambda: AssociativeTable(TABLE.values, 3, ["r1"]), ValueError,
      "1 row labels for 2 rows"),
-    (lambda: AssociativeTable(TABLE.rows, None, ["a", "b", "a"]), ValueError,
-     "duplicate column labels"),
+    (lambda: AssociativeTable(TABLE.values, 3, None, ["a", "b", "a"]),
+     ValueError, "duplicate column labels"),
     (lambda: CoverageInstance(TABLE, [None]), ValueError,
      "1 row kinds for 2 rows"),
     (lambda: Spare("diagonal", 1), ValueError,
@@ -321,7 +322,7 @@ def test_spare_ordering():
      "complexities must be >= 0"),
     (lambda: DesignQualityInput(0.5, 1, 0.5, 0, 0), DomainError,
      "total complexity must be positive"),
-    (lambda: SequencerState(AssociativeTable([bv("10")]), BitVector(1, 1),
+    (lambda: SequencerState(AssociativeTable([0b10], 2), BitVector(1, 1),
                             *[bv("00")] * 3), ValueError,
      "register ma has width 1, memory width is 2"),
     (lambda: SequencerState(TABLE, mb=bv("10")), ValueError,
@@ -335,3 +336,81 @@ def test_post_init_checks(build, error, message):
     with pytest.raises(error) as exc:
         build()
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# A table holds its rows as ints; ``rows`` is a view built from them.
+
+def int_tables():
+    """Seeded (values, width) pairs at word-boundary widths, with the
+    all-ones and all-zero rows first and last."""
+    rng = random.Random("int-rows")
+    for width in (1, 63, 64, 65, 256):
+        for height in (1, 2, 64, 65):
+            values = [rng.getrandbits(width) for _ in range(height)]
+            values[0], values[-1] = (1 << width) - 1, 0
+            yield values, width
+
+
+def test_parsed_table_equals_table_built_from_ints():
+    for values, width in int_tables():
+        height = len(values)
+        rows = [format(v, f"0{width}b") for v in values]
+        names = [f"r{i}" for i in range(1, height + 1)]
+        cols = [f"c{j}" for j in range(1, width + 1)]
+        text = (f"{height} {width}\n" + "\n".join(rows) + "\n#labels\nrows: "
+                + " ".join(names) + "\ncols: " + " ".join(cols) + "\n")
+        parsed = parse_table(text)
+        built = AssociativeTable(values, width, names, cols)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.values == tuple(values)
+        # the BitVector rows tables held before rows were ints
+        assert parsed.rows == tuple(BitVector(v, width) for v in values)
+        assert [str(row) for row in parsed.rows] == rows
+        for twin in (copy.copy(parsed), copy.deepcopy(parsed),
+                     pickle.loads(pickle.dumps(parsed))):
+            assert twin == parsed and twin.rows == parsed.rows
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 256])
+def test_table_names_the_first_row_that_does_not_fit(width):
+    for height in (1, 2, 64, 65):
+        for bad in sorted({1, height // 2 + 1, height}):
+            for value in (1 << width, -1, (1 << width + 1) - 1):
+                values = [(1 << width) - 1] * height
+                values[bad - 1] = value
+                values[-1:] = [value] if bad == height else [0]
+                with pytest.raises(ValueError) as exc:
+                    AssociativeTable(values, width)
+                assert str(exc.value) == f"row {bad} does not fit width {width}"
+        AssociativeTable([(1 << width) - 1] * height, width)  # fits
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: AssociativeTable([0], 0), ValueError,
+     "table width must be at least 1, got 0"),
+    (lambda: AssociativeTable([0], -1), ValueError,
+     "table width must be at least 1, got -1"),
+    (lambda: AssociativeTable([0b101, -0b011], 3), ValueError,
+     "row 2 does not fit width 3"),
+    (lambda: AssociativeTable([0b1000, 0b101], 3), ValueError,
+     "row 1 does not fit width 3"),
+    (lambda: AssociativeTable([0b101, 0b011], 3, ["r1", "r2", "r3"]),
+     ValueError, "3 row labels for 2 rows"),
+    (lambda: AssociativeTable([0b101, 0b011], 3, ["r1", "r1"]), ValueError,
+     "duplicate row labels"),
+    (lambda: AssociativeTable([0b101, 0b011], 3, None, ["a", "b"]),
+     ValueError, "2 column labels for 3 columns"),
+])
+def test_table_checks(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rows", [[BitVector(5, 3)],
+                                  [BitVector(5, 3), BitVector(3, 3)],
+                                  [5, BitVector(3, 3)]])
+def test_table_rejects_bit_vectors_as_values(rows):
+    with pytest.raises(TypeError):
+        AssociativeTable(rows, 3)
