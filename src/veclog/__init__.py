@@ -56,28 +56,22 @@ _EXPORTS = {
         "ArithQuality",
         "Choice",
         "CompactedQuality",
-        "CountQuality",
         "QualityVector",
         "beta_cycle_check",
         "better_of",
         "compact_quality",
         "quality_arith",
-        "quality_counts",
         "quality_vector",
     ),
     "vlcore": (
         "BitVector",
         "EmptyInput",
         "EmptyIntersection",
-        "InteractionType",
         "LengthMismatch",
         "ParseError",
         "TernaryVector",
-        "classify_interaction",
-        "devectorize",
         "slc",
         "ternary_intersect",
-        "vectorize",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()

@@ -10,9 +10,10 @@ from enum import Enum
 from itertools import islice, repeat
 from typing import Iterator, Optional, Sequence
 
-from veclog.metric import CompactedQuality, compact_quality, quality_vector
+from veclog.metric import CompactedQuality
 from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
-                           TernaryVector, check_symbols, decimals, value_type)
+                           TernaryVector, check_symbols, decimals, slc,
+                           value_type)
 
 
 @value_type
@@ -133,16 +134,17 @@ def best_match(query: BitVector,
     Returns (row numbers, quality); row numbers are 1-based in table order.
     By the reduction theorem the quality vector of a pair is their xor, and
     one compacted run is contained in another exactly when it has no more
-    1s, so the minimum is taken over xor popcounts and the quality of the
-    first winning row is built once.
+    1s, so the minimum is taken over xor popcounts.  The compacted quality
+    depends only on that least popcount and the width, so every tied row
+    has the same quality, built once from the count.
     """
     _check_query(table, query)
     q = query.value
     ones = [(q ^ row).bit_count() for row in table.values]
     least = min(ones)
     best_rows = [k for k, n in enumerate(ones, start=1) if n == least]
-    winner = BitVector(table.values[best_rows[0] - 1], table.width)
-    return best_rows, compact_quality(quality_vector(query, winner))
+    return best_rows, CompactedQuality(
+        slc(BitVector((1 << least) - 1, table.width)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +230,9 @@ def _parse_rows(text: str, ternary: bool):
         key, _, names = entry.partition(":")
         if key not in shape:
             raise ParseError("label lines must start with 'rows:' or 'cols:'",
+                             line=next(_numbers(lines, k)))
+        if key in labels:
+            raise ParseError(f"repeated '{key}:' line",
                              line=next(_numbers(lines, k)))
         try:
             labels[key] = _checked_labels(names.split(), *shape[key])

@@ -1,9 +1,8 @@
 """Interaction-quality criteria for vector pairs.
 
-Three formulations of the same idea, from arithmetic to pure vector logic:
+Two formulations of the same idea, from arithmetic to pure vector logic:
 
 * ``quality_arith``  - exact-rational score in [0,1]; 1 means equal vectors.
-* ``quality_counts`` - integer mismatch counts; 0 means equal vectors.
 * ``quality_vector`` - a vector of per-coordinate defects; all-zero means
   equal vectors.  Graded by compacting the 1s and comparing their run
   lengths, so two solutions are ranked without any arithmetic.
@@ -17,7 +16,6 @@ from veclog.vlcore import (
     BitVector,
     EmptyIntersection,
     TernaryVector,
-    devectorize,
     same_length,
     slc,
     ternary_intersect,
@@ -42,16 +40,6 @@ class ArithQuality:
     query_in_stored: Fraction
     stored_in_query: Fraction
     quality: Fraction
-
-
-@value_type
-class CountQuality:
-    """Integer defect counts for a binary pair; total 0 iff vectors equal."""
-
-    mismatches: int
-    stored_only: int
-    query_only: int
-    total: int
 
 
 @value_type
@@ -106,18 +94,6 @@ def quality_arith(query: TernaryVector, stored: TernaryVector) -> ArithQuality:
     return ArithQuality(distance, query_in_stored, stored_in_query, quality)
 
 
-def quality_counts(query: BitVector, stored: BitVector) -> CountQuality:
-    """Integer defect counts of a binary pair; total is 0 iff the vectors
-    are equal and grows as interaction quality degrades."""
-    same_length(query, stored)
-    shared = (query.value & stored.value).bit_count()
-    mismatches = (query.value ^ stored.value).bit_count()
-    stored_only = stored.popcount - shared
-    query_only = query.popcount - shared
-    return CountQuality(mismatches, stored_only, query_only,
-                        mismatches + stored_only + query_only)
-
-
 def quality_vector(query: BitVector, stored: BitVector) -> QualityVector:
     """Per-coordinate defect vectors of a binary pair, built with logic
     operations only."""
@@ -152,7 +128,7 @@ def better_of(first: CompactedQuality, second: CompactedQuality) -> Choice:
     """
     overlap = first.compacted & second.compacted
     excess = overlap ^ first.compacted
-    return Choice.FIRST if devectorize(excess) == 0 else Choice.SECOND
+    return Choice.FIRST if excess.value == 0 else Choice.SECOND
 
 
 def beta_cycle_check(points: Sequence[BitVector]) -> BitVector:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 # per alphabet, the str.translate table that deletes its symbols
 _DELETE = {alpha: str.maketrans("", "", alpha) for alpha in ("01", "01x")}
@@ -194,15 +193,6 @@ class BitVector:
     def popcount(self) -> int:
         return self.value.bit_count()
 
-    def bit(self, k: int) -> int:
-        """Coordinate k, 1-based from the left."""
-        if not 1 <= k <= self.length:
-            raise IndexError(f"coordinate {k} out of 1..{self.length}")
-        return (self.value >> (self.length - k)) & 1
-
-    def __len__(self) -> int:
-        return self.length
-
     def __and__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
             return NotImplemented
@@ -271,17 +261,10 @@ class TernaryVector:
     def xcount(self) -> int:
         return self.xs.bit_count()
 
-    def symbols(self) -> tuple[str, ...]:
-        """The coordinates from the left, each "0", "1" or "x"."""
+    def __str__(self) -> str:
         ones = format(self.ones, f"0{self.length}b")
         xs = format(self.xs, f"0{self.length}b")
-        return tuple("x" if x == "1" else one for one, x in zip(ones, xs))
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __str__(self) -> str:
-        return "".join(self.symbols())
+        return "".join("x" if x == "1" else one for one, x in zip(ones, xs))
 
     def __repr__(self) -> str:
         return f"TernaryVector('{self}')"
@@ -295,39 +278,10 @@ class EmptyIntersection:
     empty_count: int
 
 
-class InteractionType(Enum):
-    """The five set-theoretic relations between two ternary vectors."""
-
-    EQUAL = "equal"
-    QUERY_SUBSET = "query-subset"
-    TARGET_SUBSET = "target-subset"
-    OVERLAP = "overlap"
-    DISJOINT = "disjoint"
-
-
 def slc(a: BitVector) -> BitVector:
     """Shift-left-crowding: compact all 1s to the left end, count preserved."""
     ones = a.popcount
     return BitVector(((1 << ones) - 1) << (a.length - ones), a.length)
-
-
-def devectorize(a: BitVector) -> int:
-    """OR-reduce a vector to a single bit: 1 iff any coordinate is 1."""
-    return 1 if a.value else 0
-
-
-def vectorize(bits: Iterable[int]) -> BitVector:
-    """Concatenate single bits, in order, into a vector."""
-    value = 0
-    n = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit!r}")
-        value = (value << 1) | bit
-        n += 1
-    if n == 0:
-        raise EmptyInput("vectorize needs at least one bit")
-    return BitVector(value, n)
 
 
 def ternary_intersect(a: TernaryVector,
@@ -341,17 +295,3 @@ def ternary_intersect(a: TernaryVector,
     if clash:
         return EmptyIntersection(clash.bit_count())
     return TernaryVector(a.ones | b.ones, a.xs & b.xs, a.length)
-
-
-def classify_interaction(a: TernaryVector, b: TernaryVector) -> InteractionType:
-    """Label the pair with exactly one of the five interaction types."""
-    inter = ternary_intersect(a, b)
-    if isinstance(inter, EmptyIntersection):
-        return InteractionType.DISJOINT
-    if a == b:
-        return InteractionType.EQUAL
-    if inter == a:
-        return InteractionType.QUERY_SUBSET
-    if inter == b:
-        return InteractionType.TARGET_SUBSET
-    return InteractionType.OVERLAP

@@ -87,6 +87,8 @@ def _files(lamp) -> dict[str, str | bytes]:
         "cols-short.tbl": labelled + "cols: a b c\n",
         "cols-dup.tbl": labelled + "cols: a b c c\n",
         "cols-then-rows.tbl": labelled + "cols: a b c d\nrows: r1 r2 r3 r4\n",
+        "rows-twice.tbl": labelled + "rows: r1 r2 r3\nrows: s1 s2 s3\n",
+        "cols-twice.tbl": labelled + "cols: a b c d\ncols: e f g h\n",
         "tern-rows-short.tbl": tern + "rows: p q r\n",
         "tern-rows-long.tbl": tern + "rows: p q r s t\n",
         "tern-rows-empty.tbl": tern + "rows:\n",
@@ -266,6 +268,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         "--arith")
     add("arith-rows-dup-json", "query", "tern-rows-dup.tbl", "xxxxx",
         "--arith", "--json")
+    for name in ("rows-twice", "cols-twice"):
+        add(f"query-{name}", "query", f"{name}.tbl", "1100")
+        add(f"arith-{name}", "query", f"{name}.tbl", "1x00", "--arith")
     # diagnose
     for mode in ("single", "multiple"):
         for r in ("110", "000", "111", "101", "010"):

@@ -14,7 +14,7 @@ from veclog.assoc import AssociativeTable, _checked_labels
 from veclog.cover import (EXHAUSTIVE_LIMIT, CoverageInstance, Infeasible,
                           RepairInstance, TooLarge)
 from veclog.vlcore import (BitVector, EmptyInput, ParseError, TernaryVector,
-                           check_symbols, decimals, vectorize)
+                           check_symbols, decimals)
 
 
 # every line break str.splitlines knows, and whitespace that str.strip
@@ -33,6 +33,35 @@ def rand_table(rng: random.Random, height: int, width: int) -> AssociativeTable:
                             width)
 
 
+# Reference primitives of vector logic, which the differential tests build
+# their formulations of the table kernels from (oracle use only).
+
+def bit(v: BitVector, k: int) -> int:
+    """Coordinate k of ``v``, 1-based from the left."""
+    if not 1 <= k <= v.length:
+        raise IndexError(f"coordinate {k} out of 1..{v.length}")
+    return (v.value >> (v.length - k)) & 1
+
+
+def devectorize(a: BitVector) -> int:
+    """OR-reduce a vector to a single bit: 1 iff any coordinate is 1."""
+    return 1 if a.value else 0
+
+
+def vectorize(bits) -> BitVector:
+    """Concatenate single bits, in order, into a vector."""
+    value = 0
+    n = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"bits must be 0 or 1, got {b!r}")
+        value = (value << 1) | b
+        n += 1
+    if n == 0:
+        raise EmptyInput("vectorize needs at least one bit")
+    return BitVector(value, n)
+
+
 def with_bit(v: BitVector, k: int, bit: int) -> BitVector:
     """Copy with coordinate k (1-based) replaced."""
     if not 1 <= k <= v.length:
@@ -44,12 +73,12 @@ def with_bit(v: BitVector, k: int, bit: int) -> BitVector:
 
 def vectorize_column(table: AssociativeTable, j: int) -> BitVector:
     """Column j (1-based) of a table, read top to bottom."""
-    return vectorize(row.bit(j) for row in table.rows)
+    return vectorize(bit(row, j) for row in table.rows)
 
 
 def ternary_space(v: TernaryVector) -> set[str]:
     """All binary strings a ternary vector expands to (oracle use only)."""
-    slots = [("0", "1") if ch == "x" else (ch,) for ch in v.symbols()]
+    slots = [("0", "1") if ch == "x" else (ch,) for ch in str(v)]
     return {"".join(choice) for choice in product(*slots)}
 
 
@@ -128,6 +157,8 @@ def _reference_parse_rows(text: str, ternary: bool):
             if key not in shape:
                 raise ParseError("label lines must start with 'rows:' or "
                                  "'cols:'", line=lineno)
+            if key in labels:
+                raise ParseError(f"repeated '{key}:' line", line=lineno)
             try:
                 labels[key] = _checked_labels(names.split(), *shape[key])
             except ValueError as exc:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from helpers import (BREAKS, PADS, outcome, rand_table,
+from helpers import (BREAKS, PADS, bit, outcome, rand_table,
                      reference_parse_table, reference_parse_ternary_rows)
 from veclog.assoc import (
     AssociativeTable,
@@ -68,7 +68,7 @@ class TestFeasibleMask:
 
     def test_self_containment(self):
         t = table("0110", "1001")
-        assert feasible_mask(t, bv("0110")).bit(1) == 0
+        assert bit(feasible_mask(t, bv("0110")), 1) == 0
 
     def test_exhaustive_single_row_pairs(self):
         # the mask is defined row by row, so (row, query) pairs are the
@@ -79,7 +79,7 @@ class TestFeasibleMask:
                 for query_value in range(1 << w):
                     q = BitVector(query_value, w)
                     feasible = (query_value & row_value) == query_value
-                    assert feasible_mask(t, q).bit(1) == (0 if feasible else 1)
+                    assert bit(feasible_mask(t, q), 1) == (0 if feasible else 1)
 
     def test_multi_row_composition(self):
         rng = random.Random(21)
@@ -88,7 +88,7 @@ class TestFeasibleMask:
             q = BitVector(rng.getrandbits(t.width), t.width)
             mask = feasible_mask(t, q)
             for k, row in enumerate(t.rows, start=1):
-                assert mask.bit(k) == (0 if (q.value & row.value) == q.value
+                assert bit(mask, k) == (0 if (q.value & row.value) == q.value
                                        else 1)
 
     def test_width_mismatch(self):
@@ -149,7 +149,7 @@ class TestDiagnose:
             response = BitVector(rng.getrandbits(t.height), t.height)
             got = diagnose(t, response, DiagnosisMode.MULTIPLE)
             for i, row in enumerate(t.rows):
-                if not response.bit(i + 1):
+                if not bit(response, i + 1):
                     assert got.value & row.value == 0
 
 
@@ -268,6 +268,8 @@ def _random_table_text(rng: random.Random) -> str:
                 count += rng.choice([0] * 8 + [1, -1])
                 names = [f"{rng.choice(LABEL_NAMES)}{n}" for n in range(count)]
                 lines.append(f"{key}: " + " ".join(names))
+                if rng.random() < 0.1:  # the same label line twice
+                    lines.append(lines[-1])
     elif trailer < 0.35:
         lines.append(rng.choice(["rows: a b", "#label", "+101"]))
     # most texts keep one break and ASCII padding, as the reader's fast
@@ -338,7 +340,9 @@ class TestTableParsing:
 
     def test_label_line_must_fit_the_table(self):
         for trailer, line in (("rows: a b\n", 6), ("cols: x y\n", 6),
-                              ("cols: a b c d\nrows: a a b\n", 7)):
+                              ("cols: a b c d\nrows: a a b\n", 7),
+                              ("rows: a b c\nrows: a b c\n", 7),
+                              ("cols: a b c d\ncols: a b c d\n", 7)):
             with pytest.raises(ParseError) as err:
                 parse_table("3 4\n1100\n1111\n0011\n#labels\n" + trailer)
             assert err.value.line == line

@@ -10,7 +10,7 @@ from veclog.assoc import (AssociativeTable, best_match, feasible_mask,
                           parse_table, parse_ternary_rows)
 from veclog.cover import parse_repair_instance
 from veclog.metric import (CompactedQuality, better_of, quality_arith,
-                           quality_counts, quality_vector)
+                           quality_vector)
 from veclog.vlcore import (BitVector, EmptyInput, LengthMismatch, ParseError,
                            TernaryVector, ternary_intersect)
 
@@ -132,15 +132,13 @@ TABLE = AssociativeTable([0b101, 0b011], 3)
     (BitVector.__xor__, (_bits("101"), _bits("10")), OPERANDS),
     (ternary_intersect, (_ternary("1x0"), _ternary("x1")), OPERANDS),
     (quality_arith, (_ternary("1x0"), _ternary("x1")), OPERANDS),
-    (quality_counts, (_bits("101"), _bits("10")), OPERANDS),
     (quality_vector, (_bits("101"), _bits("10")), OPERANDS),
     (better_of, (CompactedQuality(_bits("100")),
                  CompactedQuality(_bits("10"))), OPERANDS),
     (feasible_mask, (TABLE, _bits("10")), QUERY),
     (best_match, (_bits("10"), TABLE), QUERY),
 ], ids=["and", "or", "xor", "ternary_intersect", "quality_arith",
-        "quality_counts", "quality_vector", "better_of", "feasible_mask",
-        "best_match"])
+        "quality_vector", "better_of", "feasible_mask", "best_match"])
 def test_length_mismatch_messages(call, args, message):
     assert _error(call, *args) == (LengthMismatch, message, None, None)
 

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (BREAKS, PADS, outcome, rand_table,
-                     reference_cover_oracle, reference_parse_repair_instance)
+from helpers import (BREAKS, PADS, bit, outcome, rand_table,
+                     reference_cover_oracle, reference_parse_repair_instance,
+                     vectorize)
 from veclog.assoc import AssociativeTable, DiagnosisMode, diagnose
 from veclog.cover import (
     BudgetExceeded,
@@ -23,7 +24,7 @@ from veclog.cover import (
     repair_plan,
     selected_rows,
 )
-from veclog.vlcore import BitVector, LengthMismatch, ParseError, vectorize
+from veclog.vlcore import BitVector, LengthMismatch, ParseError
 
 MEMORY_FAULTS = frozenset({(2, 2), (2, 5), (2, 8), (4, 3), (5, 5),
                            (5, 8), (7, 2), (8, 5), (9, 3), (9, 7)})
@@ -78,7 +79,7 @@ class TestGreedy:
             mask = greedy_cover(CoverageInstance(table))
             covered = 0
             for k, row in enumerate(table.rows, start=1):
-                if mask.bit(k):
+                if bit(mask, k):
                     assert row.value & ~covered, "row added nothing new"
                     covered |= row.value
 
@@ -390,7 +391,7 @@ class TestPipeline:
         recovered = frozenset(
             (i + 1, j)
             for i, row in enumerate(bitmap.rows)
-            for j in range(1, 16) if row.bit(j))
+            for j in range(1, 16) if bit(row, j))
         assert recovered == instance.faults
         coverage = build_repair_table(instance)
         mask = greedy_cover(coverage)

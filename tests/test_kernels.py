@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from helpers import (outcome, rand_bitvector, rand_table,
-                     reference_cover_oracle)
+from helpers import (bit, devectorize, outcome, rand_bitvector, rand_table,
+                     reference_cover_oracle, vectorize)
 from veclog.assoc import (
     AssociativeTable,
     DiagnosisMode,
@@ -26,7 +26,7 @@ from veclog.cover import (
 )
 from veclog.lamp import with_response_column
 from veclog.metric import Choice, better_of, compact_quality, quality_vector
-from veclog.vlcore import BitVector, devectorize, vectorize
+from veclog.vlcore import BitVector
 
 WIDTHS = (1, 63, 64, 65, 256)
 
@@ -58,7 +58,7 @@ def ref_diagnose(table, response, mode):
     hits = BitVector.ones(width) if single else BitVector.zeros(width)
     misses = BitVector.zeros(width)
     for i, row in enumerate(table.rows):
-        if response.bit(i + 1):
+        if bit(response, i + 1):
             hits = hits & row if single else hits | row
         else:
             misses = misses | row
@@ -70,9 +70,9 @@ def ref_greedy_cover(instance):
     covered = BitVector.zeros(instance.table.width)
     taken = []
     for row in instance.table.rows:
-        bit = devectorize((covered | row) & ~covered)
-        taken.append(bit)
-        if bit:
+        adds = devectorize((covered | row) & ~covered)
+        taken.append(adds)
+        if adds:
             covered = covered | row
     return vectorize(taken)
 
@@ -80,7 +80,7 @@ def ref_greedy_cover(instance):
 def ref_coverage_of(instance, taken):
     covered = BitVector.zeros(instance.table.width)
     for k, row in enumerate(instance.table.rows, start=1):
-        if taken.bit(k):
+        if bit(taken, k):
             covered = covered | row
     return covered
 

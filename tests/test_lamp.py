@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_bitvector, rand_table, with_bit
+from helpers import bit, rand_bitvector, rand_table, with_bit
 from veclog import lamp
 from veclog.assoc import (
     AssociativeTable,
@@ -432,7 +432,7 @@ class TestResponseColumn:
         rng = random.Random(rng_seed + height)
         table = rand_table(rng, height, 3)
         response = rand_bitvector(rng, height)
-        rows = [BitVector(row.value << 1 | response.bit(i + 1), 4)
+        rows = [BitVector(row.value << 1 | bit(response, i + 1), 4)
                 for i, row in enumerate(table.rows)]
         assert with_response_column(table, response).rows == tuple(rows)
 

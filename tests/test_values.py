@@ -20,8 +20,7 @@ from veclog.cover import CoverageInstance, RepairInstance, Spare
 from veclog.dq import DesignQualityInput, DesignQualityOutput, DomainError
 from veclog.lamp import (REGISTERS, GridState, Instruction, Opcode, Program,
                          RowRef, SequencerState)
-from veclog.metric import (ArithQuality, CompactedQuality, CountQuality,
-                           QualityVector)
+from veclog.metric import ArithQuality, CompactedQuality, QualityVector
 from veclog.vlcore import BitVector, EmptyIntersection, TernaryVector
 
 
@@ -59,8 +58,6 @@ CASES = [
      "ArithQuality(distance=Fraction(1, 1), "
      "query_in_stored=Fraction(1, 2), stored_in_query=Fraction(1, 4), "
      "quality=Fraction(7, 12))"),
-    (CountQuality, (2, 1, 0, 3), (2, 1, 1, 3),
-     "CountQuality(mismatches=2, stored_only=1, query_only=0, total=3)"),
     (QualityVector, (bv("110"), bv("010"), bv("000"), bv("110")),
      (bv("110"), bv("010"), bv("100"), bv("110")),
      "QualityVector(mismatch=BitVector('110'), "
@@ -166,7 +163,7 @@ def test_every_exported_class_is_a_value_type():
     cases = {case[0]: case for case in CASES}
     # every value class but the two a Program is built from
     assert classes == set(cases) - {RowRef, Instruction}
-    assert len(classes) == 16
+    assert len(classes) == 15
     for cls in classes:
         _, args, other, _ = cases[cls]
         value = cls(*args)
@@ -193,12 +190,11 @@ PUBLIC_NAMES = {
             "assemble coverage_search_source diagnosis_source "
             "feasible_search_source quality_source restrict_source run_grid "
             "run_sequencer with_response_column",
-    "metric": "ArithQuality Choice CompactedQuality CountQuality QualityVector "
+    "metric": "ArithQuality Choice CompactedQuality QualityVector "
               "beta_cycle_check better_of compact_quality quality_arith "
-              "quality_counts quality_vector",
-    "vlcore": "BitVector EmptyInput EmptyIntersection InteractionType "
-              "LengthMismatch ParseError TernaryVector classify_interaction "
-              "devectorize slc ternary_intersect vectorize",
+              "quality_vector",
+    "vlcore": "BitVector EmptyInput EmptyIntersection LengthMismatch "
+              "ParseError TernaryVector slc ternary_intersect",
 }
 
 # in a fresh interpreter: dir(veclog) before any export is used, the names
@@ -221,7 +217,7 @@ print(json.dumps({"dir": listed, "star": sorted(star), "wrong": wrong}))
 
 def test_lazy_exports_keep_every_name_and_object():
     names = {*PUBLIC_NAMES, *" ".join(PUBLIC_NAMES.values()).split()}
-    assert len(names) == 68
+    assert len(names) == 62
     out = json.loads(run_python(NAMESPACE_PROBE, json.dumps(PUBLIC_NAMES)))
     assert names | {"__version__"} <= set(out["dir"])
     assert set(out["star"]) - {"__builtins__"} == names

@@ -2,20 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import all_ternary, ternary_space
+from helpers import all_ternary, bit, devectorize, ternary_space, vectorize
 from veclog.vlcore import (
     BitVector,
     EmptyInput,
     EmptyIntersection,
-    InteractionType,
     LengthMismatch,
     ParseError,
     TernaryVector,
-    classify_interaction,
-    devectorize,
     slc,
     ternary_intersect,
-    vectorize,
 )
 
 
@@ -64,10 +60,11 @@ class TestBitVector:
         assert str(err.value) == message
 
     def test_bit_indexing_is_one_based_from_left(self):
+        # the coordinate order the reference ``helpers.bit`` reads
         v = bv("1010")
-        assert [v.bit(k) for k in (1, 2, 3, 4)] == [1, 0, 1, 0]
+        assert [bit(v, k) for k in (1, 2, 3, 4)] == [1, 0, 1, 0]
         with pytest.raises(IndexError):
-            v.bit(5)
+            bit(v, 5)
 
     def test_equality_includes_length(self):
         assert bv("01") != bv("001")
@@ -121,6 +118,9 @@ class TestSlc:
 
 
 class TestDevectorizeVectorize:
+    """The reference primitives in ``helpers`` that the differential tests
+    build the table kernels' vector-logic formulations from."""
+
     def test_devectorize(self):
         assert devectorize(bv("0000")) == 0
         assert devectorize(bv("0100")) == 1
@@ -155,7 +155,6 @@ class TestDevectorizeVectorize:
 class TestTernary:
     def test_parse_and_render(self):
         assert str(tv("110x01")) == "110x01"
-        assert tv("110x01").symbols() == ("1", "1", "0", "x", "0", "1")
         assert tv("x0x").xcount == 2
         assert 1 << tv("x0x").xcount == 4
 
@@ -188,33 +187,3 @@ class TestTernary:
                     assert common == set()
                 else:
                     assert ternary_space(inter) == common
-
-
-class TestClassify:
-    def test_examples(self):
-        assert classify_interaction(tv("10"), tv("10")) is InteractionType.EQUAL
-        assert classify_interaction(tv("1x"), tv("xx")) is \
-            InteractionType.QUERY_SUBSET
-        assert classify_interaction(tv("0x"), tv("1x")) is \
-            InteractionType.DISJOINT
-
-    def test_exhaustive_against_set_oracle(self):
-        # oracle: expand both vectors to their binary spaces and use plain
-        # set relations; every pair gets exactly one label
-        for n in range(1, 5):
-            for a in all_ternary(n):
-                sa = ternary_space(a)
-                for b in all_ternary(n):
-                    sb = ternary_space(b)
-                    got = classify_interaction(a, b)
-                    if sa == sb:
-                        want = InteractionType.EQUAL
-                    elif not (sa & sb):
-                        want = InteractionType.DISJOINT
-                    elif sa < sb:
-                        want = InteractionType.QUERY_SUBSET
-                    elif sb < sa:
-                        want = InteractionType.TARGET_SUBSET
-                    else:
-                        want = InteractionType.OVERLAP
-                    assert got is want, (str(a), str(b))
