@@ -25,7 +25,7 @@ Execution is a pure function of (state, program): rerunning is bit-identical.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby
 from typing import Optional, Sequence, Union
 
@@ -130,7 +130,7 @@ class Program:
 # fill dst, src1 and src2 in order, k and n fill imm.  The statement is the
 # meaning in Python over int registers, the row list A and the all-ones word
 # `ones`, with the loop row `at`: {d}, {a} and {b} are dst, src1 and src2,
-# {k} a DEVOR's coordinate bits, {next} the pc after a HALT.
+# {k} a DEVOR's coordinate bits.  No statement checks a fault; see _walk.
 
 _OPS = {  # opcode: (shape, statement)
     Opcode.AND: ("rsr", "{d} = {a} & {b}"),
@@ -144,9 +144,9 @@ _OPS = {  # opcode: (shape, statement)
     Opcode.DEVOR: ("rks", "{d} = {d} | {k} if {a} else {d} & ~{k}"),
     Opcode.SETALL: ("r", "{d} = ones"),
     Opcode.CLRALL: ("r", "{d} = 0"),
-    Opcode.LOOP: ("n", "at = 1"),  # a body with a HALT; _loop writes others
-    Opcode.ENDLOOP: ("", ""),  # _check faults it when no loop runs
-    Opcode.HALT: ("", "return {next}, steps, stored, ma, mb, mc, md"),
+    Opcode.LOOP: ("n", "at = 1"),  # a body with a HALT; others are a for
+    Opcode.ENDLOOP: ("", ""),  # ends a for; _walk faults it with no loop
+    Opcode.HALT: ("", ""),  # emit_source stops at it and returns
 }
 
 
@@ -292,13 +292,17 @@ class SequencerState:
 def run_sequencer(state: SequencerState, program: Program,
                   max_steps: int = DEFAULT_MAX_STEPS) -> SequencerState:
     """Execute until HALT or the end of the program; the input state is
-    never mutated.  The program runs as the function ``emit_source`` writes
-    for the state's pc, compiled once per distinct program and pc."""
+    never mutated.  ``_walk`` settles the end pc and the steps, or raises
+    the run's first fault, before any statement runs; then the program runs
+    as the function ``emit_source`` writes for the state's pc, compiled
+    once per distinct program and pc."""
     memory, width = state.memory, state.memory.width
     rows = list(memory.values)
-    pc, steps, stored, *regs = _compiled(program, state.pc)(
-        rows, width, max_steps,
-        state.ma.value, state.mb.value, state.mc.value, state.md.value)
+    pc, steps = _walk(program.instructions, state.pc, len(rows), width,
+                      max_steps)
+    stored, *regs = _compiled(program, state.pc)(
+        rows, width, state.ma.value, state.mb.value, state.mc.value,
+        state.md.value)
     if stored:
         memory = AssociativeTable(rows, width, memory.row_labels,
                                   memory.col_labels)
@@ -310,135 +314,102 @@ def run_sequencer(state: SequencerState, program: Program,
 def _compiled(program: Program, pc: int):
     bytecode = compile(emit_source(program, pc), "<lamp program>", "exec")
     exec(bytecode, globals(), scope := {})  # its globals are this module's
-    return partial(scope["run"], program.instructions)
+    return scope["run"]
 
 
-def _check(code: Sequence[Instruction], first: int, end: int, at: int,
-           steps: int, limit: int, n: int, width: int, fits: bool) -> int:
-    """``steps`` plus one per instruction ``first`` to ``end - 1``, a
-    straight-line run, at once if ``fits`` (their rows and coordinates are
-    in range) and that stays within ``limit``.  Else each is checked in
-    turn with loop row ``at`` (0: no loop runs) on ``n`` rows of ``width``,
-    and the first fault met is raised: the step limit, a row or coordinate
-    it reads, ENDLOOP with no loop."""
-    if fits and steps + end - first <= limit:
-        return steps + end - first
-    for pc in range(first, end):
+def _walk(code: Sequence[Instruction], pc: int, n: int, width: int,
+          limit: int) -> tuple[int, int]:
+    """The end pc and the steps of a run of ``code`` from ``pc`` on ``n``
+    rows of ``width``, or the first fault it meets.  Each instruction is
+    checked in turn for the step limit, each row or coordinate it reads,
+    and ENDLOOP with no loop running.  No check reads a register or a row,
+    so the walk needs neither.  A loop whose body holds no HALT counts at
+    once the iterations that cannot fault; only the one that does, if any,
+    is walked."""
+    loops, steps, at = _loops(code), 0, 0  # at: the loop row, 0: no loop
+    pc = max(pc, 0)
+    while pc < len(code):
         if steps >= limit:
             raise StepLimitExceeded(f"exceeded {limit} steps")
         ins = code[pc]
-        for noun, k, bound in _reads(ins):
-            k, bound = k or at, n if bound == "n" else width
+        for noun, k, bound in _reads(ins, n, width):
+            k = k or at
             if not k:
                 raise SimulationError(f"@ with no LOOP running "
                                       f"(line {ins.line})")
             if k > bound:  # the assembler keeps a constant k at 1 or more
                 error = RowOutOfRange if noun == "row" else BitOutOfRange
                 raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
-        if not at and ins.opcode is _ENDLOOP:
+        if ins.opcode is _ENDLOOP:  # a walked loop faults or halts before it
             raise SimulationError(f"ENDLOOP with no LOOP running "
                                   f"(line {ins.line})")
         steps += 1
-    return steps
+        if ins.opcode is _HALT:
+            return pc + 1, steps
+        if ins.opcode is _LOOP:
+            at, end = 1, loops.get(pc)
+            if end is not None:
+                count, size = ins.imm or n, end - pc
+                reads = [(k, bound) for body in code[pc + 1:end]
+                         for _, k, bound in _reads(body, n, width)]
+                last = min(count, (limit - steps) // size,
+                           *[bound for k, bound in reads if not k]) \
+                    if all(k <= bound for k, bound in reads if k) else 0
+                steps += size * last
+                if last == count:
+                    pc = end + 1
+                    continue
+                at = last + 1  # the iteration that faults
+        pc += 1
+    return pc, steps
 
 
-def _reads(ins: Instruction) -> list[tuple]:
+def _loops(code: Sequence[Instruction]) -> dict[int, int]:
+    """The pc of each ENDLOOP by the pc of its LOOP, for loops whose body
+    holds no HALT."""
+    marks = [pc for pc, ins in enumerate(code)
+             if ins.opcode is _LOOP or ins.opcode is _ENDLOOP]
+    return {loop: end for loop, end in zip(marks[::2], marks[1::2])
+            if all(ins.opcode is not _HALT for ins in code[loop:end])}
+
+
+def _reads(ins: Instruction, n: int, width: int) -> list[tuple]:
     """(noun, number or None for @, bound) of each row or coordinate
-    ``ins`` reads, in order."""
-    reads = [("coordinate", ins.imm, "width")] if ins.opcode is _DEVOR else []
+    ``ins`` reads on ``n`` rows of ``width``, in order."""
+    reads = [("coordinate", ins.imm, width)] if ins.opcode is _DEVOR else []
     for op in (ins.dst, ins.src1, ins.src2):
         if op.__class__ is RowRef:
-            reads.append(("row", op.index, "n"))
+            reads.append(("row", op.index, n))
     return reads
 
 
-def _bounds(code: Sequence[Instruction]) -> tuple[list[str], list[str]]:
-    """The tests that the largest constant row and coordinate ``code``
-    reads are in range (the assembler keeps them at 1 or more), and the
-    bounds that ``@`` must meet."""
-    reads = sorted((bound, k or 0) for ins in code
-                   for _, k, bound in _reads(ins))  # 0 for @
-    return ([f"{k} <= {bound}" for bound, k in dict(reads).items() if k],
-            sorted({bound for bound, k in reads if not k}))
-
-
-_CHECK = "steps = _check(code, {}, {}, at, steps, limit, n, width, {})"
-
-
 def emit_source(program: Program, pc: int = 0) -> str:
-    """The source of ``run(code, A, width, limit, ma, mb, mc, md)``, which
-    runs ``program`` (``code``, its instructions, as ``_check`` takes them)
-    from instruction ``pc`` on int rows and registers and returns the end
-    pc, the steps, whether a STOREROW ran and the registers.  Each
-    instruction is written once, as its ``_OPS`` statement, in a
-    straight-line run behind one ``_check``; a loop without HALT runs as a
-    ``for`` over the iterations that cannot fault, with ``_runs`` folded."""
-    code, start = program.instructions, max(pc, 0)
-    marks = [i for i, ins in enumerate(code)
-             if ins.opcode is _LOOP or ins.opcode is _ENDLOOP]
-    loops = {loop: end for loop, end in zip(marks[::2], marks[1::2])
-             if all(ins.opcode is not _HALT for ins in code[loop:end])}
-    lines = []
-    for loop, end in loops.items():
-        if loop < start <= end:  # resumed in the body: no loop runs
-            lines = [_CHECK.format(start, end + 1, False) + "  # faults"]
-            start = end + 1
-    while start < len(code):
-        end = start + 1  # a straight-line run ends at a HALT or a LOOP
-        while end < len(code) and code[end - 1].opcode not in (_HALT, _LOOP):
-            end += 1
-        lines += _straight(code, start, end, loops.get(end - 1))
-        if code[end - 1].opcode is _HALT:
-            break
-        start = loops.get(end - 1, end - 1) + 1
-    else:  # past the last instruction
-        lines.append(_OPS[_HALT][1].format(next=max(pc, len(code))))
-    return "\n".join([
-        "def run(code, A, width, limit, ma, mb, mc, md):",
-        "    n, ones, steps, stored = len(A), (1 << width) - 1, 0, False",
-        "    at = 0  # no loop runs", *_indent(lines)]) + "\n"
+    """The source of ``run(A, width, ma, mb, mc, md)``, which runs
+    ``program`` from instruction ``pc`` up to its first HALT on int rows and
+    registers and returns whether a STOREROW ran and the registers.  Each
+    instruction is written once, as its ``_OPS`` statement; a loop whose
+    body holds no HALT is a ``for`` over its rows, with ``_runs`` folded.
+    It checks nothing: ``run_sequencer`` calls it only for a run that
+    ``_walk`` has found to end without a fault."""
+    code, lines = program.instructions, []
+    loops, pc = _loops(code), max(pc, 0)
+    while pc < len(code) and code[pc].opcode is not _HALT:
+        if pc in loops:
+            body = [_statement(run) for run in _runs(code[pc + 1:loops[pc]])]
+            lines += [f"for at in range(1, {code[pc].imm or 'len(A)'} + 1):",
+                      *_indent(body or ["pass"])]
+            pc = loops[pc] + 1
+        else:
+            lines.append(_statement([code[pc]]))
+            pc += 1
+    return "\n".join(["def run(A, width, ma, mb, mc, md):",
+                      "    ones, stored = (1 << width) - 1, False",
+                      *_indent(lines),
+                      "    return stored, ma, mb, mc, md"]) + "\n"
 
 
 def _indent(lines: Sequence[str]) -> list[str]:
     return ["    " + line for line in lines if line]
-
-
-def _straight(code: Sequence[Instruction], start: int, end: int,
-              loop_end: Optional[int]) -> list[str]:
-    """Instructions ``start`` to ``end - 1``, only the last of which may be
-    a HALT or a LOOP (of the loop to ``loop_end``, if it has no HALT): one
-    ``_check``, told whether their rows and coordinates are in range, then
-    their statements."""
-    run = code[start:end]
-    fixed, at_bounds = _bounds(run)
-    fits = fixed + ([f"0 < at <= {bound}" for bound in at_bounds] or
-                    ["at"] * any(ins.opcode is _ENDLOOP for ins in run))
-    where = f"line {run[0].line}" if len(run) == 1 else \
-        f"lines {run[0].line}-{run[-1].line}"
-    lines = [_CHECK.format(start, end, " and ".join(fits) or True)
-             + f"  # {where}"]
-    lines += [_statement([ins], pc) for pc, ins in enumerate(run, start)]
-    if loop_end is not None:
-        lines[-1:] = _loop(code, end - 1, loop_end) + [_CHECK.format(
-            "pc", loop_end + 1, False) + "  # only the checks of that iteration"]
-    return lines
-
-
-def _loop(code: Sequence[Instruction], start: int, end: int) -> list[str]:
-    """The loop from ``start`` to ``end``, whose body holds no HALT, once
-    its LOOP is counted.  Its iteration ``last + 1`` faults, so only its
-    checks run."""
-    count = f"{code[start].imm or 'n'}"
-    fixed, at_bounds = _bounds(code[start + 1:end])
-    bounds = [count, f"(limit - steps) // {end - start}",
-              *[bound for bound in at_bounds if bound != count]]
-    fixed = " and ".join(fixed)
-    last = f"min({', '.join(bounds)})" + f" if {fixed} else 0" * bool(fixed)
-    fast = [_statement(run) for run in _runs(code[start + 1:end])]
-    return [f"last = {last}", "for at in range(1, last + 1):",
-            *_indent(fast or ["pass"]), f"steps += {end - start} * last",
-            f"pc, at = {end + 1} if last == {count} else {start + 1}, "
-            "last + 1  # past the loop, or into the iteration that faults"]
 
 
 def _runs(code: Sequence[Instruction]) -> list[list[Instruction]]:
@@ -449,9 +420,9 @@ def _runs(code: Sequence[Instruction]) -> list[list[Instruction]]:
         else object()))]
 
 
-def _statement(run: Sequence[Instruction], pc: Optional[int] = None) -> str:
-    """The ``_OPS`` statement of ``run[0]``, instruction ``pc`` (only a HALT
-    needs it); a DEVOR run sets each of its coordinates."""
+def _statement(run: Sequence[Instruction]) -> str:
+    """The ``_OPS`` statement of ``run[0]``; a DEVOR run sets each of its
+    coordinates."""
     def operand(op) -> str:
         if isinstance(op, RowRef):
             return "A[at - 1]" if op.index is None else f"A[{op.index - 1}]"
@@ -463,8 +434,7 @@ def _statement(run: Sequence[Instruction], pc: Optional[int] = None) -> str:
         bits = sum(1 << top - i for i in {i.imm for i in run})
         mask = f"({bits:#x} << width - {top})"
     return _OPS[ins.opcode][1].format(
-        d=operand(ins.dst), a=operand(ins.src1), b=operand(ins.src2), k=mask,
-        next=None if pc is None else pc + 1)
+        d=operand(ins.dst), a=operand(ins.src1), b=operand(ins.src2), k=mask)
 
 
 GRID_SIDE = 4

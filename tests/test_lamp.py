@@ -776,6 +776,56 @@ def test_benchmark_shaped_grid_compiles_five_programs():
         assert result == reference_run(cell, program, DEFAULT_MAX_STEPS)
 
 
+def test_a_faulting_run_compiles_nothing():
+    program = assemble("LOOP *\nOR ma A[@] ma\nENDLOOP\nLOADROW mb A[2]\n"
+                       "HALT\n")
+    lamp._compiled.cache_clear()
+    with pytest.raises(RowOutOfRange):
+        run_sequencer(fresh(["10"]), program)
+    with pytest.raises(StepLimitExceeded):
+        run_sequencer(fresh(["10", "01"]), program, 5)
+    assert lamp._compiled.cache_info().misses == 0
+    for _ in range(2):
+        out = run_sequencer(fresh(["10", "01"]), program)
+        assert (out.ma, out.mb, out.steps) == (bv("11"), bv("01"), 7)
+    assert lamp._compiled.cache_info().misses == 1
+
+
+BENCHMARK_SHAPED = {  # perfbench's sim-grid programs at its table shapes
+    "feasible": (feasible_search_source(), 160, 160),
+    "coverage": (coverage_search_source(), 160, 160),
+    "restrict": (restrict_source(), 160, 160),
+    "diagnosis-single": (diagnosis_source(64), 160, 64),
+    "diagnosis-multiple": (diagnosis_source(64, "multiple"), 160, 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SHAPED))
+def test_step_limits_deep_in_long_loops_match_reference(name):
+    """``sweep_step_limit`` reaches the first 60 steps only; here the limit
+    lands on a long run's last step, the one before it, and each loop's
+    final ENDLOOP and the steps either side of it."""
+    source, height, width = BENCHMARK_SHAPED[name]
+    rng = random.Random(f"deep/{name}")
+    state = SequencerState(rand_table(rng, height, width),
+                           **{reg: rand_bitvector(rng, width)
+                              for reg in REGISTERS})
+    program = assemble(source)
+    code = program.instructions
+    total = reference_run(state, program, 10 ** 6).steps
+    limits, repeats = {total - 1, total}, 0
+    marks = [pc for pc, ins in enumerate(code)
+             if ins.opcode in (Opcode.LOOP, Opcode.ENDLOOP)]
+    for loop, end in zip(marks[::2], marks[1::2]):  # each one a LOOP *
+        repeats += (height - 1) * (end - loop)
+        final = end + 1 + repeats  # the step that runs this ENDLOOP
+        limits |= {final - 1, final, final + 1}
+    assert final + len(code) - end - 1 == total  # the rest, HALT included
+    for max_steps in sorted(limits):
+        assert outcome(run_sequencer, state, program, max_steps) == \
+            outcome(reference_run, state, program, max_steps)
+
+
 def test_readme_shows_the_emitted_source():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     call = "print(emit_source(assemble(restrict_source())))\n```\n\nprints\n"
