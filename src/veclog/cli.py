@@ -340,17 +340,18 @@ def _sim_grid(args: argparse.Namespace,
     if unused:  # a manifest line names each cell's files and presets
         raise InputError(f"sim --grid does not use {', '.join(unused)}")
     base = os.path.dirname(os.path.abspath(args.grid))
-    lines = [ln.strip() for ln in _read(args.grid).splitlines()
+    lines = [(number, ln.strip()) for number, ln
+             in enumerate(_read(args.grid).splitlines(), start=1)
              if ln.strip() and not ln.strip().startswith("#")]
     if len(lines) != lamp.GRID_CELLS:
         raise InputError(f"grid manifest needs {lamp.GRID_CELLS} lines, "
                          f"got {len(lines)}")
     report: Report = [("grid-manifest", args.grid)]
     programs, cells, assembled = [], [], {}
-    for idx, line in enumerate(lines):
+    for idx, (number, line) in enumerate(lines):
         parts = line.split()
-        if len(parts) < 2:
-            raise InputError(f"manifest line {idx + 1}: need program and "
+        if len(parts) < 2:  # the file's own line number, comments counted
+            raise InputError(f"manifest line {number}: need program and "
                              f"data paths")
         row, col = idx // lamp.GRID_SIDE + 1, idx % lamp.GRID_SIDE + 1
         paths = [p if os.path.isabs(p) else os.path.join(base, p)

@@ -111,8 +111,8 @@ class Instruction:
 
 @value_type
 class Program:
-    """A program is its text; ``instructions`` is what ``assemble`` makes
-    of it.  A source that is not exactly a ``str`` raises TypeError."""
+    """A program is its text, exactly a ``str`` (else TypeError);
+    ``instructions`` and the loop plan ``loops`` are made of it once, here."""
 
     source: str
 
@@ -120,7 +120,8 @@ class Program:
         if type(self.source) is not str:
             raise TypeError(f"program source must be a str, "
                             f"got {type(self.source).__name__}")
-        self.__dict__["instructions"] = _assemble(self.source)
+        self.__dict__["instructions"] = code = _assemble(self.source)
+        self.__dict__["loops"] = _loops(code)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +299,7 @@ def run_sequencer(state: SequencerState, program: Program,
     once per distinct program and pc."""
     memory, width = state.memory, state.memory.width
     rows = list(memory.values)
-    pc, steps = _walk(program.instructions, state.pc, len(rows), width,
-                      max_steps)
+    pc, steps = _walk(program, state.pc, len(rows), width, max_steps)
     stored, *regs = _compiled(program, state.pc)(
         rows, width, state.ma.value, state.mb.value, state.mc.value,
         state.md.value)
@@ -317,23 +317,22 @@ def _compiled(program: Program, pc: int):
     return scope["run"]
 
 
-def _walk(code: Sequence[Instruction], pc: int, n: int, width: int,
+def _walk(program: Program, pc: int, n: int, width: int,
           limit: int) -> tuple[int, int]:
-    """The end pc and the steps of a run of ``code`` from ``pc`` on ``n``
-    rows of ``width``, or the first fault it meets.  Each instruction is
-    checked in turn for the step limit, each row or coordinate it reads,
+    """The end pc and the steps of a run of ``program`` from ``pc`` on
+    ``n`` rows of ``width``, or the first fault it meets.  Each instruction
+    is checked in turn for the step limit, each row or coordinate it reads,
     and ENDLOOP with no loop running.  No check reads a register or a row,
-    so the walk needs neither.  A loop whose body holds no HALT counts at
-    once the iterations that cannot fault; only the one that does, if any,
-    is walked."""
-    loops, steps, at = _loops(code), 0, 0  # at: the loop row, 0: no loop
-    pc = max(pc, 0)
+    so the walk needs neither.  A loop in ``program.loops`` is settled from
+    its plan; only the iteration that faults, if one does, is walked."""
+    code, loops = program.instructions, program.loops
+    pc, steps, at = max(pc, 0), 0, 0  # at: the loop row, 0: no loop
     while pc < len(code):
         if steps >= limit:
             raise StepLimitExceeded(f"exceeded {limit} steps")
         ins = code[pc]
-        for noun, k, bound in _reads(ins, n, width):
-            k = k or at
+        for noun, k in _reads(ins):
+            k, bound = k or at, n if noun == "row" else width
             if not k:
                 raise SimulationError(f"@ with no LOOP running "
                                       f"(line {ins.line})")
@@ -347,39 +346,46 @@ def _walk(code: Sequence[Instruction], pc: int, n: int, width: int,
         if ins.opcode is _HALT:
             return pc + 1, steps
         if ins.opcode is _LOOP:
-            at, end = 1, loops.get(pc)
-            if end is not None:
+            at = 1
+            if pc in loops:
+                end, row, row_at, coordinate, coordinate_at = loops[pc]
                 count, size = ins.imm or n, end - pc
-                reads = [(k, bound) for body in code[pc + 1:end]
-                         for _, k, bound in _reads(body, n, width)]
                 last = min(count, (limit - steps) // size,
-                           *[bound for k, bound in reads if not k]) \
-                    if all(k <= bound for k, bound in reads if k) else 0
+                           n if row_at else count,
+                           width if coordinate_at else count) \
+                    if row <= n and coordinate <= width else 0
                 steps += size * last
-                if last == count:
-                    pc = end + 1
-                    continue
-                at = last + 1  # the iteration that faults
+                at = last + 1  # the iteration that faults, if one does
+                if last == count:  # none does: go on past the ENDLOOP
+                    pc = end
         pc += 1
     return pc, steps
 
 
-def _loops(code: Sequence[Instruction]) -> dict[int, int]:
-    """The pc of each ENDLOOP by the pc of its LOOP, for loops whose body
-    holds no HALT."""
+def _loops(code: Sequence[Instruction]) -> dict[int, tuple]:
+    """The plan of each loop whose body holds no HALT, by its LOOP's pc: its
+    ENDLOOP's pc, then for rows and for coordinates the highest constant
+    the body reads (0 for none) and whether it reads @."""
     marks = [pc for pc, ins in enumerate(code)
              if ins.opcode is _LOOP or ins.opcode is _ENDLOOP]
-    return {loop: end for loop, end in zip(marks[::2], marks[1::2])
-            if all(ins.opcode is not _HALT for ins in code[loop:end])}
+    plan = {}
+    for loop, end in zip(marks[::2], marks[1::2]):
+        if all(ins.opcode is not _HALT for ins in code[loop:end]):
+            reads = [r for ins in code[loop + 1:end] for r in _reads(ins)]
+            plan[loop] = (end,)
+            for noun in ("row", "coordinate"):
+                ks = [k for kind, k in reads if kind == noun]
+                plan[loop] += (max(filter(None, ks), default=0), None in ks)
+    return plan
 
 
-def _reads(ins: Instruction, n: int, width: int) -> list[tuple]:
-    """(noun, number or None for @, bound) of each row or coordinate
-    ``ins`` reads on ``n`` rows of ``width``, in order."""
-    reads = [("coordinate", ins.imm, width)] if ins.opcode is _DEVOR else []
+def _reads(ins: Instruction) -> list[tuple[str, Optional[int]]]:
+    """(noun, number or None for @) of each row or coordinate ``ins``
+    reads, in order."""
+    reads = [("coordinate", ins.imm)] if ins.opcode is _DEVOR else []
     for op in (ins.dst, ins.src1, ins.src2):
         if op.__class__ is RowRef:
-            reads.append(("row", op.index, n))
+            reads.append(("row", op.index))
     return reads
 
 
@@ -392,13 +398,14 @@ def emit_source(program: Program, pc: int = 0) -> str:
     It checks nothing: ``run_sequencer`` calls it only for a run that
     ``_walk`` has found to end without a fault."""
     code, lines = program.instructions, []
-    loops, pc = _loops(code), max(pc, 0)
+    loops, pc = program.loops, max(pc, 0)
     while pc < len(code) and code[pc].opcode is not _HALT:
         if pc in loops:
-            body = [_statement(run) for run in _runs(code[pc + 1:loops[pc]])]
+            end = loops[pc][0]
+            body = [_statement(run) for run in _runs(code[pc + 1:end])]
             lines += [f"for at in range(1, {code[pc].imm or 'len(A)'} + 1):",
                       *_indent(body or ["pass"])]
-            pc = loops[pc] + 1
+            pc = end + 1
         else:
             lines.append(_statement([code[pc]]))
             pc += 1

@@ -193,6 +193,8 @@ def _files(lamp) -> dict[str, str | bytes]:
         lines = list(cells)
         lines[k] = line
         files[name] = "\n".join(lines) + "\n"
+    # an error names the file's own line, comments and blank lines counted
+    files["grid-short-commented.txt"] = "# grid\n\n" + files["grid-short.txt"]
     return files
 
 
@@ -392,9 +394,9 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("grid-spin-limit", "sim", "--grid", "grid-spin.txt",
         "--max-steps", "300")
     add("grid-spin", "sim", "--grid", "grid-spin.txt", "--max-steps", "301")
-    for name in ("grid-15", "grid-17", "grid-short", "grid-bad-program",
-                 "grid-bad-data", "grid-bad-preset", "grid-dup-preset",
-                 "grid-missing"):
+    for name in ("grid-15", "grid-17", "grid-short", "grid-short-commented",
+                 "grid-bad-program", "grid-bad-data", "grid-bad-preset",
+                 "grid-dup-preset", "grid-missing"):
         add(name, "sim", "--grid", f"{name}.txt")
     add("grid-absent", "sim", "--grid", "absent.txt")
     add("grid-nonascii", "sim", "--grid", "nonascii.tbl")

@@ -1,0 +1,124 @@
+"""Replayable mutants: each one is a single text edit to ``src/veclog/``
+that named tests must catch.
+
+    python tests/mutants.py
+
+For each entry of ``MUTANTS`` the script copies ``src/``, ``tests/``,
+``README.md`` and ``pyproject.toml`` into a temporary directory, replaces
+the entry's old text with its new text in the copy, and runs pytest there on
+the entry's test ids.  It prints ``killed`` for a mutant when every listed
+test fails, ``survived`` with the tests that passed otherwise, and exits 1
+if any mutant survived.  Each old text must occur exactly once in its file;
+``tests/test_mutants.py`` checks that on every Tier-1 run, so an edit to a
+mutated line shows there before a mutant silently stops applying.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "README.md", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids, each of which must fail
+
+
+LAMP = "src/veclog/lamp.py"
+MUTANTS = [
+    Mutant("walk: one more settled iteration", LAMP,
+           "last = min(count, (limit - steps) // size,",
+           "last = 1 + min(count, (limit - steps) // size,",
+           ("tests/test_lamp.py::TestRunSequencer::test_loop_literal_count",
+            "tests/test_golden.py::test_transcript[sim-feasible]")),
+    Mutant("walk: loop size one short", LAMP,
+           "count, size = ins.imm or n, end - pc",
+           "count, size = ins.imm or n, end - pc - 1",
+           ("tests/test_golden.py::test_transcript[sim-restrict-max-steps-7]",
+            "tests/test_lamp.py::test_step_limits_deep_in_long_loops_match_"
+            "reference[restrict]")),
+    Mutant("walk: constant reads in a loop never checked", LAMP,
+           "if row <= n and coordinate <= width else 0",
+           "if True else 0",
+           ("tests/test_lamp.py::test_executor_matches_reference[64]",)),
+    Mutant("walk: the row bound of @ one high", LAMP,
+           "n if row_at else count,", "n + 1 if row_at else count,",
+           ("tests/test_golden.py::test_transcript[sim-loop5-row]",)),
+    Mutant("walk: the coordinate bound of @ one high", LAMP,
+           "width if coordinate_at else count)",
+           "width + 1 if coordinate_at else count)",
+           ("tests/test_golden.py::test_transcript[sim-feasible-tall]",)),
+    Mutant("walk: ENDLOOP with no loop running passes", LAMP,
+           "if ins.opcode is _ENDLOOP:  # a walked loop",
+           "if False:  # a walked loop",
+           ("tests/test_lamp.py::TestResume::test_resuming_inside_a_loop_body"
+            "[NOP ma-4-ENDLOOP]",)),
+    Mutant("plan: a loop with a HALT is planned", LAMP,
+           "if all(ins.opcode is not _HALT for ins in code[loop:end]):",
+           "if True:",
+           ("tests/test_lamp.py::TestResume::test_resuming_into_a_body_with_"
+            "a_second_halt",)),
+    Mutant("emit: DEVORs from different sources fold", LAMP,
+           "(ins.dst, ins.src1) if ins.imm and ins.opcode is _DEVOR",
+           "ins.dst if ins.imm and ins.opcode is _DEVOR",
+           ("tests/test_lamp.py::test_executor_matches_reference[64]",)),
+]
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Edit the copy of the mutant's file under ``root``."""
+    path = root / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the old text occurs "
+                         f"{text.count(mutant.old)} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def failing(mutant: Mutant) -> set[str]:
+    """The ids among the mutant's tests that fail on a mutated copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COPIED:
+            source, target = ROOT / name, Path(tmp) / name
+            if source.is_dir():
+                shutil.copytree(source, target, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy(source, target)
+        apply(mutant, Path(tmp))
+        env = {**os.environ, "COLUMNS": "1000"}  # ids are never cut short
+        env.pop("PYTHONPATH", None)  # pyproject.toml puts the copy's src first
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
+             "no:cacheprovider", *mutant.tests],
+            cwd=tmp, env=env, capture_output=True, text=True)
+    return {line.split(" ", 1)[1].split(" - ", 1)[0]
+            for line in run.stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))}
+
+
+def main() -> int:
+    survived = 0
+    for mutant in MUTANTS:
+        failed = failing(mutant)
+        passed = [test for test in mutant.tests if test not in failed]
+        survived += bool(passed)
+        print(f"{mutant.name}: " + (
+            f"survived ({', '.join(passed)} passed)" if passed else "killed"))
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed",
+          file=sys.stderr)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

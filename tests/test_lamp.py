@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import io
+import pickle
 import random
 import re
 from functools import partial
@@ -789,6 +791,45 @@ def test_a_faulting_run_compiles_nothing():
         out = run_sequencer(fresh(["10", "01"]), program)
         assert (out.ma, out.mb, out.steps) == (bv("11"), bv("01"), 7)
     assert lamp._compiled.cache_info().misses == 1
+
+
+def test_the_loop_plan_is_derived_once_per_program(monkeypatch):
+    """``assemble`` builds a program's loop plan; no run and no
+    ``emit_source`` builds it again, and a copy or pickle rebuilds it from
+    the source alone."""
+    calls, plan = [], lamp._loops
+
+    def counted(code):
+        calls.append(code)
+        return plan(code)
+
+    monkeypatch.setattr(lamp, "_loops", counted)
+    program = assemble(diagnosis_source(8))
+    assert len(calls) == 1
+    diagnosis = [diagnosis_source(64), diagnosis_source(64, "multiple")]
+    sources = [feasible_search_source()] * 4 + \
+        [coverage_search_source()] * 4 + [restrict_source()] * 4 + \
+        [diagnosis[0]] * 2 + [diagnosis[1]] * 2
+    grid, programs = grid_of(sources, 8,
+                             lambda source: 64 if source in diagnosis else 16)
+    assert len(calls) == 17
+    lamp._compiled.cache_clear()
+    run_grid(grid, programs)
+    for cell, each in zip(grid.cells, programs):
+        run_sequencer(cell, each)
+        emit_source(each)
+        emit_source(each, 3)
+    assert lamp._compiled.cache_info().misses == 5
+    assert len(calls) == 17
+    state = SequencerState(with_response_column(
+        rand_table(random.Random("plan"), 6, 7), bv("101100")))
+    for twin in (pickle.loads(pickle.dumps(program)), copy.deepcopy(program),
+                 copy.copy(program)):
+        assert twin == program and twin is not program
+        assert (hash(twin), repr(twin)) == (hash(program), repr(program))
+        assert (twin.instructions, twin.loops) == \
+            (program.instructions, program.loops)
+        assert run_sequencer(state, twin) == run_sequencer(state, program)
 
 
 BENCHMARK_SHAPED = {  # perfbench's sim-grid programs at its table shapes
