@@ -4,10 +4,12 @@ Subcommands: query, diagnose, repair, sim, quality.  Reports are
 line-oriented ``key: value`` text (or one JSON document with ``--json``),
 byte-identical across runs for identical inputs.  Bit strings always print
 coordinate 1 first.  Exit codes: 0 success, 1 domain failure (inconsistent
-diagnosis, not repairable, runtime fault), 2 input error.
+diagnosis, not repairable, runtime fault), 2 input error.  Loading it freezes
+the interpreter's start-up heap (``gc.freeze``), so exit skips tearing it down.
 """
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -25,6 +27,9 @@ except ImportError:
         from _sha256 import sha256  # CPython 3.11
     except ImportError:
         from hashlib import sha256
+
+# Start-up state lives until exit: no collection, shutdown's too, need visit it
+gc.freeze()
 
 if TYPE_CHECKING:  # each subcommand imports its own layer when it runs
     import argparse

@@ -34,6 +34,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids, each of which must fail
 
 
+ASSOC = "src/veclog/assoc.py"
+COVER = "src/veclog/cover.py"
 LAMP = "src/veclog/lamp.py"
 MUTANTS = [
     Mutant("walk: one more settled iteration", LAMP,
@@ -71,7 +73,39 @@ MUTANTS = [
     Mutant("emit: DEVORs from different sources fold", LAMP,
            "(ins.dst, ins.src1) if ins.imm and ins.opcode is _DEVOR",
            "ins.dst if ins.imm and ins.opcode is _DEVOR",
-           ("tests/test_lamp.py::test_executor_matches_reference[64]",)),
+           ("tests/test_lamp.py::test_executor_matches_reference[64]",
+            "tests/test_lamp.py::test_devor_runs_fold_only_with_one_"
+            "destination_and_source")),
+    Mutant("emit: DEVORs into different destinations fold", LAMP,
+           "(ins.dst, ins.src1) if ins.imm and ins.opcode is _DEVOR",
+           "ins.src1 if ins.imm and ins.opcode is _DEVOR",
+           ("tests/test_lamp.py::test_devor_runs_fold_only_with_one_"
+            "destination_and_source",)),
+    Mutant("feasible_mask: the row's 1s contained in the query", ASSOC,
+           "q & row == q", "q & row == row",
+           ("tests/test_assoc.py::TestFeasibleMask::test_direct_formula",
+            "tests/test_kernels.py::test_feasible_mask[64]",
+            "tests/test_golden.py::test_transcript[query-labels-1100]")),
+    Mutant("best_match: the most 1s win", ASSOC,
+           "least = min(ones)", "least = max(ones)",
+           ("tests/test_assoc.py::TestBestMatch::test_matches_popcount_oracle",
+            "tests/test_kernels.py::test_best_match[64]",
+            "tests/test_golden.py::test_transcript[query-labels-1100]")),
+    Mutant("diagnose: single mode unions the failing rows", ASSOC,
+           "hits & row", "hits | row",
+           ("tests/test_assoc.py::TestDiagnose::test_single_matches_oracle_"
+            "random",
+            "tests/test_kernels.py::test_diagnose[64-DiagnosisMode.SINGLE]",
+            "tests/test_golden.py::test_transcript[diagnose-single-110]")),
+    Mutant("greedy_cover: a row gains only what is covered", COVER,
+           "row & ~covered", "row & covered",
+           ("tests/test_cover.py::TestGreedy::test_covers_everything_coverable",
+            "tests/test_kernels.py::test_greedy_cover[64]",
+            "tests/test_golden.py::test_transcript[repair-memory]")),
+    Mutant("cli: start-up heap not frozen", "src/veclog/cli.py",
+           "gc.freeze()", "pass",
+           ("tests/test_cli.py::test_loading_the_cli_freezes_the_start_up_"
+            "heap",)),
 ]
 
 

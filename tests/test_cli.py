@@ -826,6 +826,23 @@ def test_import_loads_no_single_use_module():
     assert {"veclog", "veclog.cli", "veclog.vlcore"} <= set(out[1:])
 
 
+def test_loading_the_cli_freezes_the_start_up_heap():
+    """``import veclog.cli`` moves every object alive at that point into the
+    permanent generation, so no collection, the interpreter's last ones
+    included, visits the start-up heap again."""
+    before, frozen = map(int, run_python(
+        "import gc; before = len(gc.get_objects()); import veclog.cli; "
+        "print(before, gc.get_freeze_count())").split())
+    assert frozen >= before > 0
+
+
+def test_the_library_layers_leave_gc_alone():
+    out = run_python("import gc, veclog, veclog.assoc, veclog.cover, "
+                     "veclog.lamp, sys; "
+                     "print(gc.get_freeze_count(), 'veclog.cli' in sys.modules)")
+    assert out.split() == ["0", "False"]
+
+
 # each subcommand, the files it reads, and the veclog modules it ends with
 LAYERS_RUN = {
     "query": (["q.tbl", "1100"], "vlcore metric assoc"),

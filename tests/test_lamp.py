@@ -666,6 +666,24 @@ def test_executor_matches_reference(width):
             check_against_reference(state, program, max_steps)
 
 
+def test_devor_runs_fold_only_with_one_destination_and_source():
+    """Consecutive DEVORs with constant coordinates share one statement only
+    while both destination and source stay the same: a new source alone, or
+    a new destination alone, starts a new run."""
+    program = assemble("LOOP *\nDEVOR ma 1 mb\nDEVOR ma 2 mc\nDEVOR ma 3 mb\n"
+                       "DEVOR md 4 mb\nENDLOOP\nHALT\n")
+    rng = random.Random("devor-runs")
+    table = rand_table(rng, 3, 5)
+    zeros, ones = BitVector.zeros(5), BitVector.ones(5)
+    for mb in (zeros, ones):
+        for mc in (zeros, ones):
+            for ma, md in ((zeros, zeros), (rand_bitvector(rng, 5),
+                                            rand_bitvector(rng, 5))):
+                state = SequencerState(table, ma=ma, mb=mb, mc=mc, md=md)
+                assert run_sequencer(state, program) == \
+                    reference_run(state, program, 10 ** 6)
+
+
 SHIPPED = {
     "quality": quality_source(), "feasible": feasible_search_source(),
     "coverage": coverage_search_source(), "restrict": restrict_source(),
