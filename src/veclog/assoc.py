@@ -3,6 +3,12 @@ best-match queries over a table of equal-width binary rows.
 
 Row and column numbers are 1-based wherever they face a human (they match
 line order in the table file); Python sequences stay 0-indexed.
+
+``parse_table`` converts a binary table in the plain layout (header on line
+1, then one row of exactly ``width`` symbols per "\n"-ended line) by row
+stride, one ``int(row, 2)`` per row and no string per line; any other text
+is split into lines and checked row by row, which names the first bad line
+and column.
 """
 from __future__ import annotations
 
@@ -169,6 +175,57 @@ def parse_ternary_rows(
     return list(map(TernaryVector.from_symbols, rows)), row_labels
 
 
+# The symbols besides 0 and 1 that ``int(row, 2)`` accepts in ASCII text:
+# signs, underscores, the 0b prefix and whitespace other than "\n".
+_INT_EXTRAS = "+-_bB \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _parse_rows(text: str, ternary: bool):
+    """(rows, width, row labels, column labels); a binary table's rows come
+    as ints, a ternary table's as checked strings.  A binary table in the
+    plain layout is converted by row stride; any other table is checked row
+    by row, which names the first bad line and column."""
+    parsed = None if ternary else _stride_rows(text)
+    values, width, tail, first = parsed or _checked_rows(text, ternary)
+    return (values, width, *_labels(tail, first, len(values), width))
+
+
+def _dimensions(header: str, line: int) -> tuple[int, int]:
+    """(height, width) from the header, which is line ``line``."""
+    height, width = decimals(header, 2, line,
+                             "header must be two integers: height width")
+    if height < 1 or width < 1:
+        raise ParseError("table dimensions must be at least 1x1", line=line)
+    return height, width
+
+
+def _stride_rows(text: str):
+    """(values, width, lines after the rows, number of the first) of a
+    binary table in the plain layout: ASCII text with the header on line 1,
+    then ``height`` rows of exactly ``width`` symbols, each ended by "\n".
+    Row k is then the ``width`` symbols at ``start + k * (width + 1)``, so
+    one ``int(row, 2)`` per stride converts it.  None for any other text,
+    which may be malformed."""
+    start = text.find("\n") + 1
+    header = text[:start - 1]
+    if not (start and header.strip() and header.splitlines() == [header]
+            and text.isascii()):
+        return None
+    height, width = _dimensions(header, 1)
+    end = start + height * (width + 1)
+    if (end > len(text)
+            or text[start + width:end:width + 1] != "\n" * height
+            or text.count("\n", start, end) != height
+            or any(text.find(ch, start, end) >= 0 for ch in _INT_EXTRAS)):
+        return None
+    try:
+        values = [int(text[k:k + width], 2)
+                  for k in range(start, end, width + 1)]
+    except ValueError:  # a symbol other than 0 or 1
+        return None
+    return values, width, text[end:].splitlines(), height + 2
+
+
 def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:
     """The 1-based numbers of the non-blank lines from the ``k``-th (0-based)
     on; counted only where a check reports them."""
@@ -176,66 +233,47 @@ def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:
                   None)
 
 
-def _binary_values(text: str, rows: list[str],
-                   width: int) -> Optional[list[int]]:
-    """Each row as an int, or None when a row may be malformed.  On ASCII
-    text, ``int(row, 2)`` rejects every symbol but 0, 1 and the five below,
-    which no well-formed table holds before its trailer."""
-    end = text.find("#labels")
-    end = len(text) if end < 0 else end
-    if (list(map(len, rows)).count(width) < len(rows) or not text.isascii()
-            or any(text.find(ch, 0, end) >= 0 for ch in "+-_bB")):
-        return None
-    try:
-        return list(map(int, rows, repeat(2)))
-    except ValueError:
-        return None
-
-
-def _parse_rows(text: str, ternary: bool):
-    """(rows, width, row labels, column labels); a binary table's rows come
-    as ints, a ternary table's as checked strings.  A binary table is
-    checked row by row only when ``_binary_values`` cannot vouch for it."""
+def _checked_rows(text: str, ternary: bool):
+    """What ``_stride_rows`` returns, for any table: each line stripped,
+    blank lines skipped, and each row checked symbol by symbol."""
     lines = text.splitlines()
     body = list(filter(None, map(str.strip, lines)))
     if not body:
         raise ParseError("empty table")
-    header_line = next(_numbers(lines))
-    height, width = decimals(body[0], 2, header_line,
-                             "header must be two integers: height width")
-    if height < 1 or width < 1:
-        raise ParseError("table dimensions must be at least 1x1",
-                         line=header_line)
+    height, width = _dimensions(body[0], next(_numbers(lines)))
     rows = body[1:1 + height]
     if len(rows) < height:
         raise ParseError(f"expected {height} rows, found {len(rows)}",
                          line=next(_numbers(lines, len(body) - 1)))
-    values = None if ternary else _binary_values(text, rows, width)
-    if values is None:
-        alphabet = "01x" if ternary else "01"
-        for lineno, row in zip(_numbers(lines, 1), rows):
-            if len(row) != width:
-                raise ParseError(f"row has {len(row)} symbols, expected "
-                                 f"{width}", line=lineno)
-            check_symbols(row, alphabet, line=lineno)
-        values = rows if ternary else list(map(int, rows, repeat(2)))
+    alphabet = "01x" if ternary else "01"
+    for lineno, row in zip(_numbers(lines, 1), rows):
+        if len(row) != width:
+            raise ParseError(f"row has {len(row)} symbols, expected "
+                             f"{width}", line=lineno)
+        check_symbols(row, alphabet, line=lineno)
+    values = rows if ternary else list(map(int, rows, repeat(2)))
+    return values, width, lines[lineno:], lineno + 1  # after the last row
+
+
+def _labels(lines: list[str], first: int, height: int, width: int):
+    """(row labels, column labels) from the lines after a table's rows,
+    the first of which is line ``first``: blank, or a ``#labels`` trailer."""
+    trailer = [(n, entry) for n, entry in enumerate(map(str.strip, lines),
+                                                    first) if entry]
+    if trailer and trailer[0][1] != "#labels":
+        raise ParseError("unexpected content after table rows "
+                         "(expecting '#labels')", line=trailer[0][0])
     labels: dict[str, tuple[str, ...]] = {}
     shape = {"rows": (height, "row"), "cols": (width, "column")}
-    trailer = body[1 + height:]
-    if trailer and trailer[0] != "#labels":
-        raise ParseError("unexpected content after table rows "
-                         "(expecting '#labels')",
-                         line=next(_numbers(lines, 1 + height)))
-    for k, entry in enumerate(trailer[1:], 2 + height):
+    for lineno, entry in trailer[1:]:
         key, _, names = entry.partition(":")
         if key not in shape:
             raise ParseError("label lines must start with 'rows:' or 'cols:'",
-                             line=next(_numbers(lines, k)))
+                             line=lineno)
         if key in labels:
-            raise ParseError(f"repeated '{key}:' line",
-                             line=next(_numbers(lines, k)))
+            raise ParseError(f"repeated '{key}:' line", line=lineno)
         try:
             labels[key] = _checked_labels(names.split(), *shape[key])
         except ValueError as exc:
-            raise ParseError(str(exc), line=next(_numbers(lines, k))) from None
-    return values, width, labels.get("rows"), labels.get("cols")
+            raise ParseError(str(exc), line=lineno) from None
+    return labels.get("rows"), labels.get("cols")

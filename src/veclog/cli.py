@@ -4,8 +4,11 @@ Subcommands: query, diagnose, repair, sim, quality.  Reports are
 line-oriented ``key: value`` text (or one JSON document with ``--json``),
 byte-identical across runs for identical inputs.  Bit strings always print
 coordinate 1 first.  Exit codes: 0 success, 1 domain failure (inconsistent
-diagnosis, not repairable, runtime fault), 2 input error.  Loading it freezes
-the interpreter's start-up heap (``gc.freeze``), so exit skips tearing it down.
+diagnosis, not repairable, runtime fault), 2 input error.  Each input file is
+read once: a digest line hashes its bytes as read, and only the parsed value
+outlives the read, so no report is built beside the file's bytes or text.
+Loading it freezes the interpreter's start-up heap (``gc.freeze``), so exit
+skips tearing it down.
 """
 from __future__ import annotations
 
@@ -44,25 +47,33 @@ class InputError(Exception):
     """Bad file or argument; maps to exit code 2."""
 
 
-def _read(path: str) -> str:
-    """The file's text, which must be ASCII."""
+def _read(path: str) -> bytes:
+    """The file's bytes."""
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode("ascii")
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _digest(data: bytes) -> str:
+    """The report digest of a file's bytes as read: their SHA-256."""
+    return "sha256:" + sha256(data).hexdigest()[:12]
+
+
+def _load(path: str, parse, what: str = "", hashed: bool = True):
+    """(digest, ``parse(text)``) for the ASCII file at ``path``; the digest
+    is None unless ``hashed``.  With ``what``, a ParseError or EmptyInput is
+    raised as ``_parsed`` raises it.  Only the parsed value outlives the
+    call: no caller holds the file's bytes or text while it reports."""
+    data = _read(path)
+    try:
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _digest(text: str) -> str:
-    """The report digest of an ASCII file's text: its bytes' SHA-256."""
-    digest = sha256()
-    # In 64 KiB pieces: the heap block one encode of a megabyte-sized text
-    # takes stays resident after it is freed, which raises peak RSS.
-    for start in range(0, len(text), 1 << 16):
-        digest.update(text[start:start + (1 << 16)].encode("ascii"))
-    return "sha256:" + digest.hexdigest()[:12]
+    digest = _digest(data) if hashed else None
+    del data  # the parse runs beside the text alone
+    return digest, _parsed(parse, text, what) if what else parse(text)
 
 
 def _bits(vector: BitVector, dots: bool = False) -> str:
@@ -104,14 +115,13 @@ def _parsed(parse, text: str, what: str):
 def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import assoc
 
-    text = _read(args.table)
-    digest = _digest(text)
     if args.arith:
-        rows, labels = _parsed(assoc.parse_ternary_rows, text, "table")
+        digest, (rows, labels) = _load(args.table, assoc.parse_ternary_rows,
+                                       "table")
         query = _parsed(vlcore.TernaryVector.from_string, args.query, "query")
         height, width = len(rows), rows[0].length
     else:
-        table = _parsed(assoc.parse_table, text, "table")
+        digest, table = _load(args.table, assoc.parse_table, "table")
         query = _parsed(BitVector.from_string, args.query, "query")
         labels, height, width = table.row_labels, table.height, table.width
     if query.length != width:
@@ -168,9 +178,7 @@ def _query_arith(query: vlcore.TernaryVector,
 def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import assoc
 
-    text = _read(args.table)
-    digest = _digest(text)
-    table = _parsed(assoc.parse_table, text, "table")
+    digest, table = _load(args.table, assoc.parse_table, "table")
     response = _parsed(BitVector.from_string, args.response, "response")
     mode = assoc.DiagnosisMode(args.mode)
     candidates = assoc.diagnose(table, response, mode)
@@ -196,9 +204,8 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
 def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import cover
 
-    text = _read(args.instance)
-    digest = _digest(text)
-    instance = _parsed(cover.parse_repair_instance, text, "instance")
+    digest, instance = _load(args.instance, cover.parse_repair_instance,
+                             "instance")
     report: Report = [
         ("instance", args.instance),
         ("instance-digest", digest),
@@ -276,26 +283,28 @@ def _parse_reg_presets(items: Sequence[str], width: int) -> dict:
 
 
 def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
-               programs: dict) -> tuple[lamp.Program, lamp.SequencerState,
-                                        str, str]:
-    """The cell's program and start state, and the texts of its program and
-    data files; program errors are raised before data errors.
-    ``programs`` keeps each program file's program and text, so it is read
-    once."""
+               programs: dict, hashed: bool = True
+               ) -> tuple[lamp.Program, lamp.SequencerState, Optional[str],
+                          Optional[str]]:
+    """The cell's program and start state, and the digests of its program
+    and data files (None unless ``hashed``); program errors are raised
+    before data errors.  ``programs`` keeps each program file's program and
+    digest, so it is read once."""
     from veclog import assoc, lamp
 
     if program_path not in programs:
-        program_text = _read(program_path)
         try:
-            programs[program_path] = lamp.assemble(program_text), program_text
+            digest, program = _load(program_path, lamp.assemble,
+                                    hashed=hashed)
         except (lamp.AssemblyError, EmptyInput) as exc:
             raise InputError(f"{program_path}: {exc}") from exc
-    program, program_text = programs[program_path]
-    data_text = _read(data_path)
-    table = _parsed(assoc.parse_table, data_text, f"table {data_path}")
+        programs[program_path] = program, digest
+    program, program_digest = programs[program_path]
+    data_digest, table = _load(data_path, assoc.parse_table,
+                               f"table {data_path}", hashed)
     presets = _parse_reg_presets(reg_specs, table.width)
-    return (program, lamp.SequencerState(table, **presets), program_text,
-            data_text)
+    return (program, lamp.SequencerState(table, **presets), program_digest,
+            data_digest)
 
 
 def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
@@ -307,11 +316,11 @@ def cmd_sim(args: argparse.Namespace) -> tuple[Report, int]:
     if not args.program or not args.data:
         raise InputError("sim needs a program file and a data file "
                          "(or --grid MANIFEST)")
-    program, state, program_text, data_text = _load_cell(
+    program, state, program_digest, data_digest = _load_cell(
         args.program, args.data, args.reg or [], {})
     report: Report = [("program", args.program),
-                      ("program-digest", _digest(program_text)),
-                      ("data", args.data), ("data-digest", _digest(data_text))]
+                      ("program-digest", program_digest),
+                      ("data", args.data), ("data-digest", data_digest)]
     try:
         final = lamp.run_sequencer(state, program, max_steps)
     except lamp.SimulationError as exc:
@@ -345,8 +354,9 @@ def _sim_grid(args: argparse.Namespace,
     if unused:  # a manifest line names each cell's files and presets
         raise InputError(f"sim --grid does not use {', '.join(unused)}")
     base = os.path.dirname(os.path.abspath(args.grid))
+    _, manifest = _load(args.grid, str.splitlines, hashed=False)
     lines = [(number, ln.strip()) for number, ln
-             in enumerate(_read(args.grid).splitlines(), start=1)
+             in enumerate(manifest, start=1)
              if ln.strip() and not ln.strip().startswith("#")]
     if len(lines) != lamp.GRID_CELLS:
         raise InputError(f"grid manifest needs {lamp.GRID_CELLS} lines, "
@@ -363,7 +373,7 @@ def _sim_grid(args: argparse.Namespace,
                  for p in parts[:2]]
         try:
             program, state, *_ = _load_cell(paths[0], paths[1], parts[2:],
-                                            assembled)
+                                            assembled, hashed=False)
         except InputError as exc:
             raise InputError(f"cell ({row},{col}): {exc}") from exc
         programs.append(program)

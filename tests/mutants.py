@@ -10,7 +10,8 @@ the entry's test ids.  It prints ``killed`` for a mutant when every listed
 test fails, ``survived`` with the tests that passed otherwise, and exits 1
 if any mutant survived.  Each old text must occur exactly once in its file;
 ``tests/test_mutants.py`` checks that on every Tier-1 run, so an edit to a
-mutated line shows there before a mutant silently stops applying.
+mutated line shows there before a mutant silently stops applying.  A mutant
+whose code was deleted moves to ``RETIRED``, with what deleted it.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ class Mutant(NamedTuple):
 ASSOC = "src/veclog/assoc.py"
 COVER = "src/veclog/cover.py"
 LAMP = "src/veclog/lamp.py"
+STRIDE = ("tests/test_assoc.py::test_stride_path_leaves_other_texts_to_the_"
+          "row_by_row_parse")
 MUTANTS = [
     Mutant("walk: one more settled iteration", LAMP,
            "last = min(count, (limit - steps) // size,",
@@ -97,6 +100,39 @@ MUTANTS = [
             "random",
             "tests/test_kernels.py::test_diagnose[64-DiagnosisMode.SINGLE]",
             "tests/test_golden.py::test_transcript[diagnose-single-110]")),
+    Mutant("diagnose: multiple mode intersects the failing rows", ASSOC,
+           "hits | row", "hits & row",
+           ("tests/test_assoc.py::TestDiagnose::test_multiple",
+            "tests/test_kernels.py::test_diagnose[64-DiagnosisMode.MULTIPLE]",
+            "tests/test_golden.py::test_transcript[diagnose-multiple-110]")),
+    Mutant("stride: newline positions unchecked", ASSOC,
+           'text[start + width:end:width + 1] != "\\n" * height', "False",
+           (rf"{STRIDE}[2 3\n01\n0111\n]",
+            "tests/test_assoc.py::test_stride_parse_matches_row_by_row_"
+            "parse")),
+    Mutant("stride: newlines not counted", ASSOC,
+           'text.count("\\n", start, end) != height', "False",
+           (rf"{STRIDE}[2 3\n\n01\n011\n]",
+            rf"{STRIDE}[2 3\n011\n10\n\n]")),
+    Mutant("stride: non-ASCII text let through", ASSOC,
+           "and text.isascii()", "and True",
+           (rf"{STRIDE}[2 3\n1\u06610\n011\n]",
+            "tests/test_assoc.py::test_stride_parse_matches_row_by_row_"
+            "parse")),
+    Mutant("stride: '+' left out of the symbols int() accepts", ASSOC,
+           '_INT_EXTRAS = "+-', '_INT_EXTRAS = "-',
+           (rf"{STRIDE}[2 3\n+01\n011\n]",
+            "tests/test_golden.py::test_transcript[query-int-plus]")),
+    Mutant("stride: '_' left out of the symbols int() accepts", ASSOC,
+           '"+-_bB', '"+-bB',
+           (rf"{STRIDE}[2 3\n1_0\n011\n]",)),
+    Mutant("stride: space left out of the symbols int() accepts", ASSOC,
+           '_bB \\t', "_bB\\t",
+           (rf"{STRIDE}[2 3\n 01\n011\n]", rf"{STRIDE}[2 3\n01 \n011\n]")),
+    Mutant("stride: one symbol short per row", ASSOC,
+           "range(start, end, width + 1)", "range(start, end, width)",
+           ("tests/test_assoc.py::test_plain_layout_parses_by_stride[bare-1-5]",
+            "tests/test_assoc.py::test_parse_holds_no_string_per_line")),
     Mutant("greedy_cover: a row gains only what is covered", COVER,
            "row & ~covered", "row & covered",
            ("tests/test_cover.py::TestGreedy::test_covers_everything_coverable",
@@ -106,6 +142,23 @@ MUTANTS = [
            "gc.freeze()", "pass",
            ("tests/test_cli.py::test_loading_the_cli_freezes_the_start_up_"
             "heap",)),
+]
+
+
+
+class Retired(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    gone: str  # deleted code, which occurs nowhere in the file now
+    why: str
+
+
+# Mutants that no longer apply because the code they edited was deleted.
+RETIRED = [
+    Retired("_binary_values: one of the symbols int() accepts left out of "
+            "the search", ASSOC, "_binary_values",
+            "deleted when binary tables moved to the row-stride parse; the "
+            "stride mutants above edit its successor's symbol set"),
 ]
 
 

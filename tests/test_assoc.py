@@ -1,10 +1,15 @@
 import random
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (BREAKS, PADS, bit, outcome, rand_table,
                      reference_parse_table, reference_parse_ternary_rows)
+from veclog import assoc
 from veclog.assoc import (
     AssociativeTable,
     DiagnosisMode,
@@ -359,3 +364,153 @@ class TestTableParsing:
     def test_binary_parse_rejects_x(self):
         with pytest.raises(ParseError):
             parse_table("1 3\n1x0\n")
+
+
+# ---------------------------------------------------------------------------
+# The row-stride parse against the row-by-row checked parse
+
+def row_by_row(text: str):
+    """``parse_table(text)``'s outcome with the stride path switched off."""
+    with mock.patch.object(assoc, "_stride_rows", lambda text: None):
+        return outcome(parse_table, text)
+
+
+def plain_text(height: int, width: int, seed: int = 0,
+               trailer: str = "") -> tuple[str, list[int]]:
+    """A table in the plain layout and its row values."""
+    rng = random.Random(seed)
+    values = [rng.getrandbits(width) for _ in range(height)]
+    rows = "".join(format(v, f"0{width}b") + "\n" for v in values)
+    return f"{height} {width}\n{rows}{trailer}", values
+
+
+SHAPES = [(1, 1), (1, 5), (6, 1), (3, 63), (2, 64), (4, 65), (5, 8),
+          (4096, 256)]
+
+
+def labels_trailer(height: int, width: int) -> str:
+    return ("#labels\nrows: " + " ".join(f"r{i}" for i in range(height))
+            + "\ncols: " + " ".join(f"c{j}" for j in range(width)) + "\n")
+
+
+@pytest.mark.parametrize("height, width", SHAPES)
+@pytest.mark.parametrize("trailer", ["", "\n\n \n", "labels"],
+                         ids=["bare", "blank-lines", "labels"])
+def test_plain_layout_parses_by_stride(height, width, trailer):
+    if trailer == "labels":
+        trailer = "\n" + labels_trailer(height, width)
+    text, values = plain_text(height, width, height * width, trailer)
+    stride = assoc._stride_rows(text)
+    assert stride is not None
+    assert stride[:2] == (values, width)
+    assert parse_table(text) == row_by_row(text) == \
+        reference_parse_table(text)
+
+
+@pytest.mark.parametrize("text", [
+    "2 3\n01\n0111\n",          # a short row then a long one: one "\n" off
+    "2 3\n\n01\n011\n",         # a blank line shifts the rows by one
+    "2 3\n011\n10\n\n",         # ... and a short last row ends on a blank
+    "2 3\n1\u06610\n011\n",    # a non-ASCII digit int() reads as 1
+    "2 3\n+01\n011\n",          # int() signs, underscores and 0b prefixes
+    "2 3\n-01\n011\n",
+    "2 3\n1_0\n011\n",
+    "2 3\n0b1\n011\n",
+    "2 3\n0B1\n011\n",
+    "2 3\n 01\n011\n",          # padding int() strips
+    "2 3\n01 \n011\n",
+    "2 3\n\t01\n011\n",
+    "2 3\n01\r\n011\n",         # other whitespace and line breaks
+    "2 3\n01\x0b\n011\n",
+    "2 3\n01\x0c\n011\n",
+    "2 3\n\x1c01\n011\n",
+    "2 3\n\x1d01\n011\n",
+    "2 3\n\x1e01\n011\n",
+    "2 3\n\x1f01\n011\n",
+    "2 3\r\n011\r\n101\r\n",   # CRLF
+    "2 3\n011\n101",            # no final "\n"
+    "2 3\r011\n101\n",          # a lone "\r" ends the header
+    "2 3\x0b011\n101\n",
+    "\n2 3\n011\n101\n",        # the header is not on line 1
+    " \n2 3\n011\n101\n",
+    "2 3\n0112\n101\n",         # plain bad symbols
+    "2 3\n01x\n101\n",
+    "2 4\n011\n101\n",
+    "3 3\n011\n101\n",
+    "99999999999999999999 3\n011\n",
+])
+def test_stride_path_leaves_other_texts_to_the_row_by_row_parse(text):
+    assert assoc._stride_rows(text) is None
+    assert outcome(parse_table, text) == row_by_row(text) == \
+        outcome(reference_parse_table, text)
+
+
+# what the stride guard must turn away: symbols int() reads besides 0 and 1,
+# every line break str.splitlines knows, padding, and other bad symbols
+ODD = ["+", "-", "_", "b", "B", " ", "\t", "\r", "\x0b", "\x0c", "\x1c",
+       "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u0661",
+       "\uff11", "x", "2", "\n", "\r\n", "0b", "#labels"]
+
+
+@st.composite
+def table_texts(draw):
+    """A table in the plain layout, with a labels trailer or not, and up to
+    four edits of the kinds the readers must tell apart."""
+    height, width = draw(st.sampled_from(SHAPES))
+    trailer = draw(st.sampled_from(["", "labels", "bad-labels", "content"]))
+    if trailer == "labels":
+        trailer = labels_trailer(height, width)
+    elif trailer == "bad-labels":
+        trailer = labels_trailer(height + 1, width)
+    elif trailer == "content":
+        trailer = "0" * width + "\n"
+    text, _ = plain_text(height, width, draw(st.integers(0, 2 ** 32)),
+                         trailer)
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(
+            ["insert", "replace", "delete", "break", "blank", "crlf",
+             "chop"]))
+        k = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[k])))
+        if kind == "insert":
+            lines[k] = lines[k][:at] + draw(st.sampled_from(ODD)) \
+                + lines[k][at:]
+        elif kind == "replace":
+            lines[k] = lines[k][:at] + draw(st.sampled_from(ODD)) \
+                + lines[k][at + 1:]
+        elif kind == "delete":
+            lines[k] = lines[k][:at] + lines[k][at + 1:]
+        elif kind == "break":  # another break ends line k
+            lines[k] += draw(st.sampled_from(["\r", "\x0b", "\x0c", "\x1c",
+                                              "\x1d", "\x1e", "\x85"]))
+        elif kind == "blank":
+            lines.insert(k, draw(st.sampled_from(["", " ", "\t", "\x1f"])))
+        elif kind == "crlf":
+            lines = [line + "\r" for line in lines[:-1]] + lines[-1:]
+        else:  # the last row without its "\n"
+            if lines[-1] == "":
+                lines.pop()
+    return "\n".join(lines)
+
+
+@settings(max_examples=400)
+@given(table_texts())
+def test_stride_parse_matches_row_by_row_parse(text):
+    """Same table and labels, or the same exception, message, line and
+    column, with and without the stride path."""
+    assert outcome(parse_table, text) == row_by_row(text)
+
+
+def test_parse_holds_no_string_per_line():
+    """A 4096x256 table parses beside its text in under half the text's
+    size: the rows are sliced out and converted one at a time."""
+    text, _ = plain_text(4096, 256)
+    parse_table(text)
+    tracemalloc.start()
+    try:
+        parse_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * len(text)

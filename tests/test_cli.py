@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -99,6 +101,26 @@ class TestQuery:
         _, out, _ = run(capsys, "query", table, "1100")
         want = hashlib.sha256(QUERY_TABLE.encode("ascii")).hexdigest()[:12]
         assert value_of(out, "table-digest") == "sha256:" + want
+
+    def test_holds_neither_bytes_nor_text_beside_the_table(self, capsys,
+                                                           tmp_path):
+        """On a 4096x256 table ``query`` peaks under 2.1x the file's size:
+        the bytes and the text are held together only while the text is
+        decoded, and the report is built beside the parsed table alone."""
+        rng = random.Random(4096)
+        rows = [format(rng.getrandbits(256), "0256b") for _ in range(4096)]
+        table = write(tmp_path, "t.tbl", "4096 256\n" + "\n".join(rows)
+                      + "\n")
+        argv = ["query", table, rows[97]]
+        assert main(argv) == 0  # the layers it imports are not counted
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 2.1 * os.path.getsize(table)
 
     def test_more_rows_than_any_vector_cap(self, capsys, tmp_path):
         height = (1 << 16) + 1

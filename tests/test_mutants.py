@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, RETIRED, ROOT
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
@@ -16,3 +16,9 @@ def test_each_mutant_applies_once(mutant):
     for test in mutant.tests:
         path, *names = test.split("[", 1)[0].split("::")
         assert f"def {names[-1]}(" in (ROOT / path).read_text("utf-8")
+
+
+@pytest.mark.parametrize("retired", RETIRED, ids=[r.name for r in RETIRED])
+def test_each_retired_mutant_s_code_is_gone(retired):
+    assert retired.gone not in (ROOT / retired.file).read_text("utf-8")
+    assert retired.name not in {m.name for m in MUTANTS}
