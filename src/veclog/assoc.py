@@ -4,22 +4,26 @@ best-match queries over a table of equal-width binary rows.
 Row and column numbers are 1-based wherever they face a human (they match
 line order in the table file); Python sequences stay 0-indexed.
 
-``parse_table`` converts a binary table in the plain layout (header on line
-1, then one row of exactly ``width`` symbols per "\n"-ended line) by row
-stride, one ``int(row, 2)`` per row and no string per line; any other text
-is split into lines and checked row by row, which names the first bad line
-and column.
+The table readers take the file's text as a ``str``, or its ASCII bytes
+as read.  ``parse_table`` converts a binary table in the plain layout
+(header on line 1, then one row of exactly ``width`` symbols per
+"\n"-ended line) by row stride, one ``int(row, 2)`` per row on the buffer
+as given and no string per line; only the header and the lines after the
+rows are decoded.  Any other table is decoded, split into lines and
+checked row by row, which names the first bad line and column.
 """
 from __future__ import annotations
 
 from enum import Enum
 from itertools import islice, repeat
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
-from veclog.metric import CompactedQuality
 from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
                            TernaryVector, check_symbols, decimals, slc,
                            value_type)
+
+if TYPE_CHECKING:  # best_match imports it when called: only query ranks rows
+    from veclog.metric import CompactedQuality
 
 
 @value_type
@@ -144,6 +148,8 @@ def best_match(query: BitVector,
     depends only on that least popcount and the width, so every tied row
     has the same quality, built once from the count.
     """
+    from veclog.metric import CompactedQuality
+
     _check_query(table, query)
     q = query.value
     ones = [(q ^ row).bit_count() for row in table.values]
@@ -161,14 +167,16 @@ def best_match(query: BitVector,
 #   rows: <n names>
 #   cols: <w names>
 
-def parse_table(text: str) -> AssociativeTable:
-    """Parse the text table format into a binary table."""
+def parse_table(text: Union[str, bytes]) -> AssociativeTable:
+    """Parse the table format, as text or ASCII bytes, into a binary
+    table."""
     values, width, row_labels, col_labels = _parse_rows(text, ternary=False)
     return AssociativeTable(values, width, row_labels, col_labels)
 
 
 def parse_ternary_rows(
-        text: str) -> tuple[list[TernaryVector], Optional[tuple[str, ...]]]:
+        text: Union[str, bytes]
+) -> tuple[list[TernaryVector], Optional[tuple[str, ...]]]:
     """Parse the same format allowing the x symbol; returns rows and any
     row labels."""
     rows, _, row_labels, _ = _parse_rows(text, ternary=True)
@@ -180,14 +188,28 @@ def parse_ternary_rows(
 _INT_EXTRAS = "+-_bB \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _parse_rows(text: str, ternary: bool):
+def _parse_rows(text: Union[str, bytes], ternary: bool):
     """(rows, width, row labels, column labels); a binary table's rows come
     as ints, a ternary table's as checked strings.  A binary table in the
-    plain layout is converted by row stride; any other table is checked row
-    by row, which names the first bad line and column."""
+    plain layout is converted by row stride; any other table is decoded and
+    checked row by row, which names the first bad line and column."""
     parsed = None if ternary else _stride_rows(text)
-    values, width, tail, first = parsed or _checked_rows(text, ternary)
+    values, width, tail, first = parsed or _checked_rows(_decoded(text),
+                                                         ternary)
     return (values, width, *_labels(tail, first, len(values), width))
+
+
+def _decoded(text: Union[str, bytes]) -> str:
+    """The text itself, or the bytes decoded as ASCII; a byte outside ASCII
+    raises ParseError at its line and column."""
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("ascii")
+    except UnicodeDecodeError as exc:
+        *before, last = (text[:exc.start].decode("ascii") + "?").splitlines()
+        raise ParseError(f"invalid byte {text[exc.start]:#04x}: table files "
+                         f"are ASCII", len(before) + 1, len(last)) from None
 
 
 def _dimensions(header: str, line: int) -> tuple[int, int]:
@@ -199,31 +221,40 @@ def _dimensions(header: str, line: int) -> tuple[int, int]:
     return height, width
 
 
-def _stride_rows(text: str):
+def _stride_rows(text: Union[str, bytes]):
     """(values, width, lines after the rows, number of the first) of a
-    binary table in the plain layout: ASCII text with the header on line 1,
-    then ``height`` rows of exactly ``width`` symbols, each ended by "\n".
-    Row k is then the ``width`` symbols at ``start + k * (width + 1)``, so
-    one ``int(row, 2)`` per stride converts it.  None for any other text,
-    which may be malformed."""
-    start = text.find("\n") + 1
-    header = text[:start - 1]
-    if not (start and header.strip() and header.splitlines() == [header]
-            and text.isascii()):
+    binary table in the plain layout: ASCII text or bytes with the header
+    on line 1, then ``height`` rows of exactly ``width`` symbols, each ended
+    by "\n".  Row k is then the ``width`` symbols at
+    ``start + k * (width + 1)``, so one ``int(row, 2)`` per stride converts
+    it, from the buffer as given.  The header and the lines after the rows
+    are decoded, so their checks read them as text.  None for any other
+    text, which may be malformed."""
+    if not text.isascii():
+        return None
+    newline, extras = (("\n", _INT_EXTRAS) if isinstance(text, str)
+                       else (b"\n", _INT_EXTRAS.encode()))
+    start = text.find(newline) + 1
+    if not start:
+        return None
+    header = _decoded(text[:start - 1])
+    if not (header.strip() and header.splitlines() == [header]):
         return None
     height, width = _dimensions(header, 1)
     end = start + height * (width + 1)
+    # int() strips a "\n" that starts or ends a row and rejects one inside
     if (end > len(text)
-            or text[start + width:end:width + 1] != "\n" * height
-            or text.count("\n", start, end) != height
-            or any(text.find(ch, start, end) >= 0 for ch in _INT_EXTRAS)):
+            or text[start + width:end:width + 1] != newline * height
+            or newline in text[start:end:width + 1]
+            or newline in text[start + width - 1:end:width + 1]
+            or any(text.find(ch, start, end) >= 0 for ch in extras)):
         return None
     try:
         values = [int(text[k:k + width], 2)
                   for k in range(start, end, width + 1)]
     except ValueError:  # a symbol other than 0 or 1
         return None
-    return values, width, text[end:].splitlines(), height + 2
+    return values, width, _decoded(text[end:]).splitlines(), height + 2
 
 
 def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:

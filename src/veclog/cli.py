@@ -5,8 +5,10 @@ line-oriented ``key: value`` text (or one JSON document with ``--json``),
 byte-identical across runs for identical inputs.  Bit strings always print
 coordinate 1 first.  Exit codes: 0 success, 1 domain failure (inconsistent
 diagnosis, not repairable, runtime fault), 2 input error.  Each input file is
-read once: a digest line hashes its bytes as read, and only the parsed value
-outlives the read, so no report is built beside the file's bytes or text.
+read once, as bytes that must be ASCII.  A digest line hashes those bytes,
+and a table parses from the same bytes, with no decoded copy; programs,
+repair instances and grid manifests are decoded.  Only the parsed value
+outlives the read, so no report is built beside a file's bytes or text.
 Loading it freezes the interpreter's start-up heap (``gc.freeze``), so exit
 skips tearing it down.
 """
@@ -62,18 +64,24 @@ def _digest(data: bytes) -> str:
 
 
 def _load(path: str, parse, what: str = "", hashed: bool = True):
-    """(digest, ``parse(text)``) for the ASCII file at ``path``; the digest
-    is None unless ``hashed``.  With ``what``, a ParseError or EmptyInput is
-    raised as ``_parsed`` raises it.  Only the parsed value outlives the
-    call: no caller holds the file's bytes or text while it reports."""
+    """(digest, ``parse(data)``) for the ASCII bytes ``data`` of the file at
+    ``path``; the digest is None unless ``hashed``.  With ``what``, a
+    ParseError or EmptyInput is raised as ``_parsed`` raises it.  Only the
+    parsed value outlives the call: no caller holds the file's bytes while
+    it reports."""
     data = _read(path)
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    if not data.isascii():  # the codec's message names the first bad byte
+        try:
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
     digest = _digest(data) if hashed else None
-    del data  # the parse runs beside the text alone
-    return digest, _parsed(parse, text, what) if what else parse(text)
+    return digest, _parsed(parse, data, what) if what else parse(data)
+
+
+def _text(parse):
+    """``parse``, a reader of text, as a reader of a file's ASCII bytes."""
+    return lambda data: parse(data.decode("ascii"))
 
 
 def _bits(vector: BitVector, dots: bool = False) -> str:
@@ -100,7 +108,7 @@ def _position(exc: ValueError) -> str:
     return f" at line {line}" + ("" if column is None else f", column {column}")
 
 
-def _parsed(parse, text: str, what: str):
+def _parsed(parse, text, what: str):
     """``parse(text)``, with a ParseError or EmptyInput raised as the
     InputError that names ``what`` and the position."""
     try:
@@ -204,8 +212,8 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
 def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import cover
 
-    digest, instance = _load(args.instance, cover.parse_repair_instance,
-                             "instance")
+    digest, instance = _load(args.instance,
+                             _text(cover.parse_repair_instance), "instance")
     report: Report = [
         ("instance", args.instance),
         ("instance-digest", digest),
@@ -294,7 +302,7 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
 
     if program_path not in programs:
         try:
-            digest, program = _load(program_path, lamp.assemble,
+            digest, program = _load(program_path, _text(lamp.assemble),
                                     hashed=hashed)
         except (lamp.AssemblyError, EmptyInput) as exc:
             raise InputError(f"{program_path}: {exc}") from exc
@@ -354,7 +362,7 @@ def _sim_grid(args: argparse.Namespace,
     if unused:  # a manifest line names each cell's files and presets
         raise InputError(f"sim --grid does not use {', '.join(unused)}")
     base = os.path.dirname(os.path.abspath(args.grid))
-    _, manifest = _load(args.grid, str.splitlines, hashed=False)
+    _, manifest = _load(args.grid, _text(str.splitlines), hashed=False)
     lines = [(number, ln.strip()) for number, ln
              in enumerate(manifest, start=1)
              if ln.strip() and not ln.strip().startswith("#")]

@@ -36,8 +36,10 @@ class Mutant(NamedTuple):
 
 
 ASSOC = "src/veclog/assoc.py"
+CLI = "src/veclog/cli.py"
 COVER = "src/veclog/cover.py"
 LAMP = "src/veclog/lamp.py"
+VLCORE = "src/veclog/vlcore.py"
 STRIDE = ("tests/test_assoc.py::test_stride_path_leaves_other_texts_to_the_"
           "row_by_row_parse")
 MUTANTS = [
@@ -106,16 +108,23 @@ MUTANTS = [
             "tests/test_kernels.py::test_diagnose[64-DiagnosisMode.MULTIPLE]",
             "tests/test_golden.py::test_transcript[diagnose-multiple-110]")),
     Mutant("stride: newline positions unchecked", ASSOC,
-           'text[start + width:end:width + 1] != "\\n" * height', "False",
-           (rf"{STRIDE}[2 3\n01\n0111\n]",
-            "tests/test_assoc.py::test_stride_parse_matches_row_by_row_"
-            "parse")),
-    Mutant("stride: newlines not counted", ASSOC,
-           'text.count("\\n", start, end) != height', "False",
-           (rf"{STRIDE}[2 3\n\n01\n011\n]",
-            rf"{STRIDE}[2 3\n011\n10\n\n]")),
+           "text[start + width:end:width + 1] != newline * height", "False",
+           (rf"{STRIDE}[2 3\n0110101\n]", rf"{STRIDE}[2 3\n011x101\n]")),
+    Mutant("stride: first symbol unchecked", ASSOC,
+           "or newline in text[start:end:width + 1]", "or False",
+           (rf"{STRIDE}[2 3\n\n01\n011\n]",)),
+    Mutant("stride: last symbol unchecked", ASSOC,
+           "or newline in text[start + width - 1:end:width + 1]", "or False",
+           (rf"{STRIDE}[2 3\n011\n10\n\n]",)),
+    Mutant("stride: the header checked undecoded", ASSOC,
+           "header = _decoded(text[:start - 1])",
+           "header = text[:start - 1]",
+           ("tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
+            "[vertical-tab-ends-header]",
+            "tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
+            "[file-separator-line-first]")),
     Mutant("stride: non-ASCII text let through", ASSOC,
-           "and text.isascii()", "and True",
+           "if not text.isascii():", "if False:",
            (rf"{STRIDE}[2 3\n1\u06610\n011\n]",
             "tests/test_assoc.py::test_stride_parse_matches_row_by_row_"
             "parse")),
@@ -138,10 +147,42 @@ MUTANTS = [
            ("tests/test_cover.py::TestGreedy::test_covers_everything_coverable",
             "tests/test_kernels.py::test_greedy_cover[64]",
             "tests/test_golden.py::test_transcript[repair-memory]")),
-    Mutant("cli: start-up heap not frozen", "src/veclog/cli.py",
-           "gc.freeze()", "pass",
+    Mutant("build_repair_table: faults numbered from the right", COVER,
+           "bit = 1 << (n - 1 - k)", "bit = 1 << k",
+           ("tests/test_kernels.py::test_build_repair_table[63]",
+            "tests/test_cover.py::TestBuildRepairTable::test_memory_module_"
+            "layout",
+            "tests/test_cover.py::TestBuildRepairTable::test_two_faults_same_"
+            "row")),
+    Mutant("exact_cover_oracle: a tried row branched on again", COVER,
+           "tried |= 1 << i  # later", "tried |= 0  # later",
+           ("tests/test_kernels.py::test_exact_cover_oracle_matches_brute_"
+            "force[64]",
+            "tests/test_cover.py::TestOracleMatchesReference::test_random_"
+            "generic",
+            "tests/test_golden.py::test_transcript[repair-rand-oracle]")),
+    Mutant("cli: start-up heap not frozen", CLI, "gc.freeze()", "pass",
            ("tests/test_cli.py::test_loading_the_cli_freezes_the_start_up_"
             "heap",)),
+    Mutant("cli: the _load ASCII gate dropped", CLI,
+           "if not data.isascii():", "if False:",
+           ("tests/test_golden.py::test_transcript[query-nonascii]",
+            "tests/test_golden.py::test_transcript[diagnose-nonascii]")),
+    Mutant("cli: _accept lets a required option go missing", CLI,
+           "if any(dest not in args for dest, _ in options.values()):",
+           "if False:",
+           ("tests/test_cli.py::test_other_command_lines_go_to_argparse"
+            "[quality --fault-prob 0.1 --faults 10 --testability 0.5 --scan "
+            "1]",)),
+    Mutant("cli: _digest hashes the bytes stripped", CLI,
+           "sha256(data).hexdigest()", "sha256(data.rstrip()).hexdigest()",
+           ("tests/test_cli.py::TestQuery::test_digest_is_of_the_file_bytes",
+            "tests/test_golden.py::test_transcript[query-labels-1100]")),
+    Mutant("value_type: a subclass instance compares equal", VLCORE,
+           "if other.__class__ is self.__class__:",
+           "if isinstance(other, self.__class__):",
+           ("tests/test_values.py::TestContract::test_only_same_class_is_"
+            "equal[BitVector]",)),
 ]
 
 
@@ -159,6 +200,10 @@ RETIRED = [
             "the search", ASSOC, "_binary_values",
             "deleted when binary tables moved to the row-stride parse; the "
             "stride mutants above edit its successor's symbol set"),
+    Retired("stride: newlines not counted", ASSOC, 'text.count("\\n"',
+            "the count of the row block's newlines gave way to the stride "
+            "guard's first- and last-symbol checks, which turn away the same "
+            "tables; their two mutants above replace it"),
 ]
 
 

@@ -407,8 +407,11 @@ def test_plain_layout_parses_by_stride(height, width, trailer):
         reference_parse_table(text)
 
 
-@pytest.mark.parametrize("text", [
+# texts not in the plain layout, or not a table at all
+NOT_PLAIN = [
     "2 3\n01\n0111\n",          # a short row then a long one: one "\n" off
+    "2 3\n0110101\n",           # rows run together: no "\n" after a row
+    "2 3\n011x101\n",
     "2 3\n\n01\n011\n",         # a blank line shifts the rows by one
     "2 3\n011\n10\n\n",         # ... and a short last row ends on a blank
     "2 3\n1\u06610\n011\n",    # a non-ASCII digit int() reads as 1
@@ -438,7 +441,10 @@ def test_plain_layout_parses_by_stride(height, width, trailer):
     "2 4\n011\n101\n",
     "3 3\n011\n101\n",
     "99999999999999999999 3\n011\n",
-])
+]
+
+
+@pytest.mark.parametrize("text", NOT_PLAIN)
 def test_stride_path_leaves_other_texts_to_the_row_by_row_parse(text):
     assert assoc._stride_rows(text) is None
     assert outcome(parse_table, text) == row_by_row(text) == \
@@ -502,6 +508,67 @@ def test_stride_parse_matches_row_by_row_parse(text):
     assert outcome(parse_table, text) == row_by_row(text)
 
 
+# ---------------------------------------------------------------------------
+# The same readers on a file's ASCII bytes
+
+@settings(max_examples=400)
+@given(table_texts().filter(str.isascii))
+def test_bytes_parse_like_their_text(text):
+    """Same table and labels, or the same exception, message, line and
+    column, from the bytes as from the text."""
+    assert outcome(parse_table, text.encode()) == outcome(parse_table, text)
+
+
+@pytest.mark.parametrize("height, width", SHAPES)
+@pytest.mark.parametrize("trailer", ["", "\n\n \n", "labels"],
+                         ids=["bare", "blank-lines", "labels"])
+def test_plain_layout_bytes_parse_by_stride(height, width, trailer):
+    if trailer == "labels":
+        trailer = "\n" + labels_trailer(height, width)
+    text, values = plain_text(height, width, height * width, trailer)
+    stride = assoc._stride_rows(text.encode())
+    assert stride is not None
+    assert stride[:2] == (values, width)
+    assert parse_table(text.encode()) == parse_table(text)
+
+
+@pytest.mark.parametrize("text", [t for t in NOT_PLAIN if t.isascii()])
+def test_bytes_not_in_the_plain_layout_parse_row_by_row(text):
+    assert assoc._stride_rows(text.encode()) is None
+    assert outcome(parse_table, text.encode()) == \
+        outcome(reference_parse_table, text)
+
+
+# bytes.splitlines and bytes.strip know fewer line breaks and spaces than
+# str's; the header and the lines after the rows are read as text
+@pytest.mark.parametrize("text", [
+    "2 3\x0b011\n101\n",
+    "\x1c\n2 3\n011\n101\n",
+    "2 3\x0c\n011\n101\n",
+    "2 3\n011\n101\n\x1e\n",
+], ids=["vertical-tab-ends-header", "file-separator-line-first",
+        "form-feed-ends-header", "record-separator-after-rows"])
+def test_header_and_trailer_bytes_read_as_text(text):
+    assert outcome(parse_table, text) == reference_parse_table(text)
+    assert outcome(parse_table, text.encode()) == \
+        outcome(parse_table, text)
+    assert outcome(parse_ternary_rows, text.encode()) == \
+        outcome(parse_ternary_rows, text)
+
+
+@pytest.mark.parametrize("data, line, column", [
+    ("2 3\n1\u06610\n011\n".encode(), 2, 2),
+    (b"\xff2 3\n011\n", 1, 1),
+    (b"2 3\r\n011\r\n101\x80\n", 3, 4),
+    (b"1 1\n1\n#labels\nrows: r\xc3\xa9\n", 4, 8),
+])
+@pytest.mark.parametrize("parse", [parse_table, parse_ternary_rows])
+def test_non_ascii_bytes_raise_parse_error(parse, data, line, column):
+    with pytest.raises(ParseError, match="table files are ASCII") as info:
+        parse(data)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_parse_holds_no_string_per_line():
     """A 4096x256 table parses beside its text in under half the text's
     size: the rows are sliced out and converted one at a time."""
@@ -514,3 +581,18 @@ def test_parse_holds_no_string_per_line():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * len(text)
+
+
+def test_bytes_parse_beside_the_bytes_alone():
+    """A 4096x256 table parses from its bytes in under half their size:
+    no decoded copy of the rows is made."""
+    text, _ = plain_text(4096, 256)
+    data = text.encode()
+    parse_table(data)
+    tracemalloc.start()
+    try:
+        parse_table(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * len(data)
