@@ -5,25 +5,24 @@ Row and column numbers are 1-based wherever they face a human (they match
 line order in the table file); Python sequences stay 0-indexed.
 
 The table readers take the file's text as a ``str``, or its ASCII bytes
-as read.  ``parse_table`` converts a binary table in the plain layout
-(header on line 1, then one row of exactly ``width`` symbols per
-"\n"-ended line) by row stride, one ``int(row, 2)`` per row on the buffer
-as given and no string per line; only the header and the lines after the
-rows are decoded.  Any other table is decoded, split into lines and
-checked row by row, which names the first bad line and column.
+as read; ``read_table`` reads a binary file itself.  A binary table in the
+plain layout (header on line 1, then one row of exactly ``width`` symbols
+per "\n"-ended line) is read in blocks of whole rows, about 64 KiB each,
+and converted by row stride, one ``int(row, 2)`` per row on the block as
+read and no string per line; only the header and the lines after the rows
+are decoded.  Any other table is decoded, split into lines and checked row
+by row, which names the first bad line and column.
 """
 from __future__ import annotations
 
 from enum import Enum
 from itertools import islice, repeat
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import (BinaryIO, Callable, Iterator, Optional, Sequence,
+                    Union)
 
-from veclog.vlcore import (BitVector, LengthMismatch, ParseError,
-                           TernaryVector, check_symbols, decimals, slc,
-                           value_type)
-
-if TYPE_CHECKING:  # best_match imports it when called: only query ranks rows
-    from veclog.metric import CompactedQuality
+from veclog.vlcore import (BitVector, CompactedQuality, LengthMismatch,
+                           ParseError, TernaryVector, check_symbols,
+                           decimals, slc, value_type)
 
 
 @value_type
@@ -148,8 +147,6 @@ def best_match(query: BitVector,
     depends only on that least popcount and the width, so every tied row
     has the same quality, built once from the count.
     """
-    from veclog.metric import CompactedQuality
-
     _check_query(table, query)
     q = query.value
     ones = [(q ^ row).bit_count() for row in table.values]
@@ -174,6 +171,22 @@ def parse_table(text: Union[str, bytes]) -> AssociativeTable:
     return AssociativeTable(values, width, row_labels, col_labels)
 
 
+def read_table(fh: BinaryIO, update: Optional[Callable[[bytes], object]] = None
+               ) -> Optional[AssociativeTable]:
+    """The binary table in the plain layout that the binary file ``fh``
+    holds, read and converted block by block; ``update``, when given, is
+    called on every piece read, in file order.  None for any other file,
+    which may be malformed or not ASCII, once the read has shown it: the
+    file is then read part of the way, and ``parse_table`` reads it whole.
+    A bad ``#labels`` trailer raises ParseError as ``parse_table`` does."""
+    parsed = _stream_rows(fh, update)
+    if parsed is None:
+        return None
+    values, width, tail, first = parsed
+    return AssociativeTable(values, width,
+                            *_labels(tail, first, len(values), width))
+
+
 def parse_ternary_rows(
         text: Union[str, bytes]
 ) -> tuple[list[TernaryVector], Optional[tuple[str, ...]]]:
@@ -185,7 +198,10 @@ def parse_ternary_rows(
 
 # The symbols besides 0 and 1 that ``int(row, 2)`` accepts in ASCII text:
 # signs, underscores, the 0b prefix and whitespace other than "\n".
-_INT_EXTRAS = "+-_bB \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_INT_EXTRAS = "+-_bB \t\r\x0b\x0c"
+# The plain layout's rows are read, checked and converted a block at a time:
+# as many whole rows as fit in this many bytes.
+_BLOCK = 1 << 16
 
 
 def _parse_rows(text: Union[str, bytes], ternary: bool):
@@ -221,40 +237,84 @@ def _dimensions(header: str, line: int) -> tuple[int, int]:
     return height, width
 
 
+class _Buffer:
+    """Text or bytes in memory, read as ``_stream_rows`` reads a file: the
+    first line, then ``size`` symbols at a time, then the rest."""
+
+    def __init__(self, text: Union[str, bytes]):
+        self.text, self.at = text, 0
+
+    def readline(self) -> Union[str, bytes]:
+        newline = "\n" if isinstance(self.text, str) else b"\n"
+        return self.read(self.text.find(newline) + 1 or -1)
+
+    def read(self, size: int = -1) -> Union[str, bytes]:
+        start = self.at
+        self.at = len(self.text) if size < 0 else start + size
+        return self.text[start:self.at]
+
+
 def _stride_rows(text: Union[str, bytes]):
+    """What ``_stream_rows`` reads from a file, read from text or bytes in
+    memory."""
+    return _stream_rows(_Buffer(text))
+
+
+def _stream_rows(fh, update: Optional[Callable] = None):
     """(values, width, lines after the rows, number of the first) of a
-    binary table in the plain layout: ASCII text or bytes with the header
-    on line 1, then ``height`` rows of exactly ``width`` symbols, each ended
-    by "\n".  Row k is then the ``width`` symbols at
-    ``start + k * (width + 1)``, so one ``int(row, 2)`` per stride converts
-    it, from the buffer as given.  The header and the lines after the rows
-    are decoded, so their checks read them as text.  None for any other
-    text, which may be malformed."""
-    if not text.isascii():
-        return None
-    newline, extras = (("\n", _INT_EXTRAS) if isinstance(text, str)
+    binary table in the plain layout, read from ``fh``, a binary file or a
+    ``_Buffer``: ASCII with the header on line 1, then ``height`` rows of
+    exactly ``width`` symbols, each ended by "\n".  The rows are read in
+    blocks of as many whole rows as fit in ``_BLOCK`` bytes; row k of a
+    block is the ``width`` symbols at ``k * (width + 1)``, so one
+    ``int(row, 2)`` per stride converts it, from the block as read.  The
+    header and the lines after the rows are decoded, so their checks read
+    them as text.  ``update``, when given, is called on every piece read.
+    None for any other table, which may be malformed, as soon as a piece
+    read shows it, and for rows wider than a block."""
+    header = fh.readline()
+    if update:
+        update(header)
+    newline, extras = (("\n", _INT_EXTRAS) if isinstance(header, str)
                        else (b"\n", _INT_EXTRAS.encode()))
-    start = text.find(newline) + 1
-    if not start:
+    if not (header.isascii() and header.endswith(newline)):
         return None
-    header = _decoded(text[:start - 1])
+    header = _decoded(header[:-1])
     if not (header.strip() and header.splitlines() == [header]):
         return None
-    height, width = _dimensions(header, 1)
-    end = start + height * (width + 1)
-    # int() strips a "\n" that starts or ends a row and rejects one inside
-    if (end > len(text)
-            or text[start + width:end:width + 1] != newline * height
-            or newline in text[start:end:width + 1]
-            or newline in text[start + width - 1:end:width + 1]
-            or any(text.find(ch, start, end) >= 0 for ch in extras)):
-        return None
     try:
-        values = [int(text[k:k + width], 2)
-                  for k in range(start, end, width + 1)]
-    except ValueError:  # a symbol other than 0 or 1
+        height, width = _dimensions(header, 1)
+    except ParseError:  # the whole text, once known to be ASCII, names it
         return None
-    return values, width, _decoded(text[end:]).splitlines(), height + 2
+    stride = width + 1
+    if stride > _BLOCK:
+        return None
+    per_block = _BLOCK // stride
+    values: list[int] = []
+    for done in range(0, height, per_block):
+        rows = min(per_block, height - done)
+        size = rows * stride
+        block = fh.read(size)
+        if update:
+            update(block)
+        # int() strips a "\n" that starts or ends a row and rejects one inside
+        if (not block.isascii()
+                or block[width::stride] != newline * rows
+                or newline in block[::stride]
+                or newline in block[width - 1::stride]
+                or any(ch in block for ch in extras)):
+            return None
+        try:
+            values += [int(block[k:k + width], 2)
+                       for k in range(0, size, stride)]
+        except ValueError:  # a symbol other than 0 or 1
+            return None
+    tail = fh.read()
+    if update:
+        update(tail)
+    if not tail.isascii():
+        return None
+    return values, width, _decoded(tail).splitlines(), height + 2
 
 
 def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:

@@ -4,11 +4,16 @@ Subcommands: query, diagnose, repair, sim, quality.  Reports are
 line-oriented ``key: value`` text (or one JSON document with ``--json``),
 byte-identical across runs for identical inputs.  Bit strings always print
 coordinate 1 first.  Exit codes: 0 success, 1 domain failure (inconsistent
-diagnosis, not repairable, runtime fault), 2 input error.  Each input file is
-read once, as bytes that must be ASCII.  A digest line hashes those bytes,
-and a table parses from the same bytes, with no decoded copy; programs,
-repair instances and grid manifests are decoded.  Only the parsed value
-outlives the read, so no report is built beside a file's bytes or text.
+diagnosis, not repairable, runtime fault), 2 input error.  Input files are
+bytes that must be ASCII.  A table file is read as a stream, in blocks of
+whole rows that are hashed for its digest line and converted as they are
+read, so its whole bytes are never held; a table the stream cannot read
+(not in the plain layout, not ASCII, or a file that cannot seek) is read
+again from its start, whole, hashed afresh and parsed row by row, with the
+same digest, table and errors.  Programs, repair instances and grid
+manifests are read whole and decoded.  Only the parsed value outlives the
+read, and text reports are written a slice of lines at a time, so no report
+is built beside a file's bytes or text.  SHA-256 loads at the first digest.
 Loading it freezes the interpreter's start-up heap (``gc.freeze``), so exit
 skips tearing it down.
 """
@@ -17,21 +22,12 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from itertools import chain, islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from veclog import vlcore
 from veclog.vlcore import BitVector, EmptyInput, LengthMismatch, ParseError
-
-# The builtin SHA-256 gives hashlib's digest without loading hashlib's OpenSSL
-# binding, the costliest import a subcommand would otherwise pay for.
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.11
-    except ImportError:
-        from hashlib import sha256
 
 # Start-up state lives until exit: no collection, shutdown's too, need visit it
 gc.freeze()
@@ -43,6 +39,8 @@ if TYPE_CHECKING:  # each subcommand imports its own layer when it runs
     from veclog import lamp
 
 Report = list[tuple[str, object]]
+# a text report is written this many lines at a time
+_SLICE = 256
 
 
 class InputError(Exception):
@@ -58,18 +56,41 @@ def _read(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def sha256(data: bytes = b""):
+    """``hashlib.sha256(data)``, from the interpreter's builtin module when
+    there is one (``_sha2`` on CPython 3.12+, ``_sha256`` below), which
+    gives hashlib's digest without loading hashlib's OpenSSL binding, the
+    costliest import a subcommand would otherwise pay for.  Imported at the
+    first digest, so a run that prints none loads no SHA module."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256 as new
+        else:
+            from _sha256 import sha256 as new
+    except ImportError:
+        from hashlib import sha256 as new
+    return new(data)
+
+
 def _digest(data: bytes) -> str:
     """The report digest of a file's bytes as read: their SHA-256."""
-    return "sha256:" + sha256(data).hexdigest()[:12]
+    return _named(sha256(data))
 
 
-def _load(path: str, parse, what: str = "", hashed: bool = True):
+def _named(hashed) -> str:
+    """The report digest of a SHA-256 hash object fed a file's bytes."""
+    return "sha256:" + hashed.hexdigest()[:12]
+
+
+def _load(path: str, parse, what: str = "", hashed: bool = True,
+          data: Optional[bytes] = None):
     """(digest, ``parse(data)``) for the ASCII bytes ``data`` of the file at
-    ``path``; the digest is None unless ``hashed``.  With ``what``, a
-    ParseError or EmptyInput is raised as ``_parsed`` raises it.  Only the
-    parsed value outlives the call: no caller holds the file's bytes while
-    it reports."""
-    data = _read(path)
+    ``path``, read here unless given; the digest is None unless ``hashed``.
+    With ``what``, a ParseError or EmptyInput is raised as ``_parsed``
+    raises it.  Only the parsed value outlives the call: no caller holds
+    the file's bytes while it reports."""
+    if data is None:
+        data = _read(path)
     if not data.isascii():  # the codec's message names the first bad byte
         try:
             data.decode("ascii")
@@ -77,6 +98,29 @@ def _load(path: str, parse, what: str = "", hashed: bool = True):
             raise InputError(f"cannot read {path}: {exc}") from exc
     digest = _digest(data) if hashed else None
     return digest, _parsed(parse, data, what) if what else parse(data)
+
+
+def _load_table(path: str, what: str, hashed: bool = True):
+    """(digest, binary table) of the table file at ``path``, as ``_load``
+    gives them with ``assoc.parse_table``.  A seekable file is read through
+    ``assoc.read_table``, which hashes and converts it a block of rows at a
+    time; a file it cannot read that way is read again from its start,
+    whole, and hashed afresh, as is a file that cannot seek."""
+    from veclog import assoc
+
+    try:
+        with open(path, "rb") as fh:
+            if fh.seekable():
+                seen = sha256() if hashed else None
+                table = _parsed(lambda f: assoc.read_table(
+                    f, seen and seen.update), fh, what)
+                if table is not None:
+                    return _named(seen) if hashed else None, table
+                fh.seek(0)
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    return _load(path, assoc.parse_table, what, hashed, data)
 
 
 def _text(parse):
@@ -89,16 +133,22 @@ def _bits(vector: BitVector, dots: bool = False) -> str:
     return text.replace("0", ".") if dots else text
 
 
-def _emit(report: Report, as_json: bool) -> None:
+def _emit(report: Iterable[tuple[str, object]], as_json: bool) -> None:
     if as_json:
         import json  # only --json reports need it
 
         print(json.dumps(dict(report), indent=2))
-    else:
-        # One print, not one sys.stdout.write: unbuffered, a write into a
-        # closed pipe can end partial with no error, while print's second
-        # write (the newline) raises BrokenPipeError.
-        print("\n".join(f"{key}: {value}" for key, value in report))
+        return
+    # A slice of lines at a time, the last by print: unbuffered, a write
+    # into a closed pipe can end partial with no error, while a later write
+    # (print's newline at the latest) raises BrokenPipeError.
+    lines = (f"{key}: {value}" for key, value in report)
+    slices = iter(lambda: "\n".join(islice(lines, _SLICE)), "")
+    last = next(slices)
+    for text in slices:
+        sys.stdout.write(last + "\n")
+        last = text
+    print(last)
 
 
 def _position(exc: ValueError) -> str:
@@ -120,7 +170,8 @@ def _parsed(parse, text, what: str):
 # ---------------------------------------------------------------------------
 # query
 
-def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
+def cmd_query(args: argparse.Namespace
+              ) -> tuple[Iterable[tuple[str, object]], int]:
     from veclog import assoc
 
     if args.arith:
@@ -129,37 +180,36 @@ def cmd_query(args: argparse.Namespace) -> tuple[Report, int]:
         query = _parsed(vlcore.TernaryVector.from_string, args.query, "query")
         height, width = len(rows), rows[0].length
     else:
-        digest, table = _load(args.table, assoc.parse_table, "table")
+        digest, table = _load_table(args.table, "table")
         query = _parsed(BitVector.from_string, args.query, "query")
         labels, height, width = table.row_labels, table.height, table.width
     if query.length != width:
         raise InputError(f"query width {query.length} does not match table "
                          f"width {width}")
-    names = [f"row-{k}" for k in range(1, height + 1)]
+    names = (f"row-{k}" for k in range(1, height + 1))  # made as printed
     if labels:
-        names = [f"{name} ({label})" for name, label in zip(names, labels)]
+        names = (f"{name} ({label})" for name, label in zip(names, labels))
     report: Report = [("table", args.table), ("table-digest", digest),
                       ("query", args.query), ("rows", height),
                       ("width", width)]
     if args.arith:
         return _query_arith(query, rows, names, report)
     mask = str(assoc.feasible_mask(table, query))
-    report += [(name, "contradictory" if flag == "1" else "feasible")
-               for name, flag in zip(names, mask)]
     feasible = [str(k) for k, flag in enumerate(mask, start=1) if flag == "0"]
-    report.append(("feasible-rows", " ".join(feasible) or "(none)"))
     best_rows, quality = assoc.best_match(query, table)
-    report.append(("best-rows", " ".join(str(k) for k in best_rows)))
+    tail: Report = [("feasible-rows", " ".join(feasible) or "(none)"),
+                    ("best-rows", " ".join(str(k) for k in best_rows))]
     if labels:
-        report.append(("best-labels",
-                       " ".join(labels[k - 1] for k in best_rows)))
-    report.append(("best-quality", str(quality)))
-    report.append(("status", "ok"))
-    return report, 0
+        tail.append(("best-labels",
+                     " ".join(labels[k - 1] for k in best_rows)))
+    tail.append(("best-quality", str(quality)))
+    tail.append(("status", "ok"))
+    verdicts = map({"0": "feasible", "1": "contradictory"}.get, mask)
+    return chain(report, zip(names, verdicts), tail), 0
 
 
 def _query_arith(query: vlcore.TernaryVector,
-                 rows: Sequence[vlcore.TernaryVector], names: list[str],
+                 rows: Sequence[vlcore.TernaryVector], names: Iterable[str],
                  report: Report) -> tuple[Report, int]:
     from veclog import metric
 
@@ -186,7 +236,7 @@ def _query_arith(query: vlcore.TernaryVector,
 def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import assoc
 
-    digest, table = _load(args.table, assoc.parse_table, "table")
+    digest, table = _load_table(args.table, "table")
     response = _parsed(BitVector.from_string, args.response, "response")
     mode = assoc.DiagnosisMode(args.mode)
     candidates = assoc.diagnose(table, response, mode)
@@ -298,7 +348,7 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
     and data files (None unless ``hashed``); program errors are raised
     before data errors.  ``programs`` keeps each program file's program and
     digest, so it is read once."""
-    from veclog import assoc, lamp
+    from veclog import lamp
 
     if program_path not in programs:
         try:
@@ -308,8 +358,7 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
             raise InputError(f"{program_path}: {exc}") from exc
         programs[program_path] = program, digest
     program, program_digest = programs[program_path]
-    data_digest, table = _load(data_path, assoc.parse_table,
-                               f"table {data_path}", hashed)
+    data_digest, table = _load_table(data_path, f"table {data_path}", hashed)
     presets = _parse_reg_presets(reg_specs, table.width)
     return (program, lamp.SequencerState(table, **presets), program_digest,
             data_digest)
@@ -567,7 +616,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit([("command", " ".join(argv))] + report, args.json)
+        _emit(chain([("command", " ".join(argv))], report), args.json)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left; Python's SIGPIPE recipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from veclog.vlcore import (
     BitVector,
+    CompactedQuality,
     EmptyIntersection,
     TernaryVector,
     _set_length,
@@ -63,16 +64,6 @@ class QualityVector:
 class Choice(Enum):
     FIRST = "first"
     SECOND = "second"
-
-
-@value_type
-class CompactedQuality:
-    """Left-justified quality vector; renders as (ones/length)."""
-
-    compacted: BitVector
-
-    def __str__(self) -> str:
-        return f"({self.compacted.popcount}/{self.compacted.length})"
 
 
 def quality_arith(query: TernaryVector, stored: TernaryVector) -> ArithQuality:

@@ -284,6 +284,16 @@ def slc(a: BitVector) -> BitVector:
     return BitVector(((1 << ones) - 1) << (a.length - ones), a.length)
 
 
+@value_type
+class CompactedQuality:
+    """Left-justified quality vector; renders as (ones/length)."""
+
+    compacted: BitVector
+
+    def __str__(self) -> str:
+        return f"({self.compacted.popcount}/{self.compacted.length})"
+
+
 def ternary_intersect(a: TernaryVector,
                       b: TernaryVector) -> "TernaryVector | EmptyIntersection":
     """Coordinatewise intersection: x absorbs, equal symbols keep, 0 vs 1

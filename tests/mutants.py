@@ -108,26 +108,42 @@ MUTANTS = [
             "tests/test_kernels.py::test_diagnose[64-DiagnosisMode.MULTIPLE]",
             "tests/test_golden.py::test_transcript[diagnose-multiple-110]")),
     Mutant("stride: newline positions unchecked", ASSOC,
-           "text[start + width:end:width + 1] != newline * height", "False",
+           "block[width::stride] != newline * rows", "False",
            (rf"{STRIDE}[2 3\n0110101\n]", rf"{STRIDE}[2 3\n011x101\n]")),
     Mutant("stride: first symbol unchecked", ASSOC,
-           "or newline in text[start:end:width + 1]", "or False",
+           "or newline in block[::stride]", "or False",
            (rf"{STRIDE}[2 3\n\n01\n011\n]",)),
     Mutant("stride: last symbol unchecked", ASSOC,
-           "or newline in text[start + width - 1:end:width + 1]", "or False",
+           "or newline in block[width - 1::stride]", "or False",
            (rf"{STRIDE}[2 3\n011\n10\n\n]",)),
     Mutant("stride: the header checked undecoded", ASSOC,
-           "header = _decoded(text[:start - 1])",
-           "header = text[:start - 1]",
+           "header = _decoded(header[:-1])",
+           "header = header[:-1]",
            ("tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
-            "[vertical-tab-ends-header]",
-            "tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
-            "[file-separator-line-first]")),
+            "[form-feed-ends-header]",)),
     Mutant("stride: non-ASCII text let through", ASSOC,
-           "if not text.isascii():", "if False:",
+           "if not tail.isascii():", "if False:",
+           (r"tests/test_assoc.py::test_non_ascii_bytes_raise_parse_error"
+            r"[parse_table-1 1\n1\n#labels\nrows: r\xc3\xa9\n-4-8]",
+            "tests/test_golden.py::test_transcript[query-nonascii]",
+            "tests/test_golden.py::test_transcript[diagnose-nonascii]")),
+    Mutant("stream: the per-block ASCII check dropped", ASSOC,
+           "if (not block.isascii()", "if (False",
            (rf"{STRIDE}[2 3\n1\u06610\n011\n]",
             "tests/test_assoc.py::test_stride_parse_matches_row_by_row_"
             "parse")),
+    Mutant("stream: the last block one row short", ASSOC,
+           "rows = min(per_block, height - done)",
+           "rows = min(per_block, height - done - 1)",
+           ("tests/test_assoc.py::test_plain_layout_parses_by_stride"
+            "[bare-6-1]",
+            "tests/test_assoc.py::test_streamed_reads_match_whole_reads"
+            "[3-rows]",
+            "tests/test_golden.py::test_transcript[query-labels-1100]")),
+    Mutant("stream: the header left out of the digest", ASSOC,
+           "update(header)", "None",
+           ("tests/test_cli.py::TestQuery::test_digest_is_of_the_file_bytes",
+            "tests/test_golden.py::test_transcript[query-labels-1100]")),
     Mutant("stride: '+' left out of the symbols int() accepts", ASSOC,
            '_INT_EXTRAS = "+-', '_INT_EXTRAS = "-',
            (rf"{STRIDE}[2 3\n+01\n011\n]",
@@ -139,7 +155,7 @@ MUTANTS = [
            '_bB \\t', "_bB\\t",
            (rf"{STRIDE}[2 3\n 01\n011\n]", rf"{STRIDE}[2 3\n01 \n011\n]")),
     Mutant("stride: one symbol short per row", ASSOC,
-           "range(start, end, width + 1)", "range(start, end, width)",
+           "range(0, size, stride)", "range(0, size, width)",
            ("tests/test_assoc.py::test_plain_layout_parses_by_stride[bare-1-5]",
             "tests/test_assoc.py::test_parse_holds_no_string_per_line")),
     Mutant("greedy_cover: a row gains only what is covered", COVER,
@@ -175,9 +191,34 @@ MUTANTS = [
             "[quality --fault-prob 0.1 --faults 10 --testability 0.5 --scan "
             "1]",)),
     Mutant("cli: _digest hashes the bytes stripped", CLI,
-           "sha256(data).hexdigest()", "sha256(data.rstrip()).hexdigest()",
-           ("tests/test_cli.py::TestQuery::test_digest_is_of_the_file_bytes",
-            "tests/test_golden.py::test_transcript[query-labels-1100]")),
+           "sha256(data))", "sha256(data.rstrip()))",
+           ("tests/test_cli.py::test_digest_is_sha256_with_or_without_the_"
+            "builtin_module[blocked0]",
+            "tests/test_golden.py::test_transcript[repair-memory]")),
+    Mutant("cli: the fallback reuses the stream's partial digest", CLI,
+           "return _load(path, assoc.parse_table, what, hashed, data)",
+           "return (seen.update(data) or _named(seen)) if hashed else None, "
+           "_load(path, assoc.parse_table, what, False, data)[1]",
+           ("tests/test_assoc.py::test_streamed_reads_fall_back_where_a_"
+            "block_fails[crlf-default]",
+            "tests/test_golden.py::test_transcript[query-crlf]")),
+    Mutant("cli: the final report slice dropped", CLI,
+           "    print(last)", "    pass",
+           ("tests/test_cli.py::TestQuery::test_row_match",
+            "tests/test_golden.py::test_transcript[query-labels-1100]",
+            "tests/test_golden.py::test_transcript[sim-quality]")),
+    Mutant("cli: the SHA import hoisted back to module level", CLI,
+           "# Start-up state lives until exit",
+           "try:\n    from _sha2 import sha256  # CPython 3.12+\n"
+           "except ImportError:\n    from _sha256 import sha256\n"
+           "# Start-up state lives until exit",
+           ("tests/test_cli.py::test_import_loads_no_single_use_module",)),
+    Mutant("best_match: veclog.metric imported", ASSOC,
+           "    _check_query(table, query)\n    q = query.value\n    ones",
+           "    from veclog.metric import CompactedQuality\n\n"
+           "    _check_query(table, query)\n    q = query.value\n    ones",
+           ("tests/test_cli.py::test_each_subcommand_loads_only_its_layer"
+            "[query]",)),
     Mutant("value_type: a subclass instance compares equal", VLCORE,
            "if other.__class__ is self.__class__:",
            "if isinstance(other, self.__class__):",

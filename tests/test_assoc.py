@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (BREAKS, PADS, bit, outcome, rand_table,
                      reference_parse_table, reference_parse_ternary_rows)
-from veclog import assoc
+from veclog import assoc, cli
 from veclog.assoc import (
     AssociativeTable,
     DiagnosisMode,
@@ -508,6 +509,18 @@ def test_stride_parse_matches_row_by_row_parse(text):
     assert outcome(parse_table, text) == row_by_row(text)
 
 
+@pytest.mark.parametrize("symbol", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_int_rejects_the_separators_the_stride_guard_leaves_to_it(symbol):
+    """``int(row, 2)`` rejects the ASCII file, group, record and unit
+    separators before or after a row, from text and from bytes, so the
+    stride guard does not search for them; an interpreter that accepted one
+    would fail here."""
+    for row in (symbol + "1", "1" + symbol):
+        for given in (row, row.encode()):
+            with pytest.raises(ValueError):
+                int(given, 2)
+
+
 # ---------------------------------------------------------------------------
 # The same readers on a file's ASCII bytes
 
@@ -596,3 +609,115 @@ def test_bytes_parse_beside_the_bytes_alone():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * len(data)
+
+
+# ---------------------------------------------------------------------------
+# The CLI's streamed table reads against its whole-file reads
+
+def cli_outcome(load, *args):
+    """What ``load(*args)`` returns, or the message of its input error."""
+    try:
+        return load(*args)
+    except cli.InputError as exc:
+        return str(exc)
+
+
+def block_bytes(data: bytes, rows):
+    """``assoc._BLOCK`` for ``rows`` rows per block of the table ``data``,
+    by the width its header names; the default for ``rows`` None or a
+    header that names no width."""
+    try:
+        width = int(data.split(b"\n", 1)[0].split()[1])
+    except (IndexError, ValueError):
+        return assoc._BLOCK
+    return assoc._BLOCK if rows is None else rows * (width + 1)
+
+
+def streamed_and_whole(path, data: bytes, rows):
+    """(``cli._load_table``'s outcome with ``rows`` rows per block, the
+    outcome of the whole-file read parsed row by row, the number of
+    whole-file reads the streamed read fell back to) for a file holding
+    ``data``."""
+    path.write_bytes(data)
+    with mock.patch.object(assoc, "_stride_rows", lambda text: None):
+        whole = cli_outcome(cli._load, str(path), parse_table, "table")
+    with mock.patch.object(assoc, "_BLOCK", block_bytes(data, rows)), \
+            mock.patch.object(cli, "_load", wraps=cli._load) as fallback:
+        streamed = cli_outcome(cli._load_table, str(path), "table")
+    return streamed, whole, fallback.call_count
+
+
+ROWS_PER_BLOCK = pytest.mark.parametrize("rows", [1, 2, 3, None],
+                                         ids=["1-row", "2-rows", "3-rows",
+                                              "default"])
+
+
+@ROWS_PER_BLOCK
+@settings(max_examples=150)
+@given(text=table_texts())
+def test_streamed_reads_match_whole_reads(tmp_path_factory, rows, text):
+    """Same digest and table, or the same error, from the CLI's streamed
+    read of a table file as from reading it whole."""
+    path = tmp_path_factory.getbasetemp() / "streamed.tbl"
+    streamed, whole, _ = streamed_and_whole(path, text.encode(), rows)
+    assert streamed == whole
+
+
+@ROWS_PER_BLOCK
+@pytest.mark.parametrize("text", NOT_PLAIN)
+def test_streamed_reads_of_other_layouts_match_whole_reads(tmp_path, rows,
+                                                           text):
+    streamed, whole, fallback = streamed_and_whole(tmp_path / "t.tbl",
+                                                   text.encode(), rows)
+    assert (streamed, fallback) == (whole, 1)
+
+
+def twelve_rows(variant: str) -> bytes:
+    """A 12x8 table with a labels trailer, as the variant changes it."""
+    text, _ = plain_text(12, 8, 12, labels_trailer(12, 8))
+    data = text.encode()
+    if variant == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    row = {"plain": None, "first": 1, "middle": 6, "last": 12}[variant]
+    if row is None:
+        return data
+    at = len(b"12 8\n") + (row - 1) * 9 + 4  # a symbol inside the row
+    return data[:at] + b"\xb1" + data[at + 1:]
+
+
+@ROWS_PER_BLOCK
+@pytest.mark.parametrize("variant", ["plain", "crlf", "first", "middle",
+                                     "last"],
+                         ids=["plain", "crlf", "non-ascii-first-block",
+                              "non-ascii-middle-block",
+                              "non-ascii-last-block"])
+def test_streamed_reads_fall_back_where_a_block_fails(tmp_path, rows,
+                                                      variant):
+    """A table in the plain layout is read by the stream alone; a CRLF
+    table, or a non-ASCII byte in any block, sends the file to the
+    whole-file read, with its digest, table or error."""
+    streamed, whole, fallback = streamed_and_whole(tmp_path / "t.tbl",
+                                                   twelve_rows(variant),
+                                                   rows)
+    assert (streamed, fallback) == (whole, variant != "plain")
+    if variant in ("plain", "crlf"):
+        assert streamed[1].height == 12
+    else:
+        assert streamed.startswith("cannot read ")
+
+
+def test_an_input_that_cannot_seek_is_read_whole(tmp_path):
+    """A pipe cannot be read again from its start, so it is read whole."""
+    data = twelve_rows("plain")
+    path = tmp_path / "t.tbl"
+    path.write_bytes(data)
+    want = cli._load(str(path), parse_table, "table")
+    read, write = os.pipe()
+    try:
+        os.write(write, data)
+        os.close(write)
+        with mock.patch.object(cli, "_load", wraps=cli._load) as whole:
+            got = cli._load_table(f"/dev/fd/{read}", "table")
+    finally:
+        os.close(read)
+    assert (got, whole.call_count) == (want, 1)

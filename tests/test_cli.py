@@ -141,6 +141,26 @@ class TestQuery:
         capsys.readouterr()
         assert peak < 1.4 * os.path.getsize(table)
 
+    def test_streams_the_table_and_the_report(self, capsys, tmp_path):
+        """On a 4096x256 table ``query`` peaks under 0.5x the file's size:
+        the table is read and converted a block of rows at a time, and the
+        report is made and written a slice of lines at a time, so neither
+        the file's bytes nor the whole report is held."""
+        rng = random.Random(4098)
+        rows = [format(rng.getrandbits(256), "0256b") for _ in range(4096)]
+        table = write(tmp_path, "t.tbl", "4096 256\n" + "\n".join(rows)
+                      + "\n")
+        argv = ["query", table, rows[97]]
+        assert main(argv) == 0  # the layers it imports are not counted
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 0.5 * os.path.getsize(table)
+
     def test_more_rows_than_any_vector_cap(self, capsys, tmp_path):
         height = (1 << 16) + 1
         table = write(tmp_path, "t.tbl", f"{height} 1\n" + "1\n0\n" * (
@@ -853,14 +873,16 @@ def test_closed_pipe_exits_1_without_a_traceback(tmp_path, extra,
 
 def test_import_loads_no_single_use_module():
     """``import veclog.cli`` loads neither the modules only one subcommand
-    uses, nor the dataclass machinery, nor hashlib with its OpenSSL binding,
-    nor argparse; checked on module names, not time."""
+    uses, nor the dataclass machinery, nor a SHA-256 module (hashlib with
+    its OpenSSL binding, or the builtin one), nor argparse; checked on
+    module names, not time."""
     out = run_python("import sys; before = set(sys.modules); import veclog.cli; "
                      "print(veclog.cli.__file__, *set(sys.modules) - before)"
                      ).split()
     assert out[0].startswith(str(Path(veclog.__file__).parents[1]))
     unused = {"dataclasses", "inspect", "fractions", "decimal", "json",
-              "hashlib", "_hashlib", "argparse", "gettext", "locale",
+              "hashlib", "_hashlib", "_sha2", "_sha256", "argparse",
+              "gettext", "locale",
               "veclog.assoc", "veclog.metric", "veclog.cover", "veclog.dq",
               "veclog.lamp"}
     assert not unused & set(out[1:])
@@ -886,7 +908,7 @@ def test_the_library_layers_leave_gc_alone():
 
 # each subcommand, the files it reads, and the veclog modules it ends with
 LAYERS_RUN = {
-    "query": (["q.tbl", "1100"], "vlcore metric assoc"),
+    "query": (["q.tbl", "1100"], "vlcore assoc"),
     "diagnose": (["d.tbl", "110"], "vlcore assoc"),
     "repair": (["r.inst", "--oracle"], "vlcore assoc cover"),
     "quality": (["--fault-prob", "0.1", "--faults", "10", "--testability",
