@@ -7,11 +7,11 @@ line order in the table file); Python sequences stay 0-indexed.
 The table readers take the file's text as a ``str``, or its ASCII bytes
 as read; ``read_table`` reads a binary file itself.  A binary table in the
 plain layout (header on line 1, then one row of exactly ``width`` symbols
-per "\n"-ended line) is read in blocks of whole rows, about 64 KiB each,
-and converted by row stride, one ``int(row, 2)`` per row on the block as
-read and no string per line; only the header and the lines after the rows
-are decoded.  Any other table is decoded, split into lines and checked row
-by row, which names the first bad line and column.
+per "\n"-ended line) is converted by row stride, one ``int(row, 2)`` per
+row on the text or bytes as given (a file's in blocks of about 64 KiB), with
+only the header and the lines after the rows decoded.  Any other table is
+decoded, split into lines and checked row by row, which names the first bad
+line and column; a file is read whole for that, once.
 """
 from __future__ import annotations
 
@@ -172,16 +172,21 @@ def parse_table(text: Union[str, bytes]) -> AssociativeTable:
 
 
 def read_table(fh: BinaryIO, update: Optional[Callable[[bytes], object]] = None
-               ) -> Optional[AssociativeTable]:
-    """The binary table in the plain layout that the binary file ``fh``
-    holds, read and converted block by block; ``update``, when given, is
-    called on every piece read, in file order.  None for any other file,
-    which may be malformed or not ASCII, once the read has shown it: the
-    file is then read part of the way, and ``parse_table`` reads it whole.
-    A bad ``#labels`` trailer raises ParseError as ``parse_table`` does."""
-    parsed = _stream_rows(fh, update)
-    if parsed is None:
-        return None
+               ) -> AssociativeTable:
+    """The binary table the binary file ``fh`` holds, streamed while it is
+    in the plain layout.  From the first piece that is not, or at once if
+    ``fh`` cannot seek, it is read whole from its start and checked row by
+    row; UnicodeDecodeError if it is not ASCII.  ``update``, when given, is
+    called on pieces that hold each byte of the file once, in order."""
+    update = update or (lambda piece: None)
+    parsed = fh.seekable() and _stream_rows(fh, update)
+    if not parsed:
+        done = fh.tell() if fh.seekable() else 0
+        if done:
+            fh.seek(0)
+        data = fh.read()
+        update(memoryview(data)[done:])
+        parsed = _checked_rows(data.decode("ascii"), False)
     values, width, tail, first = parsed
     return AssociativeTable(values, width,
                             *_labels(tail, first, len(values), width))
@@ -199,17 +204,15 @@ def parse_ternary_rows(
 # The symbols besides 0 and 1 that ``int(row, 2)`` accepts in ASCII text:
 # signs, underscores, the 0b prefix and whitespace other than "\n".
 _INT_EXTRAS = "+-_bB \t\r\x0b\x0c"
-# The plain layout's rows are read, checked and converted a block at a time:
-# as many whole rows as fit in this many bytes.
+# A file's rows are read in blocks of as many whole rows as fit in this many
+# bytes.
 _BLOCK = 1 << 16
 
 
 def _parse_rows(text: Union[str, bytes], ternary: bool):
-    """(rows, width, row labels, column labels); a binary table's rows come
-    as ints, a ternary table's as checked strings.  A binary table in the
-    plain layout is converted by row stride; any other table is decoded and
-    checked row by row, which names the first bad line and column."""
-    parsed = None if ternary else _stride_rows(text)
+    """(rows, width, row labels, column labels): a binary table's rows as
+    ints, by row stride in the plain layout, a ternary table's as strings."""
+    parsed = None if ternary else _plain_rows(text)
     values, width, tail, first = parsed or _checked_rows(_decoded(text),
                                                          ternary)
     return (values, width, *_labels(tail, first, len(values), width))
@@ -237,84 +240,81 @@ def _dimensions(header: str, line: int) -> tuple[int, int]:
     return height, width
 
 
-class _Buffer:
-    """Text or bytes in memory, read as ``_stream_rows`` reads a file: the
-    first line, then ``size`` symbols at a time, then the rest."""
-
-    def __init__(self, text: Union[str, bytes]):
-        self.text, self.at = text, 0
-
-    def readline(self) -> Union[str, bytes]:
-        newline = "\n" if isinstance(self.text, str) else b"\n"
-        return self.read(self.text.find(newline) + 1 or -1)
-
-    def read(self, size: int = -1) -> Union[str, bytes]:
-        start = self.at
-        self.at = len(self.text) if size < 0 else start + size
-        return self.text[start:self.at]
-
-
-def _stride_rows(text: Union[str, bytes]):
-    """What ``_stream_rows`` reads from a file, read from text or bytes in
-    memory."""
-    return _stream_rows(_Buffer(text))
-
-
-def _stream_rows(fh, update: Optional[Callable] = None):
-    """(values, width, lines after the rows, number of the first) of a
-    binary table in the plain layout, read from ``fh``, a binary file or a
-    ``_Buffer``: ASCII with the header on line 1, then ``height`` rows of
-    exactly ``width`` symbols, each ended by "\n".  The rows are read in
-    blocks of as many whole rows as fit in ``_BLOCK`` bytes; row k of a
-    block is the ``width`` symbols at ``k * (width + 1)``, so one
-    ``int(row, 2)`` per stride converts it, from the block as read.  The
-    header and the lines after the rows are decoded, so their checks read
-    them as text.  ``update``, when given, is called on every piece read.
-    None for any other table, which may be malformed, as soon as a piece
-    read shows it, and for rows wider than a block."""
-    header = fh.readline()
-    if update:
-        update(header)
-    newline, extras = (("\n", _INT_EXTRAS) if isinstance(header, str)
-                       else (b"\n", _INT_EXTRAS.encode()))
-    if not (header.isascii() and header.endswith(newline)):
-        return None
-    header = _decoded(header[:-1])
+def _plain_header(text: Union[str, bytes]):
+    """(offset of line 2, height, width) from line 1 of the ASCII ``text``,
+    a plain layout's header: ended by "\n" and, decoded to be checked as
+    text, holding no other line break.  None for any other ``text``."""
+    newline = "\n" if isinstance(text, str) else b"\n"
+    at = text.find(newline) + 1
+    header = _decoded(text[:at - 1]) if at and text.isascii() else ""
     if not (header.strip() and header.splitlines() == [header]):
         return None
     try:
-        height, width = _dimensions(header, 1)
-    except ParseError:  # the whole text, once known to be ASCII, names it
+        return (at, *_dimensions(header, 1))
+    except ParseError:
         return None
+
+
+def _strided(buf: Union[str, bytes], at: int, rows: int, width: int
+             ) -> Optional[list[int]]:
+    """The ``rows`` rows of a plain layout at offset ``at`` of ``buf``, ASCII
+    text or any bytes (int() rejects a byte outside ASCII), as ints: row k
+    is the ``width`` symbols at ``at + k * (width + 1)``.  None unless all
+    are there, "\n"-ended, of 0s and 1s."""
     stride = width + 1
-    if stride > _BLOCK:
+    end = at + rows * stride
+    newline, extras = (("\n", _INT_EXTRAS) if isinstance(buf, str)
+                       else (b"\n", _INT_EXTRAS.encode()))
+    # int() strips a "\n" that starts or ends a row and rejects one inside
+    if (len(buf) < end
+            or buf[at + width:end:stride] != newline * rows
+            or newline in buf[at:end:stride]
+            or newline in buf[at + width - 1:end:stride]
+            or any(buf.find(ch, at, end) >= 0 for ch in extras)):
         return None
-    per_block = _BLOCK // stride
+    try:
+        return [int(buf[k:k + width], 2) for k in range(at, end, stride)]
+    except ValueError:  # a symbol other than 0 or 1
+        return None
+
+
+def _plain_rows(text: Union[str, bytes]):
+    """What ``_checked_rows`` returns, for a binary table in the plain
+    layout, converted by stride over ``text`` itself; None for any other."""
+    shape = _plain_header(text)
+    values = shape and _strided(text, *shape)
+    if not values:
+        return None
+    at, height, width = shape
+    tail = text[at + height * (width + 1):]
+    return values, width, _decoded(tail).splitlines(), height + 2
+
+
+def _stream_rows(fh: BinaryIO, update: Callable[[bytes], object]):
+    """What ``_plain_rows`` returns, read from the binary file ``fh`` and
+    given to ``update`` a piece at a time: the header line, blocks of whole
+    rows, then the rest; None at the first piece of another table."""
+    header = fh.readline()
+    update(header)
+    shape = _plain_header(header)
+    if not shape or shape[2] >= _BLOCK:  # a row wider than a block
+        return None
+    _, height, width = shape
+    per_block = _BLOCK // (width + 1)
     values: list[int] = []
     for done in range(0, height, per_block):
         rows = min(per_block, height - done)
-        size = rows * stride
-        block = fh.read(size)
-        if update:
-            update(block)
-        # int() strips a "\n" that starts or ends a row and rejects one inside
-        if (not block.isascii()
-                or block[width::stride] != newline * rows
-                or newline in block[::stride]
-                or newline in block[width - 1::stride]
-                or any(ch in block for ch in extras)):
+        block = fh.read(rows * (width + 1))
+        update(block)
+        converted = _strided(block, 0, rows, width)
+        if not converted:
             return None
-        try:
-            values += [int(block[k:k + width], 2)
-                       for k in range(0, size, stride)]
-        except ValueError:  # a symbol other than 0 or 1
-            return None
+        values += converted
     tail = fh.read()
-    if update:
-        update(tail)
-    if not tail.isascii():
-        return None
-    return values, width, _decoded(tail).splitlines(), height + 2
+    update(tail)
+    if tail.isascii():
+        return values, width, _decoded(tail).splitlines(), height + 2
+    return None
 
 
 def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:
@@ -325,7 +325,7 @@ def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:
 
 
 def _checked_rows(text: str, ternary: bool):
-    """What ``_stride_rows`` returns, for any table: each line stripped,
+    """What ``_plain_rows`` returns, for any table: each line stripped,
     blank lines skipped, and each row checked symbol by symbol."""
     lines = text.splitlines()
     body = list(filter(None, map(str.strip, lines)))

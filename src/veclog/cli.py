@@ -5,17 +5,14 @@ line-oriented ``key: value`` text (or one JSON document with ``--json``),
 byte-identical across runs for identical inputs.  Bit strings always print
 coordinate 1 first.  Exit codes: 0 success, 1 domain failure (inconsistent
 diagnosis, not repairable, runtime fault), 2 input error.  Input files are
-bytes that must be ASCII.  A table file is read as a stream, in blocks of
-whole rows that are hashed for its digest line and converted as they are
-read, so its whole bytes are never held; a table the stream cannot read
-(not in the plain layout, not ASCII, or a file that cannot seek) is read
-again from its start, whole, hashed afresh and parsed row by row, with the
-same digest, table and errors.  Programs, repair instances and grid
-manifests are read whole and decoded.  Only the parsed value outlives the
-read, and text reports are written a slice of lines at a time, so no report
-is built beside a file's bytes or text.  SHA-256 loads at the first digest.
-Loading it freezes the interpreter's start-up heap (``gc.freeze``), so exit
-skips tearing it down.
+bytes that must be ASCII, each opened once by ``_load``, which hashes every
+byte once for the digest line.  A binary table is read by
+``assoc.read_table``, as a stream of row blocks while the file is in the
+plain layout; other files are read whole.  Only the parsed value outlives
+the read, and text reports are written a slice of lines at a time, so no
+report is built beside a file's bytes or text.  SHA-256 loads at the first
+digest.  Loading this module freezes the interpreter's start-up heap
+(``gc.freeze``), so exit skips tearing it down.
 """
 from __future__ import annotations
 
@@ -47,15 +44,6 @@ class InputError(Exception):
     """Bad file or argument; maps to exit code 2."""
 
 
-def _read(path: str) -> bytes:
-    """The file's bytes."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-
-
 def sha256(data: bytes = b""):
     """``hashlib.sha256(data)``, from the interpreter's builtin module when
     there is one (``_sha2`` on CPython 3.12+, ``_sha256`` below), which
@@ -72,60 +60,32 @@ def sha256(data: bytes = b""):
     return new(data)
 
 
-def _digest(data: bytes) -> str:
-    """The report digest of a file's bytes as read: their SHA-256."""
-    return _named(sha256(data))
-
-
-def _named(hashed) -> str:
-    """The report digest of a SHA-256 hash object fed a file's bytes."""
-    return "sha256:" + hashed.hexdigest()[:12]
-
-
-def _load(path: str, parse, what: str = "", hashed: bool = True,
-          data: Optional[bytes] = None):
-    """(digest, ``parse(data)``) for the ASCII bytes ``data`` of the file at
-    ``path``, read here unless given; the digest is None unless ``hashed``.
-    With ``what``, a ParseError or EmptyInput is raised as ``_parsed``
-    raises it.  Only the parsed value outlives the call: no caller holds
-    the file's bytes while it reports."""
-    if data is None:
-        data = _read(path)
-    if not data.isascii():  # the codec's message names the first bad byte
-        try:
-            data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-    digest = _digest(data) if hashed else None
-    return digest, _parsed(parse, data, what) if what else parse(data)
-
-
-def _load_table(path: str, what: str, hashed: bool = True):
-    """(digest, binary table) of the table file at ``path``, as ``_load``
-    gives them with ``assoc.parse_table``.  A seekable file is read through
-    ``assoc.read_table``, which hashes and converts it a block of rows at a
-    time; a file it cannot read that way is read again from its start,
-    whole, and hashed afresh, as is a file that cannot seek."""
-    from veclog import assoc
-
+def _load(path: str, what: str = "", hashed: bool = True, parse=None):
+    """(digest, value) of the file at ``path``: the SHA-256 of its bytes,
+    None unless ``hashed``, and the binary table it holds, read by
+    ``assoc.read_table``, or ``parse`` of its text.  A file that is not
+    ASCII raises InputError with the codec's message, which names the first
+    bad byte; with ``what``, so does a ParseError or EmptyInput."""
+    seen = sha256() if hashed else None
+    update = seen.update if hashed else None
     try:
         with open(path, "rb") as fh:
-            if fh.seekable():
-                seen = sha256() if hashed else None
-                table = _parsed(lambda f: assoc.read_table(
-                    f, seen and seen.update), fh, what)
-                if table is not None:
-                    return _named(seen) if hashed else None, table
-                fh.seek(0)
-            data = fh.read()
+            if parse is None:
+                from veclog import assoc
+
+                value = _parsed(lambda f: assoc.read_table(f, update), fh,
+                                what)
+            else:
+                data = fh.read()
+                if hashed:
+                    update(data)
+                text = data.decode("ascii")
+                value = _parsed(parse, text, what) if what else parse(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    return _load(path, assoc.parse_table, what, hashed, data)
-
-
-def _text(parse):
-    """``parse``, a reader of text, as a reader of a file's ASCII bytes."""
-    return lambda data: parse(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return "sha256:" + seen.hexdigest()[:12] if hashed else None, value
 
 
 def _bits(vector: BitVector, dots: bool = False) -> str:
@@ -175,12 +135,12 @@ def cmd_query(args: argparse.Namespace
     from veclog import assoc
 
     if args.arith:
-        digest, (rows, labels) = _load(args.table, assoc.parse_ternary_rows,
-                                       "table")
+        digest, (rows, labels) = _load(args.table, "table",
+                                       parse=assoc.parse_ternary_rows)
         query = _parsed(vlcore.TernaryVector.from_string, args.query, "query")
         height, width = len(rows), rows[0].length
     else:
-        digest, table = _load_table(args.table, "table")
+        digest, table = _load(args.table, "table")
         query = _parsed(BitVector.from_string, args.query, "query")
         labels, height, width = table.row_labels, table.height, table.width
     if query.length != width:
@@ -236,7 +196,7 @@ def _query_arith(query: vlcore.TernaryVector,
 def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import assoc
 
-    digest, table = _load_table(args.table, "table")
+    digest, table = _load(args.table, "table")
     response = _parsed(BitVector.from_string, args.response, "response")
     mode = assoc.DiagnosisMode(args.mode)
     candidates = assoc.diagnose(table, response, mode)
@@ -262,8 +222,8 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[Report, int]:
 def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
     from veclog import cover
 
-    digest, instance = _load(args.instance,
-                             _text(cover.parse_repair_instance), "instance")
+    digest, instance = _load(args.instance, "instance",
+                             parse=cover.parse_repair_instance)
     report: Report = [
         ("instance", args.instance),
         ("instance-digest", digest),
@@ -352,13 +312,13 @@ def _load_cell(program_path: str, data_path: str, reg_specs: Sequence[str],
 
     if program_path not in programs:
         try:
-            digest, program = _load(program_path, _text(lamp.assemble),
-                                    hashed=hashed)
+            digest, program = _load(program_path, hashed=hashed,
+                                    parse=lamp.assemble)
         except (lamp.AssemblyError, EmptyInput) as exc:
             raise InputError(f"{program_path}: {exc}") from exc
         programs[program_path] = program, digest
     program, program_digest = programs[program_path]
-    data_digest, table = _load_table(data_path, f"table {data_path}", hashed)
+    data_digest, table = _load(data_path, f"table {data_path}", hashed)
     presets = _parse_reg_presets(reg_specs, table.width)
     return (program, lamp.SequencerState(table, **presets), program_digest,
             data_digest)
@@ -411,7 +371,7 @@ def _sim_grid(args: argparse.Namespace,
     if unused:  # a manifest line names each cell's files and presets
         raise InputError(f"sim --grid does not use {', '.join(unused)}")
     base = os.path.dirname(os.path.abspath(args.grid))
-    _, manifest = _load(args.grid, _text(str.splitlines), hashed=False)
+    _, manifest = _load(args.grid, hashed=False, parse=str.splitlines)
     lines = [(number, ln.strip()) for number, ln
              in enumerate(manifest, start=1)
              if ln.strip() and not ln.strip().startswith("#")]

@@ -1,19 +1,21 @@
 """Write the golden CLI transcripts: seeded input files under ``inputs/`` and
 ``cases.json``, the argv, stdout, stderr and exit code of each command line.
 
-    PYTHONPATH=src python tests/golden/record.py
+    python tests/golden/record.py
 
 ``tests/test_golden.py`` replays every case through ``veclog.cli.main``
 with ``inputs/`` as the working directory and compares bytes.  The same
 replay runs without pytest, on any interpreter, as
 
-    PYTHONPATH=src python tests/golden/record.py --check
+    python tests/golden/record.py --check
 
 which prints the id of each case that differs and exits 1 if any does.  The
 transcripts pin the CLI's behaviour: a case whose output changes is a
 behaviour change, named as such where the change is recorded, never a file
 to regenerate quietly.  Rerun this script to add cases, then check that
-``git diff`` shows no change to an existing one that is not meant.
+``git diff`` shows no change to an existing one that is not meant.  The
+script puts the checkout's ``src/`` first on ``sys.path``, so it needs no
+install and no PYTHONPATH.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "src"))
 INPUTS = HERE / "inputs"
 LONG = "1" * 4301  # one digit more than int() converts by default
 PLACE = "<inputs>"  # stands for the absolute path of INPUTS in a transcript

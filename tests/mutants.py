@@ -107,39 +107,57 @@ MUTANTS = [
            ("tests/test_assoc.py::TestDiagnose::test_multiple",
             "tests/test_kernels.py::test_diagnose[64-DiagnosisMode.MULTIPLE]",
             "tests/test_golden.py::test_transcript[diagnose-multiple-110]")),
+    Mutant("stride: rows past the end of the text let through", ASSOC,
+           "len(buf) < end", "False",
+           (rf"{STRIDE}[99999999999999999999 3\n011\n]",)),
     Mutant("stride: newline positions unchecked", ASSOC,
-           "block[width::stride] != newline * rows", "False",
+           "buf[at + width:end:stride] != newline * rows", "False",
            (rf"{STRIDE}[2 3\n0110101\n]", rf"{STRIDE}[2 3\n011x101\n]")),
     Mutant("stride: first symbol unchecked", ASSOC,
-           "or newline in block[::stride]", "or False",
+           "or newline in buf[at:end:stride]", "or False",
            (rf"{STRIDE}[2 3\n\n01\n011\n]",)),
     Mutant("stride: last symbol unchecked", ASSOC,
-           "or newline in block[width - 1::stride]", "or False",
+           "or newline in buf[at + width - 1:end:stride]", "or False",
            (rf"{STRIDE}[2 3\n011\n10\n\n]",)),
     Mutant("stride: the header checked undecoded", ASSOC,
-           "header = _decoded(header[:-1])",
-           "header = header[:-1]",
+           "_decoded(text[:at - 1])", "text[:at - 1]",
            ("tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
             "[form-feed-ends-header]",)),
     Mutant("stride: non-ASCII text let through", ASSOC,
-           "if not tail.isascii():", "if False:",
+           "if at and text.isascii() else", "if at else",
            (r"tests/test_assoc.py::test_non_ascii_bytes_raise_parse_error"
             r"[parse_table-1 1\n1\n#labels\nrows: r\xc3\xa9\n-4-8]",
-            "tests/test_golden.py::test_transcript[query-nonascii]",
+            rf"{STRIDE}[2 3\n1\u06610\n011\n]")),
+    Mutant("stream: a non-ASCII tail let through", ASSOC,
+           "if tail.isascii():", "if True:",
+           ("tests/test_golden.py::test_transcript[query-nonascii]",
             "tests/test_golden.py::test_transcript[diagnose-nonascii]")),
-    Mutant("stream: the per-block ASCII check dropped", ASSOC,
-           "if (not block.isascii()", "if (False",
-           (rf"{STRIDE}[2 3\n1\u06610\n011\n]",
-            "tests/test_assoc.py::test_stride_parse_matches_row_by_row_"
-            "parse")),
     Mutant("stream: the last block one row short", ASSOC,
            "rows = min(per_block, height - done)",
            "rows = min(per_block, height - done - 1)",
-           ("tests/test_assoc.py::test_plain_layout_parses_by_stride"
-            "[bare-6-1]",
+           ("tests/test_assoc.py::test_streamed_reads_fall_back_where_a_"
+            "block_fails[plain-3-rows]",
             "tests/test_assoc.py::test_streamed_reads_match_whole_reads"
             "[3-rows]",
             "tests/test_golden.py::test_transcript[query-labels-1100]")),
+    Mutant("stream: rows wider than a block read as a stream", ASSOC,
+           "if not shape or shape[2] >= _BLOCK:", "if not shape:",
+           ("tests/test_assoc.py::test_rows_wider_than_a_block_are_read_"
+            "whole[100000000000000000000]",)),
+    Mutant("read_table: the fall-back hashes the prefix again", ASSOC,
+           "update(memoryview(data)[done:])", "update(data)",
+           ("tests/test_assoc.py::test_a_table_the_stream_gives_up_on_is_"
+            "hashed_and_converted_once[crlf-default]",
+            "tests/test_assoc.py::test_a_table_the_stream_gives_up_on_is_"
+            "hashed_and_converted_once[symbol-default]",
+            "tests/test_golden.py::test_transcript[query-crlf]")),
+    Mutant("read_table: a non-ASCII file raises ParseError", ASSOC,
+           "_checked_rows(data.decode(\"ascii\"), False)",
+           "_checked_rows(_decoded(data), False)",
+           ("tests/test_assoc.py::test_a_table_the_stream_gives_up_on_is_"
+            "hashed_and_converted_once[non-ascii-default]",
+            "tests/test_golden.py::test_transcript[query-nonascii]",
+            "tests/test_golden.py::test_transcript[diagnose-nonascii]")),
     Mutant("stream: the header left out of the digest", ASSOC,
            "update(header)", "None",
            ("tests/test_cli.py::TestQuery::test_digest_is_of_the_file_bytes",
@@ -155,7 +173,7 @@ MUTANTS = [
            '_bB \\t', "_bB\\t",
            (rf"{STRIDE}[2 3\n 01\n011\n]", rf"{STRIDE}[2 3\n01 \n011\n]")),
     Mutant("stride: one symbol short per row", ASSOC,
-           "range(0, size, stride)", "range(0, size, width)",
+           "range(at, end, stride)", "range(at, end, width)",
            ("tests/test_assoc.py::test_plain_layout_parses_by_stride[bare-1-5]",
             "tests/test_assoc.py::test_parse_holds_no_string_per_line")),
     Mutant("greedy_cover: a row gains only what is covered", COVER,
@@ -181,27 +199,21 @@ MUTANTS = [
            ("tests/test_cli.py::test_loading_the_cli_freezes_the_start_up_"
             "heap",)),
     Mutant("cli: the _load ASCII gate dropped", CLI,
-           "if not data.isascii():", "if False:",
-           ("tests/test_golden.py::test_transcript[query-nonascii]",
-            "tests/test_golden.py::test_transcript[diagnose-nonascii]")),
+           'text = data.decode("ascii")', 'text = data.decode("latin-1")',
+           ("tests/test_golden.py::test_transcript[arith-nonascii]",
+            "tests/test_golden.py::test_transcript[repair-rep-nonascii]",
+            "tests/test_golden.py::test_transcript[sim-nonascii-program]")),
     Mutant("cli: _accept lets a required option go missing", CLI,
            "if any(dest not in args for dest, _ in options.values()):",
            "if False:",
            ("tests/test_cli.py::test_other_command_lines_go_to_argparse"
             "[quality --fault-prob 0.1 --faults 10 --testability 0.5 --scan "
             "1]",)),
-    Mutant("cli: _digest hashes the bytes stripped", CLI,
-           "sha256(data))", "sha256(data.rstrip()))",
+    Mutant("cli: _load hashes the bytes stripped", CLI,
+           "update(data)", "update(data.rstrip())",
            ("tests/test_cli.py::test_digest_is_sha256_with_or_without_the_"
             "builtin_module[blocked0]",
             "tests/test_golden.py::test_transcript[repair-memory]")),
-    Mutant("cli: the fallback reuses the stream's partial digest", CLI,
-           "return _load(path, assoc.parse_table, what, hashed, data)",
-           "return (seen.update(data) or _named(seen)) if hashed else None, "
-           "_load(path, assoc.parse_table, what, False, data)[1]",
-           ("tests/test_assoc.py::test_streamed_reads_fall_back_where_a_"
-            "block_fails[crlf-default]",
-            "tests/test_golden.py::test_transcript[query-crlf]")),
     Mutant("cli: the final report slice dropped", CLI,
            "    print(last)", "    pass",
            ("tests/test_cli.py::TestQuery::test_row_match",
@@ -245,6 +257,18 @@ RETIRED = [
             "the count of the row block's newlines gave way to the stride "
             "guard's first- and last-symbol checks, which turn away the same "
             "tables; their two mutants above replace it"),
+    Retired("stream: the per-block ASCII check dropped", ASSOC,
+            "block.isascii()",
+            "deleted when the stream's blocks were left to the stride guard "
+            "alone: every byte of a block is a row symbol int() converts or "
+            "a '\\n' the guard checks, and int() rejects every byte outside "
+            "ASCII, which test_int_rejects_every_byte_outside_ascii pins"),
+    Retired("cli: the fallback reuses the stream's partial digest", CLI,
+            "return _load(path, assoc.parse_table",
+            "deleted when cli._load_table folded into cli._load and the "
+            "fall-back moved into assoc.read_table, which hashes only the "
+            "bytes after the stream's; the mutant 'read_table: the fall-back "
+            "hashes the prefix again' replaces it"),
 ]
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import os
 import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -372,7 +374,7 @@ class TestTableParsing:
 
 def row_by_row(text: str):
     """``parse_table(text)``'s outcome with the stride path switched off."""
-    with mock.patch.object(assoc, "_stride_rows", lambda text: None):
+    with mock.patch.object(assoc, "_strided", lambda *block: None):
         return outcome(parse_table, text)
 
 
@@ -401,7 +403,7 @@ def test_plain_layout_parses_by_stride(height, width, trailer):
     if trailer == "labels":
         trailer = "\n" + labels_trailer(height, width)
     text, values = plain_text(height, width, height * width, trailer)
-    stride = assoc._stride_rows(text)
+    stride = assoc._plain_rows(text)
     assert stride is not None
     assert stride[:2] == (values, width)
     assert parse_table(text) == row_by_row(text) == \
@@ -447,7 +449,7 @@ NOT_PLAIN = [
 
 @pytest.mark.parametrize("text", NOT_PLAIN)
 def test_stride_path_leaves_other_texts_to_the_row_by_row_parse(text):
-    assert assoc._stride_rows(text) is None
+    assert assoc._plain_rows(text) is None
     assert outcome(parse_table, text) == row_by_row(text) == \
         outcome(reference_parse_table, text)
 
@@ -521,6 +523,16 @@ def test_int_rejects_the_separators_the_stride_guard_leaves_to_it(symbol):
                 int(given, 2)
 
 
+def test_int_rejects_every_byte_outside_ascii():
+    """``int(row, 2)`` rejects a byte outside ASCII at the start, inside or
+    at the end of a row, so the streamed read leaves such bytes in its
+    blocks to it; an interpreter that accepted one would fail here."""
+    for byte in (bytes([b]) for b in range(128, 256)):
+        for row in (byte + b"1", b"1" + byte + b"1", b"1" + byte):
+            with pytest.raises(ValueError):
+                int(row, 2)
+
+
 # ---------------------------------------------------------------------------
 # The same readers on a file's ASCII bytes
 
@@ -539,7 +551,7 @@ def test_plain_layout_bytes_parse_by_stride(height, width, trailer):
     if trailer == "labels":
         trailer = "\n" + labels_trailer(height, width)
     text, values = plain_text(height, width, height * width, trailer)
-    stride = assoc._stride_rows(text.encode())
+    stride = assoc._plain_rows(text.encode())
     assert stride is not None
     assert stride[:2] == (values, width)
     assert parse_table(text.encode()) == parse_table(text)
@@ -547,7 +559,7 @@ def test_plain_layout_bytes_parse_by_stride(height, width, trailer):
 
 @pytest.mark.parametrize("text", [t for t in NOT_PLAIN if t.isascii()])
 def test_bytes_not_in_the_plain_layout_parse_row_by_row(text):
-    assert assoc._stride_rows(text.encode()) is None
+    assert assoc._plain_rows(text.encode()) is None
     assert outcome(parse_table, text.encode()) == \
         outcome(reference_parse_table, text)
 
@@ -633,18 +645,29 @@ def block_bytes(data: bytes, rows):
     return assoc._BLOCK if rows is None else rows * (width + 1)
 
 
+def whole_read(path: str):
+    """``cli._load``'s outcome for the table file at ``path`` read whole,
+    its text parsed row by row."""
+    with mock.patch.object(assoc, "_strided", lambda *block: None):
+        return cli_outcome(cli._load, path, "table", True, parse_table)
+
+
 def streamed_and_whole(path, data: bytes, rows):
-    """(``cli._load_table``'s outcome with ``rows`` rows per block, the
-    outcome of the whole-file read parsed row by row, the number of
-    whole-file reads the streamed read fell back to) for a file holding
-    ``data``."""
+    """(``cli._load``'s outcome with ``rows`` rows per block, the outcome of
+    the whole-file read parsed row by row, the number of whole-file reads
+    the streamed read fell back to) for a file holding ``data``."""
     path.write_bytes(data)
-    with mock.patch.object(assoc, "_stride_rows", lambda text: None):
-        whole = cli_outcome(cli._load, str(path), parse_table, "table")
+    whole = whole_read(str(path))
+    gave_up, stream = [], assoc._stream_rows
+
+    def watched(fh, update):
+        parsed = stream(fh, update)
+        gave_up.append(parsed is None)
+        return parsed
     with mock.patch.object(assoc, "_BLOCK", block_bytes(data, rows)), \
-            mock.patch.object(cli, "_load", wraps=cli._load) as fallback:
-        streamed = cli_outcome(cli._load_table, str(path), "table")
-    return streamed, whole, fallback.call_count
+            mock.patch.object(assoc, "_stream_rows", watched):
+        streamed = cli_outcome(cli._load, str(path), "table")
+    return streamed, whole, sum(gave_up)
 
 
 ROWS_PER_BLOCK = pytest.mark.parametrize("rows", [1, 2, 3, None],
@@ -711,13 +734,87 @@ def test_an_input_that_cannot_seek_is_read_whole(tmp_path):
     data = twelve_rows("plain")
     path = tmp_path / "t.tbl"
     path.write_bytes(data)
-    want = cli._load(str(path), parse_table, "table")
+    want = whole_read(str(path))
     read, write = os.pipe()
     try:
         os.write(write, data)
         os.close(write)
-        with mock.patch.object(cli, "_load", wraps=cli._load) as whole:
-            got = cli._load_table(f"/dev/fd/{read}", "table")
+        with mock.patch.object(assoc, "_checked_rows",
+                               wraps=assoc._checked_rows) as whole:
+            got = cli._load(f"/dev/fd/{read}", "table")
     finally:
         os.close(read)
     assert (got, whole.call_count) == (want, 1)
+
+
+@pytest.mark.parametrize("width", [assoc._BLOCK, 10 ** 20])
+def test_rows_wider_than_a_block_are_read_whole(tmp_path, width):
+    """A header naming rows wider than a block sends the file to the
+    whole-file read before any row is read, so a width far past the file's
+    size is reported as the row-by-row check names it, never read."""
+    path = tmp_path / "t.tbl"
+    path.write_bytes(f"1 {width}\n".encode() + b"1" * assoc._BLOCK + b"\n")
+    got = cli_outcome(cli._load, str(path), "table")
+    assert got == whole_read(str(path))
+    if width == assoc._BLOCK:
+        assert got[1].values == ((1 << width) - 1,)
+    else:
+        assert got == (f"bad table at line 2: row has {assoc._BLOCK} "
+                       f"symbols, expected {width}")
+
+
+def late_failure(variant: str) -> bytes:
+    """A 4096x256 table with a bad symbol or a non-ASCII byte in its last
+    row, or with CRLF line ends."""
+    data = plain_text(4096, 256)[0].encode()
+    if variant == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    at = len(data) - 100
+    return data[:at] + {"symbol": b"2", "non-ascii": b"\xb1"}[variant] \
+        + data[at + 1:]
+
+
+@ROWS_PER_BLOCK
+@pytest.mark.parametrize("variant", ["symbol", "non-ascii", "crlf"])
+def test_a_table_the_stream_gives_up_on_is_hashed_and_converted_once(
+        tmp_path, monkeypatch, rows, variant):
+    """A table the stream gives up on is read whole from its start, but the
+    SHA-256 object is fed each byte of the file once, and no row is
+    converted by stride twice; the digest, table or error are those of a
+    whole read."""
+    data = late_failure(variant)
+    path = tmp_path / "t.tbl"
+    path.write_bytes(data)
+    fed, converted = [], []
+    sha256, strided = cli.sha256, assoc._strided
+
+    def counted(first=b""):
+        hashed = sha256(first)
+        fed.append(len(first))
+
+        def update(piece):
+            fed.append(len(piece))
+            hashed.update(piece)
+        return SimpleNamespace(update=update, hexdigest=hashed.hexdigest)
+
+    def conversion(buf, at, height, width):
+        converted.append(height)
+        return strided(buf, at, height, width)
+
+    monkeypatch.setattr(cli, "sha256", counted)
+    monkeypatch.setattr(assoc, "_strided", conversion)
+    monkeypatch.setattr(assoc, "_BLOCK", block_bytes(data, rows))
+    got = cli_outcome(cli._load, str(path), "table")
+    monkeypatch.undo()
+    if variant == "symbol":
+        assert got == "bad table at line 4097, column 158: invalid symbol '2'"
+    elif variant == "non-ascii":
+        assert got == (f"cannot read {path}: 'ascii' codec can't decode byte "
+                       f"0xb1 in position {len(data) - 100}: ordinal not in "
+                       f"range(128)")
+    else:
+        assert got == ("sha256:" + hashlib.sha256(data).hexdigest()[:12],
+                       parse_table(data))
+    assert got == whole_read(str(path))
+    assert sum(fed) == os.path.getsize(path)
+    assert sum(converted) <= 4096
