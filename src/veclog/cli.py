@@ -236,8 +236,7 @@ def cmd_repair(args: argparse.Namespace) -> tuple[Report, int]:
         report.append(("status", "nothing-to-repair"))
         return report, 0
     ci = cover.build_repair_table(instance)
-    spares = [k.label for k in ci.kinds if k is not None]
-    report.append(("spares", " ".join(spares)))
+    report.append(("spares", " ".join(spare.label for spare in ci.kinds)))
     taken = cover.greedy_cover(ci)
     chosen = [ci.kinds[k - 1] for k in cover.selected_rows(taken)]
     report.append(("greedy-mask", _bits(taken)))

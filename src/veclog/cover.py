@@ -4,7 +4,7 @@ test/diagnose/repair pipeline pieces.
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from veclog.assoc import AssociativeTable
@@ -47,6 +47,7 @@ class BudgetExceeded(ValueError):
 class Spare:
     """A spare line: a whole memory row or column identified by its index."""
 
+    __slots__ = ("axis", "index")
     axis: str  # "row" or "column"
     index: int
 
@@ -63,7 +64,9 @@ class Spare:
 class CoverageInstance:
     """Covering table: rows are covering elements (spare lines or generic
     sets), columns are the items to cover.  ``kinds`` holds each row's
-    spare line, None for a generic set (all None when not given)."""
+    spare line, None for a generic set (all None when not given).  A table
+    from ``build_repair_table`` carries no labels: ``kinds`` names its
+    rows, and its column k is the k-th fault in sorted order."""
 
     table: AssociativeTable
     kinds: Optional[tuple[Optional[Spare], ...]] = None
@@ -200,9 +203,12 @@ def exact_cover_oracle(instance: CoverageInstance) -> tuple[tuple[int, ...], ...
 
 
 def build_repair_table(instance: RepairInstance) -> CoverageInstance:
-    """Coverage table for a faulty memory: one column per fault, one row per
-    candidate spare line: spare columns ascending, then spare rows
-    ascending (the greedy scan takes them in that order)."""
+    """Coverage table for a faulty memory: one row per candidate spare line,
+    spare columns ascending, then spare rows ascending (the greedy scan
+    takes them in that order), and one column per fault, column k (1-based)
+    being the k-th fault in sorted (row, column) order.  The table carries
+    no row or column labels: ``kinds`` names each row, and a fault's
+    column follows from its place in that order."""
     if not instance.faults:
         raise ValueError("repair instance has no faults")
     faults = sorted(instance.faults)
@@ -213,13 +219,10 @@ def build_repair_table(instance: RepairInstance) -> CoverageInstance:
         bit = 1 << (n - 1 - k)
         lines["row"][r] = lines["row"].get(r, 0) | bit
         lines["column"][c] = lines["column"].get(c, 0) | bit
-    spares = [Spare("column", c) for c in sorted(lines["column"])]
-    spares += [Spare("row", r) for r in sorted(lines["row"])]
+    spares = (*(Spare("column", c) for c in sorted(lines["column"])),
+              *(Spare("row", r) for r in sorted(lines["row"])))
     table = AssociativeTable(
-        [lines[s.axis][s.index] for s in spares], n,
-        row_labels=[s.label for s in spares],
-        col_labels=[f"F{r},{c}" for r, c in faults],
-    )
+        tuple(lines[s.axis][s.index] for s in spares), n)
     return CoverageInstance(table, spares,
                             max_spare_rows=instance.spare_rows,
                             max_spare_cols=instance.spare_cols)
@@ -258,8 +261,8 @@ def repair_plan(instance: RepairInstance,
 #   <one "r c" fault coordinate per line>
 
 def parse_repair_instance(text: str) -> RepairInstance:
-    rows, cols, spare_rows, spare_cols, *coords = _repair_numbers(text)
-    pairs = iter(coords)
+    pairs = iter(_repair_numbers(text))
+    rows, cols, spare_rows, spare_cols = islice(pairs, 4)
     # through a set, as faults were always gathered: the fault outside the
     # memory that an error names is the first in the set's order
     faults = frozenset(set(zip(pairs, pairs)))
@@ -272,15 +275,18 @@ def parse_repair_instance(text: str) -> RepairInstance:
 def _repair_numbers(text: str) -> list[int]:
     """The header's four numbers, then each fault's row and column.  The
     lines are read one by one, naming the first bad one, only when the
-    text as a whole is in doubt."""
-    entries = list(filter(None, map(str.split, text.splitlines())))
-    tokens = list(chain.from_iterable(entries))
-    if (entries and len(entries[0]) == 4 and "".join(tokens).isdecimal()
-            and list(map(len, entries)).count(2) == len(entries) - 1):
-        try:
-            return list(map(int, tokens))
-        except ValueError:  # a number longer than int() converts
-            pass
+    text as a whole is in doubt.  Otherwise each line's token count is
+    checked, no line's tokens are kept, and the numbers come from one
+    ``text.split()``: every line break of ``str.splitlines`` is whitespace
+    to ``str.split``, so its tokens are the lines' tokens in order."""
+    counts = filter(None, map(len, map(str.split, text.splitlines())))
+    if next(counts, 0) == 4 and all(count == 2 for count in counts):
+        tokens = text.split()
+        if "".join(tokens).isdecimal():
+            try:
+                return list(map(int, tokens))
+            except ValueError:  # a number longer than int() converts
+                pass
     lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
              if (line := raw.strip())]
     if not lines:

@@ -91,11 +91,13 @@ class Opcode(Enum):
 class RowRef:
     """Reference to a stored row; index None means the current loop row."""
 
+    __slots__ = ("index",)
     index: Optional[int]
 
 
 @value_type
 class Instruction:
+    __slots__ = ("opcode", "dst", "src1", "src2", "imm", "line")
     opcode: Opcode
     dst: Union[str, RowRef, None]
     src1: Union[str, RowRef, None]
@@ -105,8 +107,16 @@ class Instruction:
 
     def __init__(self, opcode, dst=None, src1=None, src2=None, imm=None,
                  line=0):  # value_type's generic one costs twice as much
-        self.__dict__.update(opcode=opcode, dst=dst, src1=src1, src2=src2,
-                             imm=imm, line=line)
+        _set_opcode(self, opcode)  # slot writes, as assignment raises
+        _set_dst(self, dst)
+        _set_src1(self, src1)
+        _set_src2(self, src2)
+        _set_imm(self, imm)
+        _set_line(self, line)
+
+
+_set_opcode, _set_dst, _set_src1, _set_src2, _set_imm, _set_line = (
+    getattr(Instruction, name).__set__ for name in Instruction.__slots__)
 
 
 @value_type
@@ -157,6 +167,8 @@ _OPS = {  # opcode: (shape, statement)
 # operation name: (opcode, its shape's letters, whether the last is optional)
 _SHAPES = {op.value: (op, shape.rstrip("?"), shape.endswith("?"))
            for op, (shape, _) in _OPS.items()}
+# each register's name, held once however many operands name it
+_REGISTER = {name: name for name in REGISTERS}
 # looking a member up on its Enum class is slow
 _LOOP, _ENDLOOP, _DEVOR, _HALT = (Opcode.LOOP, Opcode.ENDLOOP, Opcode.DEVOR,
                                   Opcode.HALT)
@@ -245,8 +257,8 @@ def _assemble(source: str) -> tuple[Instruction, ...]:
                 imm = _number(token, lineno, in_loop, kind)
             elif kind != "r" and (row := _row(token, lineno, in_loop)):
                 fields.append(row)
-            elif kind != "R" and token.lower() in REGISTERS:
-                fields.append(token.lower())
+            elif kind != "R" and (reg := _REGISTER.get(token.lower())):
+                fields.append(reg)
             elif kind != "R":
                 raise UnknownRegister(f"unknown register {token!r}", lineno)
             else:

@@ -87,16 +87,31 @@ def value_type(cls):
     ``self.__dict__`` or a slot descriptor's ``__set__``.  That is the
     frozen-dataclass contract, kept without importing the dataclass
     machinery or compiling code for every class.
+
+    A class whose body declares ``__slots__``, a tuple of its field names,
+    holds no ``__dict__``, and the generic ``__init__`` writes each field
+    through its slot descriptor.  The types made once per input line
+    (``BitVector``, ``cover.Spare``, ``lamp.RowRef``, ``lamp.Instruction``)
+    declare slots, as a ``__dict__`` would be most of each one's size.  A
+    slotted field has no default, as a class attribute of its name would
+    clash with its descriptor.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    slots = cls.__dict__.get("__slots__", ())
+    defaults = {n: cls.__dict__[n] for n in names
+                if n in cls.__dict__ and n not in slots}
+    setters = tuple(cls.__dict__[n].__set__ for n in names) if slots else ()
     fields = operator.attrgetter(*names)
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
             args = _bind(cls.__qualname__, names, defaults, args, kwargs)
-        self.__dict__.update(zip(names, args))
+        if setters:  # slot writes, as assignment raises
+            for setter, value in zip(setters, args):
+                setter(self, value)
+        else:
+            self.__dict__.update(zip(names, args))
         if post_init is not None:
             post_init(self)
 

@@ -86,6 +86,11 @@ MUTANTS = [
            "ins.src1 if ins.imm and ins.opcode is _DEVOR",
            ("tests/test_lamp.py::test_devor_runs_fold_only_with_one_"
             "destination_and_source",)),
+    Mutant("assemble: MB stored as ma", LAMP,
+           "(reg := _REGISTER.get(token.lower()))",
+           '(reg := "ma" if token == "MB" else _REGISTER.get(token.lower()))',
+           ("tests/test_lamp.py::TestAssemble::test_registers_are_held_by_"
+            "their_canonical_name",)),
     Mutant("feasible_mask: the row's 1s contained in the query", ASSOC,
            "q & row == q", "q & row == row",
            ("tests/test_assoc.py::TestFeasibleMask::test_direct_formula",
@@ -195,6 +200,13 @@ MUTANTS = [
             "tests/test_cover.py::TestOracleMatchesReference::test_random_"
             "generic",
             "tests/test_golden.py::test_transcript[repair-rand-oracle]")),
+    Mutant("repair parse: the fast path accepts a fault line of 3 numbers",
+           COVER, "all(count == 2 for count in counts)",
+           "all(count in (2, 3) for count in counts)",
+           ("tests/test_cover.py::test_parse_repair_instance_matches_"
+            "reference_on_separators",
+            "tests/test_cover.py::test_parse_repair_instance_matches_"
+            "reference_on_random_texts")),
     Mutant("cli: start-up heap not frozen", CLI, "gc.freeze()", "pass",
            ("tests/test_cli.py::test_loading_the_cli_freezes_the_start_up_"
             "heap",)),
@@ -236,6 +248,12 @@ MUTANTS = [
            "if isinstance(other, self.__class__):",
            ("tests/test_values.py::TestContract::test_only_same_class_is_"
             "equal[BitVector]",)),
+    Mutant("value_type: the slot branch skips the last field", VLCORE,
+           "zip(setters, args)", "zip(setters[:-1], args)",
+           ("tests/test_values.py::TestContract::test_positional_and_keyword_"
+            "construction[Spare]",
+            "tests/test_values.py::TestContract::test_repr[RowRef]",
+            "tests/test_golden.py::test_transcript[repair-memory]")),
 ]
 
 

@@ -229,6 +229,28 @@ class TestRepair:
         assert value_of(out, "oracle-cover-3") == "C2 C5 C8 R4 R9"
         assert value_of(out, "ratio") == "5/5 = 1.000"
 
+    def test_holds_each_fault_and_spare_once(self, capsys, tmp_path):
+        """On a 1024x1024 memory with 1000 faults on 32 columns ``repair``
+        peaks under 280 bytes per fault: the instance is read from one list
+        of tokens, and the coverage table holds each spare once, slotted,
+        with no row or column labels."""
+        rng = random.Random(1024)
+        cols = sorted(rng.sample(range(1, 1025), 32))
+        faults = [(cell // 32 + 1, cols[cell % 32])
+                  for cell in rng.sample(range(1024 * 32), 1000)]
+        instance = write(tmp_path, "m.rep", "1024 1024 8 32\n" + "".join(
+            f"{r} {c}\n" for r, c in faults))
+        # a first run imports the layers, which the peak does not count
+        assert main(["repair", instance]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["repair", instance]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 280 * len(faults)
+
     def test_not_repairable(self, capsys, tmp_path):
         # six faults on distinct rows and columns, but only five spare
         # columns and no spare rows

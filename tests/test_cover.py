@@ -257,7 +257,12 @@ class TestBuildRepairTable:
         assert instance.table.width == 10
         # row C5 covers the faults in memory column 5
         assert str(instance.table.rows[2]) == "0100100100"
-        assert instance.table.col_labels[0] == "F2,2"
+        # no labels: kinds names the rows, and column 1 is fault (2,2), the
+        # first in sorted order, which spares C2 and R2 alone cover
+        assert instance.table.row_labels is None
+        assert instance.table.col_labels is None
+        assert [k.label for k, row in zip(instance.kinds, instance.table.rows)
+                if str(row)[0] == "1"] == ["C2", "R2"]
 
     def test_single_fault(self):
         instance = build_repair_table(RepairInstance(5, 5,
@@ -486,5 +491,58 @@ def test_parse_repair_instance_matches_reference_on_random_texts():
     parsed = results.count("parsed")
     assert parsed >= 1000 and len(results) - parsed >= 1000
     assert messages == {"empty", "header", "fault", "number"}
+    assert sum("outside" in result[1] for result in results
+               if result != "parsed") >= 100
+
+
+# what may stand between two numbers on a line (\x1f is whitespace to
+# str.split but no line break) and what may end a line
+_GAPS = " \t\x1f"
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def _random_separated_text(rng: random.Random) -> str:
+    """Blank lines and lines of 1 to 5 numbers, most of them the header's
+    four or a fault's two, over every separator: numbers apart by spaces,
+    tabs and ``\\x1f``, now and then by a line break, and lines ended by each
+    break ``str.splitlines`` knows."""
+    def gap() -> str:
+        if rng.random() < 0.02:
+            return rng.choice(_BREAKS)
+        return "".join(rng.choice(_GAPS) for _ in range(rng.randint(1, 2)))
+
+    text = ""
+    for k in range(rng.choice([0, 1, 2, 2, 3, 3, 4, 6, 6, 6])):
+        while rng.random() < 0.2:  # a blank line, or a whitespace-only one
+            text += rng.choice(["", *_GAPS]) + rng.choice(_BREAKS)
+        count = 4 if k == 0 else 2
+        if rng.random() < 0.06:
+            count = rng.randint(1, 5)
+        # memories of 3x3 and up, so a fault is now and then outside
+        low, high = (3, 9) if k == 0 else (1, 4)
+        numbers = [str(rng.randint(low, high)) for _ in range(count)]
+        text += rng.choice(["", "", gap()]) + gap().join(numbers)
+        text += rng.choice(["", gap()]) + rng.choice(_BREAKS)
+    return text if rng.random() < 0.9 else text.rstrip("".join(_BREAKS))
+
+
+def test_parse_repair_instance_matches_reference_on_separators():
+    """Over every separator, the fast path's one ``text.split()`` reads
+    what the line-by-line reference reads, or it gives way to the slow
+    path, which raises the reference's exception, message and line."""
+    rng = random.Random("repair-parse-separators")
+    results, odd = [], 0
+    for _ in range(3000):
+        text = _random_separated_text(rng)
+        got = outcome(parse_repair_instance, text)
+        assert got == outcome(reference_parse_repair_instance, text), \
+            repr(text)
+        results.append(got if isinstance(got, tuple) else "parsed")
+        odd += results[-1] == "parsed" and any(
+            ch in text for ch in "\x0b\x0c\x1c\x1d\x1e\x1f")
+    parsed = results.count("parsed")
+    assert parsed >= 1500 and len(results) - parsed >= 800 and odd >= 500
+    assert {result[1].split(" ")[0] for result in results
+            if result != "parsed"} == {"empty", "header", "fault"}
     assert sum("outside" in result[1] for result in results
                if result != "parsed") >= 100

@@ -80,6 +80,15 @@ class TestAssemble:
         assert ins.opcode is Opcode.NOP
         assert ins.dst == ins.src1 == "ma"
 
+    def test_registers_are_held_by_their_canonical_name(self):
+        # every spelling of a register names the one string in REGISTERS
+        for name in REGISTERS:
+            for spelling in (name, name.upper(), name.title(),
+                             name[0] + name[1].upper()):
+                ins, = assemble(f"AND {spelling} A[1] {spelling}\n"
+                                ).instructions
+                assert ins.dst is name and ins.src2 is name, spelling
+
     def test_quality_program_assembles(self):
         program = assemble(quality_source())
         assert len(program.instructions) == 11

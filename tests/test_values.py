@@ -177,6 +177,14 @@ def test_every_exported_class_is_a_value_type():
         assert hash(value) == hash(cls(*args))
 
 
+def test_per_line_values_hold_no_dict():
+    """The values made once per input line keep their fields in slots."""
+    cases = {case[0]: case[1] for case in CASES}
+    for cls in (BitVector, Spare, RowRef, Instruction):
+        value = cls(*cases[cls])
+        assert not hasattr(value, "__dict__"), cls.__name__
+
+
 # veclog's public names before its exports became lazy, by defining module
 PUBLIC_NAMES = {
     "assoc": "AssociativeTable DiagnosisMode best_match diagnose "
