@@ -379,12 +379,11 @@ def _sim_grid(args: argparse.Namespace,
                          f"got {len(lines)}")
     report: Report = [("grid-manifest", args.grid)]
     programs, cells, assembled = [], [], {}
-    for idx, (number, line) in enumerate(lines):
+    for (row, col), (number, line) in zip(lamp.GRID_POSITIONS, lines):
         parts = line.split()
         if len(parts) < 2:  # the file's own line number, comments counted
             raise InputError(f"manifest line {number}: need program and "
                              f"data paths")
-        row, col = idx // lamp.GRID_SIDE + 1, idx % lamp.GRID_SIDE + 1
         paths = [p if os.path.isabs(p) else os.path.join(base, p)
                  for p in parts[:2]]
         try:
@@ -400,8 +399,7 @@ def _sim_grid(args: argparse.Namespace,
     except lamp.GridCellError as exc:
         report.append(("status", f"fault: {exc}"))
         return report, 1
-    for idx, cell in enumerate(final.cells):
-        row, col = idx // lamp.GRID_SIDE + 1, idx % lamp.GRID_SIDE + 1
+    for (row, col), cell in zip(lamp.GRID_POSITIONS, final.cells):
         report += _registers(cell, args.dots, f"cell-{row}-{col}-")
     report.append(("status", "ok"))
     return report, 0

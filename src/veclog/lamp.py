@@ -24,9 +24,8 @@ Execution is a pure function of (state, program): rerunning is bit-identical.
 """
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, product
 from typing import Optional, Sequence, Union
 
 from veclog.assoc import AssociativeTable, DiagnosisMode
@@ -68,41 +67,14 @@ class BitOutOfRange(SimulationError):
     pass
 
 
-class Opcode(Enum):
-    AND = "and"
-    OR = "or"
-    XOR = "xor"
-    NOT = "not"
-    SLC = "slc"
-    NOP = "nop"
-    LOADROW = "loadrow"
-    STOREROW = "storerow"
-    DEVOR = "devor"
-    SETALL = "setall"
-    CLRALL = "clrall"
-    LOOP = "loop"
-    ENDLOOP = "endloop"
-    HALT = "halt"
-
-    __hash__ = object.__hash__  # members are singletons; Enum's is Python
-
-
-@value_type
-class RowRef:
-    """Reference to a stored row; index None means the current loop row."""
-
-    __slots__ = ("index",)
-    index: Optional[int]
-
-
 @value_type
 class Instruction:
     __slots__ = ("opcode", "dst", "src1", "src2", "imm", "line")
-    opcode: Opcode
-    dst: Union[str, RowRef, None]
-    src1: Union[str, RowRef, None]
-    src2: Union[str, RowRef, None]
-    imm: Optional[int]  # LOOP count (None = *), DEVOR index (None = @)
+    opcode: str  # the operation's _OPS key
+    dst: Union[str, int, None]  # a register's name, or a row (0 = A[@])
+    src1: Union[str, int, None]
+    src2: Union[str, int, None]
+    imm: Optional[int]  # LOOP count (0 = *), DEVOR index (0 = @)
     line: int
 
     def __init__(self, opcode, dst=None, src1=None, src2=None, imm=None,
@@ -135,72 +107,71 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Opcode table.  A shape has one letter per operand: r register, s register
-# or row, R row, k coordinate (1.. or @), n count (1.. or *); a trailing ?
-# makes the last operand optional, repeating the first.  Registers and rows
-# fill dst, src1 and src2 in order, k and n fill imm.  The statement is the
+# Operation table, by lower-case name.  A shape has one letter per operand:
+# r register, s register or row, R row, k coordinate (1.. or @), n count
+# (1.. or *); a trailing ? makes the last operand optional, repeating the
+# first.  Registers and rows fill dst, src1 and src2 in order, k and n fill
+# imm; a row, k and n hold 0 for @ and *.  The statement is the
 # meaning in Python over int registers, the row list A and the all-ones word
 # `ones`, with the loop row `at`: {d}, {a} and {b} are dst, src1 and src2,
 # {k} a DEVOR's coordinate bits.  No statement checks a fault; see _walk.
 
-_OPS = {  # opcode: (shape, statement)
-    Opcode.AND: ("rsr", "{d} = {a} & {b}"),
-    Opcode.OR: ("rsr", "{d} = {a} | {b}"),
-    Opcode.XOR: ("rsr", "{d} = {a} ^ {b}"),
-    Opcode.NOT: ("rs?", "{d} = {a} ^ ones"),
-    Opcode.SLC: ("rs?", "{d} = ones ^ ones >> {a}.bit_count()"),
-    Opcode.NOP: ("rs?", "{d} = {a}"),
-    Opcode.LOADROW: ("rR", "{d} = {a}"),
-    Opcode.STOREROW: ("Rr", "{d} = {a}; stored = True"),
-    Opcode.DEVOR: ("rks", "{d} = {d} | {k} if {a} else {d} & ~{k}"),
-    Opcode.SETALL: ("r", "{d} = ones"),
-    Opcode.CLRALL: ("r", "{d} = 0"),
-    Opcode.LOOP: ("n", "at = 1"),  # a body with a HALT; others are a for
-    Opcode.ENDLOOP: ("", ""),  # ends a for; _walk faults it with no loop
-    Opcode.HALT: ("", ""),  # emit_source stops at it and returns
+_OPS = {  # name: (shape, statement)
+    "and": ("rsr", "{d} = {a} & {b}"),
+    "or": ("rsr", "{d} = {a} | {b}"),
+    "xor": ("rsr", "{d} = {a} ^ {b}"),
+    "not": ("rs?", "{d} = {a} ^ ones"),
+    "slc": ("rs?", "{d} = ones ^ ones >> {a}.bit_count()"),
+    "nop": ("rs?", "{d} = {a}"),
+    "loadrow": ("rR", "{d} = {a}"),
+    "storerow": ("Rr", "{d} = {a}; stored = True"),
+    "devor": ("rks", "{d} = {d} | {k} if {a} else {d} & ~{k}"),
+    "setall": ("r", "{d} = ones"),
+    "clrall": ("r", "{d} = 0"),
+    "loop": ("n", "at = 1"),  # a body with a HALT; others are a for
+    "endloop": ("", ""),  # ends a for; _walk faults it with no loop
+    "halt": ("", ""),  # emit_source stops at it and returns
 }
 
 
 # ---------------------------------------------------------------------------
 # Assembler
 
-# operation name: (opcode, its shape's letters, whether the last is optional)
-_SHAPES = {op.value: (op, shape.rstrip("?"), shape.endswith("?"))
+# operation name: (its _OPS key, its shape's letters, whether the last is
+# optional); the key is held once however many lines name the operation
+_SHAPES = {op: (op, shape.rstrip("?"), shape.endswith("?"))
            for op, (shape, _) in _OPS.items()}
 # each register's name, held once however many operands name it
 _REGISTER = {name: name for name in REGISTERS}
-# looking a member up on its Enum class is slow
-_LOOP, _ENDLOOP, _DEVOR, _HALT = (Opcode.LOOP, Opcode.ENDLOOP, Opcode.DEVOR,
-                                  Opcode.HALT)
 
 
-def _row(token: str, line: int, in_loop: bool) -> Optional[RowRef]:
-    """The row that ``token`` names as ``A[i]``, ``a[i]`` or ``A[@]``, or
-    None when it has none of these forms."""
+def _row(token: str, line: int, in_loop: bool) -> Optional[int]:
+    """The row that ``token`` names as ``A[i]``, ``a[i]`` or ``A[@]`` (0),
+    or None when it has none of these forms."""
     if token[:2] not in ("A[", "a[") or token[-1:] != "]":
         return None
     body = token[2:-1]
     if body == "@":
         if not in_loop:
             raise AssemblyError("A[@] is only meaningful inside a LOOP", line)
-        return RowRef(None)
+        return 0
     if not body.isdecimal():
         return None
     index = decimal(body, line, AssemblyError)
     if index < 1:
         raise AssemblyError("row numbers start at 1", line)
-    return RowRef(index)
+    return index
 
 
-def _number(token: str, line: int, in_loop: bool, kind: str) -> Optional[int]:
-    """A positive integer, or None for the wildcard of shape letter ``kind``
+def _number(token: str, line: int, in_loop: bool, kind: str) -> int:
+    """A positive integer, or 0 for the wildcard of shape letter ``kind``
     (k: @, which needs a LOOP; n: *)."""
     wildcard, what = ("@", "DEVOR index") if kind == "k" else \
         ("*", "LOOP count")
     if token == wildcard:
         if wildcard == "@" and not in_loop:
             raise AssemblyError("@ is only meaningful inside a LOOP", line)
-        return None
+        return 0
     if token.isdecimal():
         value = decimal(token, line, AssemblyError)
         if value >= 1:
@@ -243,11 +214,11 @@ def _assemble(source: str) -> tuple[Instruction, ...]:
         if len(operands) != len(kinds):
             wanted = f"{len(kinds) - 1} or {len(kinds)}" if optional \
                 else len(kinds)
-            raise BadArity(f"{opcode.value} expects {wanted} "
+            raise BadArity(f"{opcode} expects {wanted} "
                            f"operands, got {len(operands)}", lineno)
         in_loop = loop_line is not None
-        if opcode is _LOOP or opcode is _ENDLOOP:
-            if in_loop == (opcode is _LOOP):
+        if opcode in ("loop", "endloop"):
+            if in_loop == (opcode == "loop"):
                 raise AssemblyError("LOOP does not nest" if in_loop
                                     else "ENDLOOP without LOOP", lineno)
             loop_line = None if in_loop else lineno
@@ -255,7 +226,8 @@ def _assemble(source: str) -> tuple[Instruction, ...]:
         for kind, token in zip(kinds, operands):
             if kind in "kn":
                 imm = _number(token, lineno, in_loop, kind)
-            elif kind != "r" and (row := _row(token, lineno, in_loop)):
+            elif kind != "r" and (row := _row(token, lineno,
+                                              in_loop)) is not None:
                 fields.append(row)
             elif kind != "R" and (reg := _REGISTER.get(token.lower())):
                 fields.append(reg)
@@ -351,13 +323,13 @@ def _walk(program: Program, pc: int, n: int, width: int,
             if k > bound:  # the assembler keeps a constant k at 1 or more
                 error = RowOutOfRange if noun == "row" else BitOutOfRange
                 raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
-        if ins.opcode is _ENDLOOP:  # a walked loop faults or halts before it
+        if ins.opcode == "endloop":  # a walked loop faults or halts before it
             raise SimulationError(f"ENDLOOP with no LOOP running "
                                   f"(line {ins.line})")
         steps += 1
-        if ins.opcode is _HALT:
+        if ins.opcode == "halt":
             return pc + 1, steps
-        if ins.opcode is _LOOP:
+        if ins.opcode == "loop":
             at = 1
             if pc in loops:
                 end, row, row_at, coordinate, coordinate_at = loops[pc]
@@ -379,25 +351,25 @@ def _loops(code: Sequence[Instruction]) -> dict[int, tuple]:
     ENDLOOP's pc, then for rows and for coordinates the highest constant
     the body reads (0 for none) and whether it reads @."""
     marks = [pc for pc, ins in enumerate(code)
-             if ins.opcode is _LOOP or ins.opcode is _ENDLOOP]
+             if ins.opcode in ("loop", "endloop")]
     plan = {}
     for loop, end in zip(marks[::2], marks[1::2]):
-        if all(ins.opcode is not _HALT for ins in code[loop:end]):
+        if all(ins.opcode != "halt" for ins in code[loop:end]):
             reads = [r for ins in code[loop + 1:end] for r in _reads(ins)]
             plan[loop] = (end,)
             for noun in ("row", "coordinate"):
                 ks = [k for kind, k in reads if kind == noun]
-                plan[loop] += (max(filter(None, ks), default=0), None in ks)
+                plan[loop] += (max(ks, default=0), 0 in ks)
     return plan
 
 
-def _reads(ins: Instruction) -> list[tuple[str, Optional[int]]]:
-    """(noun, number or None for @) of each row or coordinate ``ins``
-    reads, in order."""
-    reads = [("coordinate", ins.imm)] if ins.opcode is _DEVOR else []
+def _reads(ins: Instruction) -> list[tuple[str, int]]:
+    """(noun, number, or 0 for @) of each row or coordinate ``ins`` reads,
+    in order."""
+    reads = [("coordinate", ins.imm)] if ins.opcode == "devor" else []
     for op in (ins.dst, ins.src1, ins.src2):
-        if op.__class__ is RowRef:
-            reads.append(("row", op.index))
+        if op.__class__ is int:
+            reads.append(("row", op))
     return reads
 
 
@@ -411,7 +383,7 @@ def emit_source(program: Program, pc: int = 0) -> str:
     ``_walk`` has found to end without a fault."""
     code, lines = program.instructions, []
     loops, pc = program.loops, max(pc, 0)
-    while pc < len(code) and code[pc].opcode is not _HALT:
+    while pc < len(code) and code[pc].opcode != "halt":
         if pc in loops:
             end = loops[pc][0]
             body = [_statement(run) for run in _runs(code[pc + 1:end])]
@@ -435,7 +407,7 @@ def _runs(code: Sequence[Instruction]) -> list[list[Instruction]]:
     """The instructions, with each run of DEVORs with one d and s and
     constant k as one list."""
     return [list(run) for _, run in groupby(code, lambda ins: (
-        (ins.dst, ins.src1) if ins.imm and ins.opcode is _DEVOR
+        (ins.dst, ins.src1) if ins.imm and ins.opcode == "devor"
         else object()))]
 
 
@@ -443,8 +415,8 @@ def _statement(run: Sequence[Instruction]) -> str:
     """The ``_OPS`` statement of ``run[0]``; a DEVOR run sets each of its
     coordinates."""
     def operand(op) -> str:
-        if isinstance(op, RowRef):
-            return "A[at - 1]" if op.index is None else f"A[{op.index - 1}]"
+        if op.__class__ is int:
+            return f"A[{op - 1}]" if op else "A[at - 1]"
         return op
 
     ins, mask = run[0], f"(1 << width - {run[0].imm or 'at'})"
@@ -458,6 +430,8 @@ def _statement(run: Sequence[Instruction]) -> str:
 
 GRID_SIDE = 4
 GRID_CELLS = GRID_SIDE * GRID_SIDE
+# each cell's 1-based (row, column), in the row-major order of GridState
+GRID_POSITIONS = tuple(product(range(1, GRID_SIDE + 1), repeat=2))
 
 
 class GridCellError(SimulationError):
@@ -489,12 +463,12 @@ def run_grid(grid: GridState, programs: Sequence[Program],
     if len(programs) != GRID_CELLS:
         raise ValueError(f"need {GRID_CELLS} programs, got {len(programs)}")
     cells = []
-    for idx, (cell, program) in enumerate(zip(grid.cells, programs)):
+    for (row, col), cell, program in zip(GRID_POSITIONS, grid.cells,
+                                         programs):
         try:
             cells.append(run_sequencer(cell, program, max_steps))
         except Exception as exc:
-            raise GridCellError(idx // GRID_SIDE + 1, idx % GRID_SIDE + 1,
-                                exc) from exc
+            raise GridCellError(row, col, exc) from exc
     return GridState(tuple(cells))
 
 
@@ -579,8 +553,7 @@ def diagnosis_source(width: int,
     so each row applies itself to the right accumulator through plain mask
     logic; no branching, and the program depends only on the table width.
     """
-    mode = DiagnosisMode(mode) if isinstance(mode, str) else mode
-    single = mode is DiagnosisMode.SINGLE
+    single = DiagnosisMode(mode) is DiagnosisMode.SINGLE
     broadcast = [f"  DEVOR mb {k} mb" for k in range(1, width + 1)]
     lines = [
         "; fault candidates from the response column appended to the table",

@@ -91,8 +91,8 @@ def value_type(cls):
     A class whose body declares ``__slots__``, a tuple of its field names,
     holds no ``__dict__``, and the generic ``__init__`` writes each field
     through its slot descriptor.  The types made once per input line
-    (``BitVector``, ``cover.Spare``, ``lamp.RowRef``, ``lamp.Instruction``)
-    declare slots, as a ``__dict__`` would be most of each one's size.  A
+    (``BitVector``, ``cover.Spare``, ``lamp.Instruction``) declare slots,
+    as a ``__dict__`` would be most of each one's size.  A
     slotted field has no default, as a class attribute of its name would
     clash with its descriptor.
     """

@@ -66,24 +66,24 @@ MUTANTS = [
            "width + 1 if coordinate_at else count)",
            ("tests/test_golden.py::test_transcript[sim-feasible-tall]",)),
     Mutant("walk: ENDLOOP with no loop running passes", LAMP,
-           "if ins.opcode is _ENDLOOP:  # a walked loop",
+           'if ins.opcode == "endloop":  # a walked loop',
            "if False:  # a walked loop",
            ("tests/test_lamp.py::TestResume::test_resuming_inside_a_loop_body"
             "[NOP ma-4-ENDLOOP]",)),
     Mutant("plan: a loop with a HALT is planned", LAMP,
-           "if all(ins.opcode is not _HALT for ins in code[loop:end]):",
+           'if all(ins.opcode != "halt" for ins in code[loop:end]):',
            "if True:",
            ("tests/test_lamp.py::TestResume::test_resuming_into_a_body_with_"
             "a_second_halt",)),
     Mutant("emit: DEVORs from different sources fold", LAMP,
-           "(ins.dst, ins.src1) if ins.imm and ins.opcode is _DEVOR",
-           "ins.dst if ins.imm and ins.opcode is _DEVOR",
+           '(ins.dst, ins.src1) if ins.imm and ins.opcode == "devor"',
+           'ins.dst if ins.imm and ins.opcode == "devor"',
            ("tests/test_lamp.py::test_executor_matches_reference[64]",
             "tests/test_lamp.py::test_devor_runs_fold_only_with_one_"
             "destination_and_source")),
     Mutant("emit: DEVORs into different destinations fold", LAMP,
-           "(ins.dst, ins.src1) if ins.imm and ins.opcode is _DEVOR",
-           "ins.src1 if ins.imm and ins.opcode is _DEVOR",
+           '(ins.dst, ins.src1) if ins.imm and ins.opcode == "devor"',
+           'ins.src1 if ins.imm and ins.opcode == "devor"',
            ("tests/test_lamp.py::test_devor_runs_fold_only_with_one_"
             "destination_and_source",)),
     Mutant("assemble: MB stored as ma", LAMP,
@@ -91,6 +91,23 @@ MUTANTS = [
            '(reg := "ma" if token == "MB" else _REGISTER.get(token.lower()))',
            ("tests/test_lamp.py::TestAssemble::test_registers_are_held_by_"
             "their_canonical_name",)),
+    Mutant("assemble: the opcode stored as the token's copy", LAMP,
+           "opcode, kinds, optional = _SHAPES[tokens[0].lower()]",
+           "_, kinds, optional = _SHAPES[(opcode := tokens[0].lower())]",
+           ("tests/test_lamp.py::TestAssemble::test_opcodes_are_held_by_"
+            "their_canonical_name",)),
+    Mutant("assemble: A[0] read as A[@]", LAMP,
+           "if index < 1:", "if index < 0:",
+           ("tests/test_lamp.py::TestAssemble::test_row_numbers_start_at_one",
+            "tests/test_lamp.py::TestRunSequencer::test_hand_built_fields_"
+            "never_reach_the_source[row-0]",
+            "tests/test_golden.py::test_transcript[sim-asm-row-zero]")),
+    Mutant("assemble: a 0 count or coordinate read as the wildcard", LAMP,
+           "if value >= 1:", "if value >= 0:",
+           ("tests/test_lamp.py::TestAssemble::test_loop_count_validation",
+            "tests/test_lamp.py::TestRunSequencer::test_hand_built_fields_"
+            "never_reach_the_source[devor-0]",
+            "tests/test_golden.py::test_transcript[sim-asm-devor]")),
     Mutant("feasible_mask: the row's 1s contained in the query", ASSOC,
            "q & row == q", "q & row == row",
            ("tests/test_assoc.py::TestFeasibleMask::test_direct_formula",
@@ -252,7 +269,6 @@ MUTANTS = [
            "zip(setters, args)", "zip(setters[:-1], args)",
            ("tests/test_values.py::TestContract::test_positional_and_keyword_"
             "construction[Spare]",
-            "tests/test_values.py::TestContract::test_repr[RowRef]",
             "tests/test_golden.py::test_transcript[repair-memory]")),
 ]
 

@@ -18,8 +18,8 @@ import veclog
 from veclog.assoc import AssociativeTable, parse_table
 from veclog.cover import CoverageInstance, RepairInstance, Spare
 from veclog.dq import DesignQualityInput, DesignQualityOutput, DomainError
-from veclog.lamp import (REGISTERS, GridState, Instruction, Opcode, Program,
-                         RowRef, SequencerState)
+from veclog.lamp import (REGISTERS, GridState, Instruction, Program,
+                         SequencerState)
 from veclog.metric import ArithQuality, CompactedQuality, QualityVector
 from veclog.vlcore import BitVector, EmptyIntersection, TernaryVector
 
@@ -77,11 +77,8 @@ CASES = [
      (0.5, 0.25, 0.125, 0.5, 0.4),
      "DesignQualityOutput(yield_estimate=0.5, fault_level=0.25, "
      "verification_time=0.125, hardware_redundancy=0.5, quality=0.3)"),
-    (RowRef, (2,), (None,), "RowRef(index=2)"),
-    (Instruction, (Opcode.AND, "ma", RowRef(None), "mb", None, 4),
-     (Opcode.AND, "ma", RowRef(None), "mb", None, 5),
-     "Instruction(opcode=<Opcode.AND: 'and'>, dst='ma', "
-     "src1=RowRef(index=None), src2='mb', imm=None, line=4)"),
+    (Instruction, ("and", "ma", 0, "mb", 0, 4), ("and", "ma", 0, "mb", 0, 5),
+     "Instruction(opcode='and', dst='ma', src1=0, src2='mb', imm=0, line=4)"),
     (Program, ("NOT ma\nHALT\n",), ("NOT mb\nHALT\n",),
      r"Program(source='NOT ma\nHALT\n')"),
     (SequencerState, (TABLE, *REGS, 0, 0), (TABLE, *REGS, 1, 0), STATE_REPR),
@@ -161,8 +158,8 @@ def test_every_exported_class_is_a_value_type():
     classes = {obj for obj in exported if isinstance(obj, type)
                and not issubclass(obj, (Exception, Enum))}
     cases = {case[0]: case for case in CASES}
-    # every value class but the two a Program is built from
-    assert classes == set(cases) - {RowRef, Instruction}
+    # every value class but the one a Program is built from
+    assert classes == set(cases) - {Instruction}
     assert len(classes) == 15
     for cls in classes:
         _, args, other, _ = cases[cls]
@@ -180,7 +177,7 @@ def test_every_exported_class_is_a_value_type():
 def test_per_line_values_hold_no_dict():
     """The values made once per input line keep their fields in slots."""
     cases = {case[0]: case[1] for case in CASES}
-    for cls in (BitVector, Spare, RowRef, Instruction):
+    for cls in (BitVector, Spare, Instruction):
         value = cls(*cases[cls])
         assert not hasattr(value, "__dict__"), cls.__name__
 
@@ -233,10 +230,10 @@ def test_lazy_exports_keep_every_name_and_object():
 
 
 def test_defaults():
-    halt = Instruction(Opcode.HALT)
+    halt = Instruction("halt")
     assert (halt.dst, halt.src1, halt.src2, halt.imm, halt.line) == \
         (None, None, None, None, 0)
-    assert Instruction(Opcode.HALT, line=3).line == 3
+    assert Instruction("halt", line=3).line == 3
     state = SequencerState(TABLE, *REGS)
     assert (state.pc, state.steps) == (0, 0)
     instance = CoverageInstance(TABLE)
@@ -273,8 +270,6 @@ def test_spare_ordering():
         Spare("column", 9) < Spare("row", 1)
     with pytest.raises(TypeError):
         Spare("row", 1) < ("row", 2)
-    with pytest.raises(TypeError):
-        RowRef(1) < RowRef(2)
 
 
 @pytest.mark.parametrize("build, error, message", [
