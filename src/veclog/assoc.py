@@ -4,21 +4,19 @@ best-match queries over a table of equal-width binary rows.
 Row and column numbers are 1-based wherever they face a human (they match
 line order in the table file); Python sequences stay 0-indexed.
 
-The table readers take the file's text as a ``str``, or its ASCII bytes
-as read; ``read_table`` reads a binary file itself.  A binary table in the
-plain layout (header on line 1, then one row of exactly ``width`` symbols
-per "\n"-ended line) is converted by row stride, one ``int(row, 2)`` per
-row on the text or bytes as given (a file's in blocks of about 64 KiB), with
-only the header and the lines after the rows decoded.  Any other table is
-decoded, split into lines and checked row by row, which names the first bad
+The table readers take the file's text as a ``str``; ``read_table`` reads
+a binary file itself, decoding each piece it reads as ASCII.  A binary
+table in the plain layout (header on line 1, then one row of exactly
+``width`` symbols per "\n"-ended line) is converted by row stride, one
+``int(row, 2)`` per row (a file's in blocks of about 64 KiB).  Any other
+table is split into lines and checked row by row, which names the first bad
 line and column; a file is read whole for that, once.
 """
 from __future__ import annotations
 
 from enum import Enum
 from itertools import islice, repeat
-from typing import (BinaryIO, Callable, Iterator, Optional, Sequence,
-                    Union)
+from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
 from veclog.vlcore import (BitVector, CompactedQuality, LengthMismatch,
                            ParseError, TernaryVector, check_symbols,
@@ -164,20 +162,19 @@ def best_match(query: BitVector,
 #   rows: <n names>
 #   cols: <w names>
 
-def parse_table(text: Union[str, bytes]) -> AssociativeTable:
-    """Parse the table format, as text or ASCII bytes, into a binary
-    table."""
-    values, width, row_labels, col_labels = _parse_rows(text, ternary=False)
-    return AssociativeTable(values, width, row_labels, col_labels)
+def parse_table(text: str) -> AssociativeTable:
+    """Parse the table format into a binary table."""
+    return _table(_plain_rows(text) or _checked_rows(text, False))
 
 
 def read_table(fh: BinaryIO, update: Optional[Callable[[bytes], object]] = None
                ) -> AssociativeTable:
     """The binary table the binary file ``fh`` holds, streamed while it is
-    in the plain layout.  From the first piece that is not, or at once if
-    ``fh`` cannot seek, it is read whole from its start and checked row by
-    row; UnicodeDecodeError if it is not ASCII.  ``update``, when given, is
-    called on pieces that hold each byte of the file once, in order."""
+    ASCII in the plain layout.  From the first piece that is not, or at
+    once if ``fh`` cannot seek, it is read whole from its start and checked
+    row by row; UnicodeDecodeError if it is not ASCII.  ``update``, when
+    given, is called on pieces that hold each byte of the file once, in
+    order."""
     update = update or (lambda piece: None)
     parsed = fh.seekable() and _stream_rows(fh, update)
     if not parsed:
@@ -187,18 +184,16 @@ def read_table(fh: BinaryIO, update: Optional[Callable[[bytes], object]] = None
         data = fh.read()
         update(memoryview(data)[done:])
         parsed = _checked_rows(data.decode("ascii"), False)
-    values, width, tail, first = parsed
-    return AssociativeTable(values, width,
-                            *_labels(tail, first, len(values), width))
+    return _table(parsed)
 
 
 def parse_ternary_rows(
-        text: Union[str, bytes]
-) -> tuple[list[TernaryVector], Optional[tuple[str, ...]]]:
+        text: str) -> tuple[list[TernaryVector], Optional[tuple[str, ...]]]:
     """Parse the same format allowing the x symbol; returns rows and any
     row labels."""
-    rows, _, row_labels, _ = _parse_rows(text, ternary=True)
-    return list(map(TernaryVector.from_symbols, rows)), row_labels
+    rows, width, tail, first = _checked_rows(text, True)
+    return (list(map(TernaryVector.from_symbols, rows)),
+            _labels(tail, first, len(rows), width)[0])
 
 
 # The symbols besides 0 and 1 that ``int(row, 2)`` accepts in ASCII text:
@@ -209,26 +204,11 @@ _INT_EXTRAS = "+-_bB \t\r\x0b\x0c"
 _BLOCK = 1 << 16
 
 
-def _parse_rows(text: Union[str, bytes], ternary: bool):
-    """(rows, width, row labels, column labels): a binary table's rows as
-    ints, by row stride in the plain layout, a ternary table's as strings."""
-    parsed = None if ternary else _plain_rows(text)
-    values, width, tail, first = parsed or _checked_rows(_decoded(text),
-                                                         ternary)
-    return (values, width, *_labels(tail, first, len(values), width))
-
-
-def _decoded(text: Union[str, bytes]) -> str:
-    """The text itself, or the bytes decoded as ASCII; a byte outside ASCII
-    raises ParseError at its line and column."""
-    if isinstance(text, str):
-        return text
-    try:
-        return text.decode("ascii")
-    except UnicodeDecodeError as exc:
-        *before, last = (text[:exc.start].decode("ascii") + "?").splitlines()
-        raise ParseError(f"invalid byte {text[exc.start]:#04x}: table files "
-                         f"are ASCII", len(before) + 1, len(last)) from None
+def _table(parsed) -> AssociativeTable:
+    """The binary table ``_checked_rows`` or ``_plain_rows`` returned."""
+    values, width, tail, first = parsed
+    return AssociativeTable(values, width,
+                            *_labels(tail, first, len(values), width))
 
 
 def _dimensions(header: str, line: int) -> tuple[int, int]:
@@ -240,13 +220,12 @@ def _dimensions(header: str, line: int) -> tuple[int, int]:
     return height, width
 
 
-def _plain_header(text: Union[str, bytes]):
+def _plain_header(text: str):
     """(offset of line 2, height, width) from line 1 of the ASCII ``text``,
-    a plain layout's header: ended by "\n" and, decoded to be checked as
-    text, holding no other line break.  None for any other ``text``."""
-    newline = "\n" if isinstance(text, str) else b"\n"
-    at = text.find(newline) + 1
-    header = _decoded(text[:at - 1]) if at and text.isascii() else ""
+    a plain layout's header: ended by "\n" and holding no other line break.
+    None for any other ``text``."""
+    at = text.find("\n") + 1
+    header = text[:at - 1] if at and text.isascii() else ""
     if not (header.strip() and header.splitlines() == [header]):
         return None
     try:
@@ -255,22 +234,20 @@ def _plain_header(text: Union[str, bytes]):
         return None
 
 
-def _strided(buf: Union[str, bytes], at: int, rows: int, width: int
+def _strided(buf: str, at: int, rows: int, width: int
              ) -> Optional[list[int]]:
-    """The ``rows`` rows of a plain layout at offset ``at`` of ``buf``, ASCII
-    text or any bytes (int() rejects a byte outside ASCII), as ints: row k
-    is the ``width`` symbols at ``at + k * (width + 1)``.  None unless all
-    are there, "\n"-ended, of 0s and 1s."""
+    """The ``rows`` rows of a plain layout at offset ``at`` of the ASCII text
+    ``buf``, as ints: row k is the ``width`` symbols at
+    ``at + k * (width + 1)``.  None unless all are there, "\n"-ended, of 0s
+    and 1s."""
     stride = width + 1
     end = at + rows * stride
-    newline, extras = (("\n", _INT_EXTRAS) if isinstance(buf, str)
-                       else (b"\n", _INT_EXTRAS.encode()))
     # int() strips a "\n" that starts or ends a row and rejects one inside
     if (len(buf) < end
-            or buf[at + width:end:stride] != newline * rows
-            or newline in buf[at:end:stride]
-            or newline in buf[at + width - 1:end:stride]
-            or any(buf.find(ch, at, end) >= 0 for ch in extras)):
+            or buf[at + width:end:stride] != "\n" * rows
+            or "\n" in buf[at:end:stride]
+            or "\n" in buf[at + width - 1:end:stride]
+            or any(buf.find(ch, at, end) >= 0 for ch in _INT_EXTRAS)):
         return None
     try:
         return [int(buf[k:k + width], 2) for k in range(at, end, stride)]
@@ -278,7 +255,7 @@ def _strided(buf: Union[str, bytes], at: int, rows: int, width: int
         return None
 
 
-def _plain_rows(text: Union[str, bytes]):
+def _plain_rows(text: str):
     """What ``_checked_rows`` returns, for a binary table in the plain
     layout, converted by stride over ``text`` itself; None for any other."""
     shape = _plain_header(text)
@@ -287,34 +264,36 @@ def _plain_rows(text: Union[str, bytes]):
         return None
     at, height, width = shape
     tail = text[at + height * (width + 1):]
-    return values, width, _decoded(tail).splitlines(), height + 2
+    return values, width, tail.splitlines(), height + 2
 
 
 def _stream_rows(fh: BinaryIO, update: Callable[[bytes], object]):
     """What ``_plain_rows`` returns, read from the binary file ``fh`` and
     given to ``update`` a piece at a time: the header line, blocks of whole
-    rows, then the rest; None at the first piece of another table."""
+    rows, then the rest, each decoded as ASCII; None at the first piece of
+    another table or that is not ASCII."""
     header = fh.readline()
     update(header)
-    shape = _plain_header(header)
-    if not shape or shape[2] >= _BLOCK:  # a row wider than a block
-        return None
-    _, height, width = shape
-    per_block = _BLOCK // (width + 1)
-    values: list[int] = []
-    for done in range(0, height, per_block):
-        rows = min(per_block, height - done)
-        block = fh.read(rows * (width + 1))
-        update(block)
-        converted = _strided(block, 0, rows, width)
-        if not converted:
+    try:
+        shape = _plain_header(header.decode("ascii"))
+        if not shape or shape[2] >= _BLOCK:  # a row wider than a block
             return None
-        values += converted
-    tail = fh.read()
-    update(tail)
-    if tail.isascii():
-        return values, width, _decoded(tail).splitlines(), height + 2
-    return None
+        _, height, width = shape
+        per_block = _BLOCK // (width + 1)
+        values: list[int] = []
+        for done in range(0, height, per_block):
+            rows = min(per_block, height - done)
+            block = fh.read(rows * (width + 1))
+            update(block)
+            converted = _strided(block.decode("ascii"), 0, rows, width)
+            if not converted:
+                return None
+            values += converted
+        tail = fh.read()
+        update(tail)
+        return values, width, tail.decode("ascii").splitlines(), height + 2
+    except UnicodeDecodeError:
+        return None
 
 
 def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:

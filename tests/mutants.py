@@ -133,27 +133,41 @@ MUTANTS = [
            "len(buf) < end", "False",
            (rf"{STRIDE}[99999999999999999999 3\n011\n]",)),
     Mutant("stride: newline positions unchecked", ASSOC,
-           "buf[at + width:end:stride] != newline * rows", "False",
+           'buf[at + width:end:stride] != "\\n" * rows', "False",
            (rf"{STRIDE}[2 3\n0110101\n]", rf"{STRIDE}[2 3\n011x101\n]")),
     Mutant("stride: first symbol unchecked", ASSOC,
-           "or newline in buf[at:end:stride]", "or False",
+           'or "\\n" in buf[at:end:stride]', "or False",
            (rf"{STRIDE}[2 3\n\n01\n011\n]",)),
     Mutant("stride: last symbol unchecked", ASSOC,
-           "or newline in buf[at + width - 1:end:stride]", "or False",
+           'or "\\n" in buf[at + width - 1:end:stride]', "or False",
            (rf"{STRIDE}[2 3\n011\n10\n\n]",)),
     Mutant("stride: the header checked undecoded", ASSOC,
-           "_decoded(text[:at - 1])", "text[:at - 1]",
+           'shape = _plain_header(header.decode("ascii"))',
+           "shape = _plain_header(header)",
            ("tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
             "[form-feed-ends-header]",)),
+    Mutant("stride: a header holding another line break let through", ASSOC,
+           "header.splitlines() == [header]", "True",
+           ("tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
+            "[form-feed-inside-header]",
+            "tests/test_assoc.py::test_parse_matches_reference_on_random_"
+            "texts",
+            "tests/test_assoc.py::test_streamed_reads_match_whole_reads"
+            "[default]")),
     Mutant("stride: non-ASCII text let through", ASSOC,
            "if at and text.isascii() else", "if at else",
-           (r"tests/test_assoc.py::test_non_ascii_bytes_raise_parse_error"
-            r"[parse_table-1 1\n1\n#labels\nrows: r\xc3\xa9\n-4-8]",
-            rf"{STRIDE}[2 3\n1\u06610\n011\n]")),
+           (rf"{STRIDE}[2 3\n1\u06610\n011\n]",)),
     Mutant("stream: a non-ASCII tail let through", ASSOC,
-           "if tail.isascii():", "if True:",
+           'tail.decode("ascii")', 'tail.decode("latin-1")',
            ("tests/test_golden.py::test_transcript[query-nonascii]",
             "tests/test_golden.py::test_transcript[diagnose-nonascii]")),
+    Mutant("stream: a non-ASCII piece raises at its own position", ASSOC,
+           "except UnicodeDecodeError:", "except LookupError:",
+           ("tests/test_assoc.py::test_a_table_the_stream_gives_up_on_is_"
+            "hashed_and_converted_once[non-ascii-default]",
+            "tests/test_assoc.py::test_streamed_reads_fall_back_where_a_"
+            "block_fails[non-ascii-middle-block-1-row]",
+            "tests/test_golden.py::test_transcript[query-nonascii]")),
     Mutant("stream: the last block one row short", ASSOC,
            "rows = min(per_block, height - done)",
            "rows = min(per_block, height - done - 1)",
@@ -175,7 +189,7 @@ MUTANTS = [
             "tests/test_golden.py::test_transcript[query-crlf]")),
     Mutant("read_table: a non-ASCII file raises ParseError", ASSOC,
            "_checked_rows(data.decode(\"ascii\"), False)",
-           "_checked_rows(_decoded(data), False)",
+           "_checked_rows(data.decode(\"ascii\", \"replace\"), False)",
            ("tests/test_assoc.py::test_a_table_the_stream_gives_up_on_is_"
             "hashed_and_converted_once[non-ascii-default]",
             "tests/test_golden.py::test_transcript[query-nonascii]",
@@ -294,9 +308,9 @@ RETIRED = [
     Retired("stream: the per-block ASCII check dropped", ASSOC,
             "block.isascii()",
             "deleted when the stream's blocks were left to the stride guard "
-            "alone: every byte of a block is a row symbol int() converts or "
-            "a '\\n' the guard checks, and int() rejects every byte outside "
-            "ASCII, which test_int_rejects_every_byte_outside_ascii pins"),
+            "alone; each block is now decoded as ASCII before the guard sees "
+            "it, and the mutant 'stream: a non-ASCII piece raises at its own "
+            "position' checks that a block that is not falls back"),
     Retired("cli: the fallback reuses the stream's partial digest", CLI,
             "return _load(path, assoc.parse_table",
             "deleted when cli._load_table folded into cli._load and the "

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import random
 import sys
@@ -21,6 +22,7 @@ from veclog.assoc import (
     feasible_mask,
     parse_table,
     parse_ternary_rows,
+    read_table,
 )
 from veclog.vlcore import BitVector, LengthMismatch, ParseError
 
@@ -514,84 +516,76 @@ def test_stride_parse_matches_row_by_row_parse(text):
 @pytest.mark.parametrize("symbol", ["\x1c", "\x1d", "\x1e", "\x1f"])
 def test_int_rejects_the_separators_the_stride_guard_leaves_to_it(symbol):
     """``int(row, 2)`` rejects the ASCII file, group, record and unit
-    separators before or after a row, from text and from bytes, so the
-    stride guard does not search for them; an interpreter that accepted one
-    would fail here."""
+    separators before or after a row, so the stride guard does not search
+    for them; an interpreter that accepted one would fail here."""
     for row in (symbol + "1", "1" + symbol):
-        for given in (row, row.encode()):
-            with pytest.raises(ValueError):
-                int(given, 2)
+        with pytest.raises(ValueError):
+            int(row, 2)
 
 
-def test_int_rejects_every_byte_outside_ascii():
-    """``int(row, 2)`` rejects a byte outside ASCII at the start, inside or
-    at the end of a row, so the streamed read leaves such bytes in its
-    blocks to it; an interpreter that accepted one would fail here."""
-    for byte in (bytes([b]) for b in range(128, 256)):
-        for row in (byte + b"1", b"1" + byte + b"1", b"1" + byte):
-            with pytest.raises(ValueError):
-                int(row, 2)
+def test_parsers_take_text_only():
+    """Bytes are decoded where they are read; the text parsers refuse
+    them."""
+    for parse in (parse_table, parse_ternary_rows):
+        with pytest.raises(TypeError):
+            parse(b"1 1\n1\n")
 
 
 # ---------------------------------------------------------------------------
-# The same readers on a file's ASCII bytes
+# The same tables read from a file's ASCII bytes
+
+def read_bytes(data: bytes):
+    """``read_table``'s outcome for a binary file holding ``data``."""
+    return outcome(read_table, io.BytesIO(data))
+
 
 @settings(max_examples=400)
 @given(table_texts().filter(str.isascii))
 def test_bytes_parse_like_their_text(text):
     """Same table and labels, or the same exception, message, line and
-    column, from the bytes as from the text."""
-    assert outcome(parse_table, text.encode()) == outcome(parse_table, text)
+    column, from a file's bytes read in blocks of 8 or 64 bytes or the
+    default as from the text."""
+    want = outcome(parse_table, text)
+    for block in (8, 64, assoc._BLOCK):
+        with mock.patch.object(assoc, "_BLOCK", block):
+            assert read_bytes(text.encode()) == want
 
 
 @pytest.mark.parametrize("height, width", SHAPES)
 @pytest.mark.parametrize("trailer", ["", "\n\n \n", "labels"],
                          ids=["bare", "blank-lines", "labels"])
 def test_plain_layout_bytes_parse_by_stride(height, width, trailer):
+    """A file in the plain layout is read by the stream alone."""
     if trailer == "labels":
         trailer = "\n" + labels_trailer(height, width)
     text, values = plain_text(height, width, height * width, trailer)
-    stride = assoc._plain_rows(text.encode())
+    stride = assoc._stream_rows(io.BytesIO(text.encode()), lambda piece: 0)
     assert stride is not None
     assert stride[:2] == (values, width)
-    assert parse_table(text.encode()) == parse_table(text)
+    assert read_bytes(text.encode()) == parse_table(text)
 
 
 @pytest.mark.parametrize("text", [t for t in NOT_PLAIN if t.isascii()])
 def test_bytes_not_in_the_plain_layout_parse_row_by_row(text):
-    assert assoc._plain_rows(text.encode()) is None
-    assert outcome(parse_table, text.encode()) == \
-        outcome(reference_parse_table, text)
+    data = text.encode()
+    assert assoc._stream_rows(io.BytesIO(data), lambda piece: 0) is None
+    assert read_bytes(data) == outcome(reference_parse_table, text)
 
 
 # bytes.splitlines and bytes.strip know fewer line breaks and spaces than
-# str's; the header and the lines after the rows are read as text
+# str's; the stream decodes the header and the lines after the rows
 @pytest.mark.parametrize("text", [
     "2 3\x0b011\n101\n",
     "\x1c\n2 3\n011\n101\n",
     "2 3\x0c\n011\n101\n",
+    "2\x0c3\n011\n101\n",
     "2 3\n011\n101\n\x1e\n",
 ], ids=["vertical-tab-ends-header", "file-separator-line-first",
-        "form-feed-ends-header", "record-separator-after-rows"])
+        "form-feed-ends-header", "form-feed-inside-header",
+        "record-separator-after-rows"])
 def test_header_and_trailer_bytes_read_as_text(text):
-    assert outcome(parse_table, text) == reference_parse_table(text)
-    assert outcome(parse_table, text.encode()) == \
-        outcome(parse_table, text)
-    assert outcome(parse_ternary_rows, text.encode()) == \
-        outcome(parse_ternary_rows, text)
-
-
-@pytest.mark.parametrize("data, line, column", [
-    ("2 3\n1\u06610\n011\n".encode(), 2, 2),
-    (b"\xff2 3\n011\n", 1, 1),
-    (b"2 3\r\n011\r\n101\x80\n", 3, 4),
-    (b"1 1\n1\n#labels\nrows: r\xc3\xa9\n", 4, 8),
-])
-@pytest.mark.parametrize("parse", [parse_table, parse_ternary_rows])
-def test_non_ascii_bytes_raise_parse_error(parse, data, line, column):
-    with pytest.raises(ParseError, match="table files are ASCII") as info:
-        parse(data)
-    assert (info.value.line, info.value.column) == (line, column)
+    assert outcome(parse_table, text) == outcome(reference_parse_table, text)
+    assert read_bytes(text.encode()) == outcome(parse_table, text)
 
 
 def test_parse_holds_no_string_per_line():
@@ -606,21 +600,6 @@ def test_parse_holds_no_string_per_line():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * len(text)
-
-
-def test_bytes_parse_beside_the_bytes_alone():
-    """A 4096x256 table parses from its bytes in under half their size:
-    no decoded copy of the rows is made."""
-    text, _ = plain_text(4096, 256)
-    data = text.encode()
-    parse_table(data)
-    tracemalloc.start()
-    try:
-        parse_table(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * len(data)
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +793,7 @@ def test_a_table_the_stream_gives_up_on_is_hashed_and_converted_once(
                        f"range(128)")
     else:
         assert got == ("sha256:" + hashlib.sha256(data).hexdigest()[:12],
-                       parse_table(data))
+                       parse_table(data.decode()))
     assert got == whole_read(str(path))
     assert sum(fed) == os.path.getsize(path)
     assert sum(converted) <= 4096
