@@ -11,12 +11,12 @@ byte once for the digest line.  A binary table is read by
 plain layout; other files are read whole.  Only the parsed value outlives
 the read, and text reports are written a slice of lines at a time, so no
 report is built beside a file's bytes or text.  SHA-256 loads at the first
-digest.  Loading this module freezes the interpreter's start-up heap
-(``gc.freeze``), so exit skips tearing it down.
+digest.  Run as the program, ``main`` ends the process itself
+(``os._exit``), so exit skips tearing the interpreter down.
 """
 from __future__ import annotations
 
-import gc
+import atexit
 import os
 import sys
 from itertools import chain, islice
@@ -25,9 +25,6 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from veclog import vlcore
 from veclog.vlcore import BitVector, EmptyInput, LengthMismatch, ParseError
-
-# Start-up state lives until exit: no collection, shutdown's too, need visit it
-gc.freeze()
 
 if TYPE_CHECKING:  # each subcommand imports its own layer when it runs
     import argparse
@@ -563,7 +560,18 @@ def _accept(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """The exit status of the command line ``argv``.  With none, the program:
+    ``sys.argv``, the atexit handlers, a flush of stdout and stderr, then
+    ``os._exit``: no teardown, no ``__del__``; veclog starts no thread."""
+    if argv is None:
+        try:
+            status = main(sys.argv[1:])
+        except SystemExit as exc:  # help and usage errors
+            status = exc.code
+        atexit._run_exitfuncs()
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+        os._exit(status)
     args = _accept(argv)
     if args is None:  # argparse alone writes help, usage and argv errors
         args = build_parser().parse_args(argv)
@@ -572,6 +580,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, LengthMismatch, ParseError, EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if sys.stdout is None:  # fd 1 was closed: a reader that has left
+        return 1
     try:
         _emit(chain([("command", " ".join(argv))], report), args.json)
         sys.stdout.flush()

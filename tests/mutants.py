@@ -238,9 +238,16 @@ MUTANTS = [
             "reference_on_separators",
             "tests/test_cover.py::test_parse_repair_instance_matches_"
             "reference_on_random_texts")),
-    Mutant("cli: start-up heap not frozen", CLI, "gc.freeze()", "pass",
-           ("tests/test_cli.py::test_loading_the_cli_freezes_the_start_up_"
-            "heap",)),
+    Mutant("program mode tears down", CLI, "os._exit(status)",
+           "sys.exit(status)",
+           ("tests/test_cli.py::test_the_program_leaves_live_objects_"
+            "unfinalized",)),
+    Mutant("program mode skips atexit handlers", CLI,
+           "atexit._run_exitfuncs()", "pass",
+           ("tests/test_cli.py::test_the_program_runs_the_atexit_handlers",)),
+    Mutant("program mode skips the final flush", CLI,
+           "            stream.flush()", "            pass",
+           ("tests/test_cli.py::test_the_program_runs_the_atexit_handlers",)),
     Mutant("cli: the _load ASCII gate dropped", CLI,
            'text = data.decode("ascii")', 'text = data.decode("latin-1")',
            ("tests/test_golden.py::test_transcript[arith-nonascii]",
@@ -263,10 +270,10 @@ MUTANTS = [
             "tests/test_golden.py::test_transcript[query-labels-1100]",
             "tests/test_golden.py::test_transcript[sim-quality]")),
     Mutant("cli: the SHA import hoisted back to module level", CLI,
-           "# Start-up state lives until exit",
+           "if TYPE_CHECKING:",
            "try:\n    from _sha2 import sha256  # CPython 3.12+\n"
            "except ImportError:\n    from _sha256 import sha256\n"
-           "# Start-up state lives until exit",
+           "if TYPE_CHECKING:",
            ("tests/test_cli.py::test_import_loads_no_single_use_module",)),
     Mutant("best_match: veclog.metric imported", ASSOC,
            "    _check_query(table, query)\n    q = query.value\n    ones",
@@ -317,6 +324,10 @@ RETIRED = [
             "fall-back moved into assoc.read_table, which hashes only the "
             "bytes after the stream's; the mutant 'read_table: the fall-back "
             "hashes the prefix again' replaces it"),
+    Retired("cli: start-up heap not frozen", CLI, "gc.freeze()",
+            "deleted with the import-time freeze once the program's own exit "
+            "skipped the teardown it sped up; the three 'program mode' "
+            "mutants above check that exit"),
 ]
 
 

@@ -911,21 +911,72 @@ def test_import_loads_no_single_use_module():
     assert {"veclog", "veclog.cli", "veclog.vlcore"} <= set(out[1:])
 
 
-def test_loading_the_cli_freezes_the_start_up_heap():
-    """``import veclog.cli`` moves every object alive at that point into the
-    permanent generation, so no collection, the interpreter's last ones
-    included, visits the start-up heap again."""
-    before, frozen = map(int, run_python(
-        "import gc; before = len(gc.get_objects()); import veclog.cli; "
-        "print(before, gc.get_freeze_count())").split())
-    assert frozen >= before > 0
-
-
 def test_the_library_layers_leave_gc_alone():
     out = run_python("import gc, veclog, veclog.assoc, veclog.cover, "
-                     "veclog.lamp, sys; "
-                     "print(gc.get_freeze_count(), 'veclog.cli' in sys.modules)")
-    assert out.split() == ["0", "False"]
+                     "veclog.lamp, veclog.cli; print(gc.get_freeze_count())")
+    assert out.split() == ["0"]
+
+
+QUALITY = ["quality", "--fault-prob", "0.1", "--faults", "10",
+           "--testability", "0.5", "--scan", "1", "--logic", "1"]
+
+
+def program(tmp_path, code, *argv):
+    """(exit code, stdout, stderr) of ``python -c code argv`` in a fresh
+    interpreter on this checkout's package, in ``tmp_path``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(veclog.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # so output waits for the final flush
+    run = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=60)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_the_program_runs_the_atexit_handlers(tmp_path):
+    """The program's own exit still runs what ``atexit`` holds, and what a
+    handler prints reaches the pipe."""
+    code, out, err = program(
+        tmp_path, "import atexit, sys\nfrom veclog.cli import main\n"
+        "atexit.register(print, 'handler ran')\nsys.exit(main())", *QUALITY)
+    assert (code, err) == (0, "")
+    assert out.endswith("status: ok\nhandler ran\n")
+
+
+def test_the_program_leaves_live_objects_unfinalized(tmp_path):
+    """The program ends the process without tearing the interpreter down,
+    so an object ``__main__`` still holds is never finalized."""
+    code, out, err = program(
+        tmp_path, "import os, sys\nfrom veclog.cli import main\n"
+        "class Marker:\n"
+        "    def __del__(self, write=os.write):\n"
+        "        write(1, b'finalized\\n')\n"
+        "marker = Marker()\nsys.exit(main())", *QUALITY)
+    assert (code, err) == (0, "")
+    assert out.endswith("status: ok\n")
+    assert "finalized" not in out
+
+
+def test_main_with_an_argv_returns_its_status(tmp_path):
+    bad = [*QUALITY[:2], "1.5", *QUALITY[3:]]
+    code, out, err = program(
+        tmp_path, "import sys\nfrom veclog.cli import main\n"
+        "print('returned', main(sys.argv[1:]))", *bad)
+    assert (code, out) == (0, "returned 2\n")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [QUALITY, ["query", "big.tbl", "1" * 12]],
+                         ids=["one-slice", "many-slices"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv):
+    """A run started with fd 1 closed (``veclog ... >&-``), where
+    ``sys.stdout`` is None, ends as a reader that has left: exit 1, with
+    nothing on stderr."""
+    rows = [format(k, "012b") for k in range(4096)]
+    write(tmp_path, "big.tbl", "4096 12\n" + "\n".join(rows) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(veclog.__file__).parents[1])}
+    run = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
+                          "-m", "veclog.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, timeout=60)
+    assert (run.returncode, run.stderr) == (1, b"")
 
 
 # each subcommand, the files it reads, and the veclog modules it ends with
