@@ -129,7 +129,7 @@ _OPS = {  # name: (shape, statement)
     "setall": ("r", "{d} = ones"),
     "clrall": ("r", "{d} = 0"),
     "loop": ("n", "at = 1"),  # a body with a HALT; others are a for
-    "endloop": ("", ""),  # ends a for; _walk faults it with no loop
+    "endloop": ("", ""),  # ends a for
     "halt": ("", ""),  # emit_source stops at it and returns
 }
 
@@ -248,11 +248,12 @@ def _assemble(source: str) -> tuple[Instruction, ...]:
 
 @value_type
 class SequencerState:
-    """One sequencer: data memory, the four registers, and run bookkeeping.
+    """One sequencer: data memory, the four registers, and the step count.
 
     A register not given starts as zeros of the memory's width; one of
     another width raises ValueError.  ``steps`` counts instructions executed
-    by the run that produced the state; new states carry 0.
+    by the run that produced the state; new states carry 0.  A run of any
+    state starts at the program's first instruction.
     """
 
     memory: AssociativeTable
@@ -260,7 +261,6 @@ class SequencerState:
     mb: Optional[BitVector] = None
     mc: Optional[BitVector] = None
     md: Optional[BitVector] = None
-    pc: int = 0
     steps: int = 0
 
     def __post_init__(self):
@@ -276,59 +276,52 @@ class SequencerState:
 
 def run_sequencer(state: SequencerState, program: Program,
                   max_steps: int = DEFAULT_MAX_STEPS) -> SequencerState:
-    """Execute until HALT or the end of the program; the input state is
-    never mutated.  ``_walk`` settles the end pc and the steps, or raises
-    the run's first fault, before any statement runs; then the program runs
-    as the function ``emit_source`` writes for the state's pc, compiled
-    once per distinct program and pc."""
+    """Execute from the first instruction until HALT or the end of the
+    program; the input state is never mutated.  ``_walk`` settles the steps,
+    or raises the run's first fault, before any statement runs; then the
+    program runs as the function ``emit_source`` writes, compiled once per
+    distinct program."""
     memory, width = state.memory, state.memory.width
     rows = list(memory.values)
-    pc, steps = _walk(program, state.pc, len(rows), width, max_steps)
-    stored, *regs = _compiled(program, state.pc)(
+    steps = _walk(program, len(rows), width, max_steps)
+    stored, *regs = _compiled(program)(
         rows, width, state.ma.value, state.mb.value, state.mc.value,
         state.md.value)
     if stored:
         memory = AssociativeTable(rows, width, memory.row_labels,
                                   memory.col_labels)
-    return SequencerState(memory, *(BitVector(v, width) for v in regs),
-                          pc, steps)
+    return SequencerState(memory, *(BitVector(v, width) for v in regs), steps)
 
 
 @lru_cache(maxsize=32)  # a grid runs at most 16 distinct programs
-def _compiled(program: Program, pc: int):
-    bytecode = compile(emit_source(program, pc), "<lamp program>", "exec")
+def _compiled(program: Program):
+    bytecode = compile(emit_source(program), "<lamp program>", "exec")
     exec(bytecode, globals(), scope := {})  # its globals are this module's
     return scope["run"]
 
 
-def _walk(program: Program, pc: int, n: int, width: int,
-          limit: int) -> tuple[int, int]:
-    """The end pc and the steps of a run of ``program`` from ``pc`` on
-    ``n`` rows of ``width``, or the first fault it meets.  Each instruction
-    is checked in turn for the step limit, each row or coordinate it reads,
-    and ENDLOOP with no loop running.  No check reads a register or a row,
-    so the walk needs neither.  A loop in ``program.loops`` is settled from
-    its plan; only the iteration that faults, if one does, is walked."""
+def _walk(program: Program, n: int, width: int, limit: int) -> int:
+    """The steps of a run of ``program`` on ``n`` rows of ``width``, or the
+    first fault it meets.  Each instruction is checked in turn for the step
+    limit, then each row or coordinate it reads.  No check reads a register
+    or a row, so the walk needs neither.  A loop in ``program.loops`` is
+    settled from its plan; only the iteration that faults, if one does, is
+    walked.  No walk runs an ENDLOOP: the iteration walked faults, and a
+    loop whose body holds a HALT halts or faults in its first iteration."""
     code, loops = program.instructions, program.loops
-    pc, steps, at = max(pc, 0), 0, 0  # at: the loop row, 0: no loop
+    pc, steps, at = 0, 0, 0  # at: the loop row @ names
     while pc < len(code):
         if steps >= limit:
             raise StepLimitExceeded(f"exceeded {limit} steps")
         ins = code[pc]
         for noun, k in _reads(ins):
             k, bound = k or at, n if noun == "row" else width
-            if not k:
-                raise SimulationError(f"@ with no LOOP running "
-                                      f"(line {ins.line})")
             if k > bound:  # the assembler keeps a constant k at 1 or more
                 error = RowOutOfRange if noun == "row" else BitOutOfRange
                 raise error(f"{noun} {k} out of 1..{bound} (line {ins.line})")
-        if ins.opcode == "endloop":  # a walked loop faults or halts before it
-            raise SimulationError(f"ENDLOOP with no LOOP running "
-                                  f"(line {ins.line})")
         steps += 1
         if ins.opcode == "halt":
-            return pc + 1, steps
+            return steps
         if ins.opcode == "loop":
             at = 1
             if pc in loops:
@@ -343,7 +336,7 @@ def _walk(program: Program, pc: int, n: int, width: int,
                 if last == count:  # none does: go on past the ENDLOOP
                     pc = end
         pc += 1
-    return pc, steps
+    return steps
 
 
 def _loops(code: Sequence[Instruction]) -> dict[int, tuple]:
@@ -373,16 +366,15 @@ def _reads(ins: Instruction) -> list[tuple[str, int]]:
     return reads
 
 
-def emit_source(program: Program, pc: int = 0) -> str:
+def emit_source(program: Program) -> str:
     """The source of ``run(A, width, ma, mb, mc, md)``, which runs
-    ``program`` from instruction ``pc`` up to its first HALT on int rows and
-    registers and returns whether a STOREROW ran and the registers.  Each
+    ``program`` from its first instruction up to its first HALT on int rows
+    and registers and returns whether a STOREROW ran and the registers.  Each
     instruction is written once, as its ``_OPS`` statement; a loop whose
     body holds no HALT is a ``for`` over its rows, with ``_runs`` folded.
     It checks nothing: ``run_sequencer`` calls it only for a run that
     ``_walk`` has found to end without a fault."""
-    code, lines = program.instructions, []
-    loops, pc = program.loops, max(pc, 0)
+    code, loops, lines, pc = program.instructions, program.loops, [], 0
     while pc < len(code) and code[pc].opcode != "halt":
         if pc in loops:
             end = loops[pc][0]

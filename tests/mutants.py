@@ -65,16 +65,10 @@ MUTANTS = [
            "width if coordinate_at else count)",
            "width + 1 if coordinate_at else count)",
            ("tests/test_golden.py::test_transcript[sim-feasible-tall]",)),
-    Mutant("walk: ENDLOOP with no loop running passes", LAMP,
-           'if ins.opcode == "endloop":  # a walked loop',
-           "if False:  # a walked loop",
-           ("tests/test_lamp.py::TestResume::test_resuming_inside_a_loop_body"
-            "[NOP ma-4-ENDLOOP]",)),
     Mutant("plan: a loop with a HALT is planned", LAMP,
            'if all(ins.opcode != "halt" for ins in code[loop:end]):',
            "if True:",
-           ("tests/test_lamp.py::TestResume::test_resuming_into_a_body_with_"
-            "a_second_halt",)),
+           ("tests/test_lamp.py::test_executor_matches_reference[64]",)),
     Mutant("emit: DEVORs from different sources fold", LAMP,
            '(ins.dst, ins.src1) if ins.imm and ins.opcode == "devor"',
            'ins.dst if ins.imm and ins.opcode == "devor"',
@@ -328,6 +322,12 @@ RETIRED = [
             "deleted with the import-time freeze once the program's own exit "
             "skipped the teardown it sped up; the three 'program mode' "
             "mutants above check that exit"),
+    Retired("walk: ENDLOOP with no loop running passes", LAMP,
+            'if ins.opcode == "endloop":',
+            "deleted with the fault when every run came to start at the "
+            "first instruction: the walk then never runs an ENDLOOP, as the "
+            "loop iteration it walks faults and a loop whose body holds a "
+            "HALT halts or faults in its first iteration"),
 ]
 
 

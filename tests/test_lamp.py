@@ -250,7 +250,7 @@ class TestRunSequencer:
 
     def test_missing_halt_falls_off_the_end(self):
         out = run_sequencer(fresh(["10"]), assemble("SETALL ma\n"))
-        assert out.pc == 1
+        assert out.steps == 1
         assert out.ma == bv("11")
 
     def test_operands_are_only_registers_rows_or_numbers(self, capsys):
@@ -461,43 +461,20 @@ class TestResponseColumn:
 
 
 class TestResume:
-    @pytest.mark.parametrize("body, line, what", [
-        ("OR ma A[@] ma", 3, "@"),
-        ("DEVOR ma @ mb", 3, "@"),
-        ("NOP ma", 4, "ENDLOOP"),
-    ])
-    def test_resuming_inside_a_loop_body(self, body, line, what):
-        program = assemble(f"LOOP *\nHALT\n{body}\nENDLOOP\nHALT\n")
-        first = run_sequencer(fresh(["10", "01"]), program)
-        assert (first.pc, first.steps) == (2, 2)
-        with pytest.raises(SimulationError) as err:
-            run_sequencer(first, program)
-        assert str(err.value) == f"{what} with no LOOP running (line {line})"
-
-    def test_resuming_into_a_body_with_a_second_halt(self):
-        # a body holding a HALT runs straight through: resumed after its
-        # first HALT, it runs real statements up to the second one
-        program = assemble("LOOP 2\nNOP ma A[@]\nHALT\nNOT mb\nHALT\n"
-                           "OR ma A[@] ma\nENDLOOP\nHALT\n")
-        first = run_sequencer(fresh(["10", "01"], mb=bv("10")), program)
-        assert (first.pc, first.steps, first.ma) == (3, 3, bv("10"))
-        second = run_sequencer(first, program)
-        assert (second.pc, second.steps) == (5, 2)
-        assert (second.ma, second.mb) == (bv("10"), bv("01"))
-        for state in (first, second):
-            assert outcome(run_sequencer, state, program, 10) == \
-                outcome(reference_run, state, program, 10)
-        with pytest.raises(SimulationError, match=r"^@ with no LOOP running "
-                                                  r"\(line 6\)$"):
-            run_sequencer(second, program)
+    """A state that a run returns, run again, starts over at the program's
+    first instruction: no run takes a start pc."""
 
     def test_rows_past_a_halt_are_never_read(self):
         program = assemble("HALT\nLOADROW ma A[9]\nHALT\n")
         out = run_sequencer(fresh(["10"]), program)
-        assert (out.pc, out.steps) == (1, 1)
-        with pytest.raises(RowOutOfRange, match=r"^row 9 out of 1\.\.1 "
-                                                r"\(line 2\)$"):
-            run_sequencer(out, program)
+        assert out.steps == 1
+        assert run_sequencer(out, program) == out
+
+    def test_a_run_takes_no_start_pc(self):
+        with pytest.raises(TypeError):
+            SequencerState(AssociativeTable([0b10], 2), pc=0)
+        with pytest.raises(TypeError):
+            emit_source(assemble("HALT\n"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +491,11 @@ def reference_run(state, program, max_steps):
     width = state.memory.width
     rows = list(state.memory.rows)
     regs = {name: getattr(state, name) for name in REGISTERS}
-    code, pc, steps = program.instructions, state.pc, 0
-    loop = None  # [body pc, count, row]
-
-    def loop_row(ins):
-        if loop is None:
-            raise SimulationError(f"@ with no LOOP running (line {ins.line})")
-        return loop[2]
+    code, pc, steps = program.instructions, 0, 0
+    loop = None  # [body pc, count, row]; @ is read only while one runs
 
     def row(index, ins):
-        k = index or loop_row(ins)
+        k = index or loop[2]
         if not 1 <= k <= len(rows):
             raise RowOutOfRange(f"row {k} out of 1..{len(rows)} "
                                 f"(line {ins.line})")
@@ -548,7 +520,7 @@ def reference_run(state, program, max_steps):
         elif op == "storerow":
             rows[row(ins.dst, ins)] = regs[ins.src1]
         elif op == "devor":
-            k = ins.imm or loop_row(ins)
+            k = ins.imm or loop[2]
             if not 1 <= k <= width:
                 raise BitOutOfRange(f"coordinate {k} out of 1..{width} "
                                     f"(line {ins.line})")
@@ -560,9 +532,6 @@ def reference_run(state, program, max_steps):
         elif op == "loop":
             loop = [pc, ins.imm or len(rows), 1]
         elif op == "endloop":
-            if loop is None:
-                raise SimulationError(f"ENDLOOP with no LOOP running "
-                                      f"(line {ins.line})")
             if loop[2] < loop[1]:
                 loop[2] += 1
                 pc = loop[0]
@@ -572,7 +541,7 @@ def reference_run(state, program, max_steps):
     if rows != list(memory.rows):
         memory = AssociativeTable([row.value for row in rows], width,
                                   memory.row_labels, memory.col_labels)
-    return SequencerState(memory, *(regs[n] for n in REGISTERS), pc, steps)
+    return SequencerState(memory, *(regs[n] for n in REGISTERS), steps)
 
 
 def random_source(rng, height, width, edges=False):
@@ -652,12 +621,8 @@ def outcome(run, state, program, max_steps):
 
 
 def check_against_reference(state, program, max_steps):
-    got = outcome(run_sequencer, state, program, max_steps)
-    assert got == outcome(reference_run, state, program, max_steps)
-    if isinstance(got, SequencerState) and got.pc < len(program.instructions):
-        # resume after a HALT, possibly inside the loop body
-        assert outcome(run_sequencer, got, program, max_steps) == \
-            outcome(reference_run, got, program, max_steps)
+    assert outcome(run_sequencer, state, program, max_steps) == \
+        outcome(reference_run, state, program, max_steps)
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 160])
@@ -714,19 +679,17 @@ SHIPPED = {
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))
-def test_resume_from_every_pc_matches_reference(name):
+def test_shipped_programs_match_reference(name):
     rng = random.Random(f"resume/{name}")
     program = assemble(SHIPPED[name])
     # on 7 rows of 6 columns the feasible and coverage searches fault
     for height, width in ((4, 6), (7, 6)):
         table = rand_table(rng, height, width)
         regs = {reg: rand_bitvector(rng, width) for reg in REGISTERS}
-        for pc in range(len(program.instructions) + 1):
-            state = SequencerState(table, **regs, pc=pc)
-            for max_steps in (5, 1000):
-                assert outcome(run_sequencer, state, program, max_steps) == \
-                    outcome(reference_run, state, program, max_steps)
-            sweep_step_limit(state, program)
+        state = SequencerState(table, **regs)
+        for max_steps in (5, 1000):
+            check_against_reference(state, program, max_steps)
+        sweep_step_limit(state, program)
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 256])
@@ -761,7 +724,9 @@ def bound_sources(height, width):
     """Straight-line runs that read a constant row ``height`` or
     ``height + 1`` and a DEVOR coordinate ``width`` or ``width + 1``, at the
     start, in the middle and at the end of a run, before a HALT, before a
-    loop and after one."""
+    loop and after one.  What follows the HALT, and what follows the loop,
+    is also a program of its own, so that runs, which start at the first
+    instruction, reach each read."""
     sources = []
     for row in (height, height + 1):
         for k in (width, width + 1):
@@ -770,9 +735,9 @@ def bound_sources(height, width):
                 run.insert(slot, f"LOADROW md A[{row}]")
                 other = ["CLRALL mc", "OR mb mb mc", "NOT md"]
                 other.insert(2 - slot, f"DEVOR mc {k} ma")
-                sources.append("\n".join(
-                    run + ["HALT"] + other + ["LOOP 2", "OR mc A[@] mc",
-                                              "ENDLOOP"] + run) + "\n")
+                tail = other + ["LOOP 2", "OR mc A[@] mc", "ENDLOOP"] + run
+                sources += ["\n".join(lines) + "\n"
+                            for lines in (run + ["HALT"] + tail, tail, run)]
     return sources
 
 
@@ -783,9 +748,7 @@ def test_straight_runs_at_their_bounds_match_reference(height, width):
     table = AssociativeTable(table.values[:height], width)
     regs = {reg: rand_bitvector(rng, width) for reg in REGISTERS}
     for source in bound_sources(height, width):
-        program = assemble(source)
-        for pc in range(len(program.instructions) + 1):
-            sweep_step_limit(SequencerState(table, **regs, pc=pc), program)
+        sweep_step_limit(SequencerState(table, **regs), assemble(source))
 
 
 def grid_of(sources, height, width_of):
@@ -857,7 +820,6 @@ def test_the_loop_plan_is_derived_once_per_program(monkeypatch):
     for cell, each in zip(grid.cells, programs):
         run_sequencer(cell, each)
         emit_source(each)
-        emit_source(each, 3)
     assert lamp._compiled.cache_info().misses == 5
     assert len(calls) == 17
     state = SequencerState(with_response_column(

@@ -37,7 +37,7 @@ REGS = (bv("000"),) * len(REGISTERS)
 STATE = SequencerState(TABLE, *REGS)
 STATE_REPR = ("SequencerState(memory=AssociativeTable(2x3), "
               "ma=BitVector('000'), mb=BitVector('000'), mc=BitVector('000'), "
-              "md=BitVector('000'), pc=0, steps=0)")
+              "md=BitVector('000'), steps=0)")
 
 # class, field values, the same values with one field changed, repr
 CASES = [
@@ -81,7 +81,7 @@ CASES = [
      "Instruction(opcode='and', dst='ma', src1=0, src2='mb', imm=0, line=4)"),
     (Program, ("NOT ma\nHALT\n",), ("NOT mb\nHALT\n",),
      r"Program(source='NOT ma\nHALT\n')"),
-    (SequencerState, (TABLE, *REGS, 0, 0), (TABLE, *REGS, 1, 0), STATE_REPR),
+    (SequencerState, (TABLE, *REGS, 0), (TABLE, *REGS, 1), STATE_REPR),
     (GridState, ((STATE,) * 16,),
      ((STATE,) * 15 + (SequencerState(TABLE, *REGS, steps=1),),),
      "GridState(cells=(" + ", ".join([STATE_REPR] * 16) + "))"),
@@ -235,7 +235,7 @@ def test_defaults():
         (None, None, None, None, 0)
     assert Instruction("halt", line=3).line == 3
     state = SequencerState(TABLE, *REGS)
-    assert (state.pc, state.steps) == (0, 0)
+    assert state.steps == 0
     instance = CoverageInstance(TABLE)
     assert instance.kinds == (None, None)
     assert (instance.max_spare_rows, instance.max_spare_cols) == (None, None)
@@ -245,7 +245,7 @@ def test_defaults():
     assert table == AssociativeTable(TABLE.values, 3, ("r1", "r2"))
     assert (table.values, table.width, table.row_labels, table.col_labels) \
         == ((0b101, 0b011), 3, ("r1", "r2"), None)
-    assert state == SequencerState(TABLE, *REGS, 0, 0)
+    assert state == SequencerState(TABLE, *REGS, 0)
 
 
 def test_sequencer_state_zeroes_registers_not_given():
