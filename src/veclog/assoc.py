@@ -4,13 +4,13 @@ best-match queries over a table of equal-width binary rows.
 Row and column numbers are 1-based wherever they face a human (they match
 line order in the table file); Python sequences stay 0-indexed.
 
-The table readers take the file's text as a ``str``; ``read_table`` reads
-a binary file itself, decoding each piece it reads as ASCII.  A binary
-table in the plain layout (header on line 1, then one row of exactly
-``width`` symbols per "\n"-ended line) is converted by row stride, one
-``int(row, 2)`` per row (a file's in blocks of about 64 KiB).  Any other
-table is split into lines and checked row by row, which names the first bad
-line and column; a file is read whole for that, once.
+The text readers take the file's text as a ``str`` and check it row by
+row, which names the first bad line and column.  ``read_table`` reads a
+binary file itself, decoding each piece it reads as ASCII: a binary table
+in the plain layout (header on line 1, then one row of exactly ``width``
+symbols per "\n"-ended line) is converted by row stride, one
+``int(row, 2)`` per row, in blocks of about 64 KiB.  Any other file is read
+whole, once, and checked row by row.
 """
 from __future__ import annotations
 
@@ -109,12 +109,13 @@ def feasible_mask(table: AssociativeTable, query: BitVector) -> BitVector:
 
 
 def diagnose(table: AssociativeTable, response: BitVector,
-             mode: DiagnosisMode = DiagnosisMode.SINGLE) -> BitVector:
+             mode: "DiagnosisMode | str" = DiagnosisMode.SINGLE) -> BitVector:
     """Candidate fault columns (1 = candidate) from a test-response vector;
     no candidate at all means the response is inconsistent.
 
     Rows are test signatures (columns are faults); response bit i = 1 means
-    test i failed.  Single mode intersects the failing rows; multiple mode
+    test i failed.  Single mode (``mode`` is ``DiagnosisMode.SINGLE`` or
+    its value ``"single"``) intersects the failing rows; multiple mode
     unions them.  Either way, columns seen by a passing test are masked out.
     An all-zero response leaves the complement of all rows: "no fault
     observed" rather than an error.
@@ -123,7 +124,7 @@ def diagnose(table: AssociativeTable, response: BitVector,
         raise LengthMismatch(
             f"response width {response.length} does not match table height "
             f"{table.height}")
-    single = mode is DiagnosisMode.SINGLE
+    single = DiagnosisMode(mode) is DiagnosisMode.SINGLE
     hits = (1 << table.width) - 1 if single else 0
     misses = 0
     for flag, row in zip(str(response), table.values):
@@ -163,18 +164,18 @@ def best_match(query: BitVector,
 #   cols: <w names>
 
 def parse_table(text: str) -> AssociativeTable:
-    """Parse the table format into a binary table."""
-    return _table(_plain_rows(text) or _checked_rows(text, False))
+    """Parse the table format into a binary table, row by row."""
+    return _table(_checked_rows(text, False))
 
 
 def read_table(fh: BinaryIO, update: Optional[Callable[[bytes], object]] = None
                ) -> AssociativeTable:
-    """The binary table the binary file ``fh`` holds, streamed while it is
-    ASCII in the plain layout.  From the first piece that is not, or at
-    once if ``fh`` cannot seek, it is read whole from its start and checked
-    row by row; UnicodeDecodeError if it is not ASCII.  ``update``, when
-    given, is called on pieces that hold each byte of the file once, in
-    order."""
+    """The binary table the binary file ``fh`` holds, streamed and converted
+    by row stride while it is ASCII in the plain layout.  From the first
+    piece that is not, or at once if ``fh`` cannot seek, it is read whole
+    from its start and checked row by row; UnicodeDecodeError if it is not
+    ASCII.  ``update``, when given, is called on pieces that hold each byte
+    of the file once, in order."""
     update = update or (lambda piece: None)
     parsed = fh.seekable() and _stream_rows(fh, update)
     if not parsed:
@@ -205,7 +206,7 @@ _BLOCK = 1 << 16
 
 
 def _table(parsed) -> AssociativeTable:
-    """The binary table ``_checked_rows`` or ``_plain_rows`` returned."""
+    """The binary table ``_checked_rows`` or ``_stream_rows`` returned."""
     values, width, tail, first = parsed
     return AssociativeTable(values, width,
                             *_labels(tail, first, len(values), width))
@@ -220,72 +221,57 @@ def _dimensions(header: str, line: int) -> tuple[int, int]:
     return height, width
 
 
-def _plain_header(text: str):
-    """(offset of line 2, height, width) from line 1 of the ASCII ``text``,
-    a plain layout's header: ended by "\n" and holding no other line break.
-    None for any other ``text``."""
-    at = text.find("\n") + 1
-    header = text[:at - 1] if at and text.isascii() else ""
+def _plain_header(line: str) -> Optional[tuple[int, int]]:
+    """(height, width) from a plain layout's header ``line``: ended by "\n"
+    and holding no other line break.  None for any other ``line``."""
+    header = line[:-1] if line.endswith("\n") else ""
     if not (header.strip() and header.splitlines() == [header]):
         return None
     try:
-        return (at, *_dimensions(header, 1))
+        return _dimensions(header, 1)
     except ParseError:
         return None
 
 
-def _strided(buf: str, at: int, rows: int, width: int
-             ) -> Optional[list[int]]:
-    """The ``rows`` rows of a plain layout at offset ``at`` of the ASCII text
-    ``buf``, as ints: row k is the ``width`` symbols at
-    ``at + k * (width + 1)``.  None unless all are there, "\n"-ended, of 0s
-    and 1s."""
+def _strided(block: str, rows: int, width: int) -> Optional[list[int]]:
+    """The ``rows`` rows of a plain layout in the ASCII text ``block``, read
+    as at most ``rows * (width + 1)`` characters, as ints: row k is the
+    ``width`` symbols at ``k * (width + 1)``.  None unless all are there,
+    "\n"-ended, of 0s and 1s."""
     stride = width + 1
-    end = at + rows * stride
     # int() strips a "\n" that starts or ends a row and rejects one inside
-    if (len(buf) < end
-            or buf[at + width:end:stride] != "\n" * rows
-            or "\n" in buf[at:end:stride]
-            or "\n" in buf[at + width - 1:end:stride]
-            or any(buf.find(ch, at, end) >= 0 for ch in _INT_EXTRAS)):
+    if (block[width::stride] != "\n" * rows
+            or "\n" in block[::stride]
+            or "\n" in block[width - 1::stride]
+            or any(ch in block for ch in _INT_EXTRAS)):
         return None
     try:
-        return [int(buf[k:k + width], 2) for k in range(at, end, stride)]
+        return [int(block[k:k + width], 2)
+                for k in range(0, len(block), stride)]
     except ValueError:  # a symbol other than 0 or 1
         return None
 
 
-def _plain_rows(text: str):
-    """What ``_checked_rows`` returns, for a binary table in the plain
-    layout, converted by stride over ``text`` itself; None for any other."""
-    shape = _plain_header(text)
-    values = shape and _strided(text, *shape)
-    if not values:
-        return None
-    at, height, width = shape
-    tail = text[at + height * (width + 1):]
-    return values, width, tail.splitlines(), height + 2
-
-
 def _stream_rows(fh: BinaryIO, update: Callable[[bytes], object]):
-    """What ``_plain_rows`` returns, read from the binary file ``fh`` and
-    given to ``update`` a piece at a time: the header line, blocks of whole
-    rows, then the rest, each decoded as ASCII; None at the first piece of
-    another table or that is not ASCII."""
+    """What ``_checked_rows`` returns, for a binary table in the plain
+    layout, read from the binary file ``fh`` and given to ``update`` a piece
+    at a time: the header line, blocks of whole rows, then the rest, each
+    decoded as ASCII; None at the first piece of another table or that is
+    not ASCII."""
     header = fh.readline()
     update(header)
     try:
         shape = _plain_header(header.decode("ascii"))
-        if not shape or shape[2] >= _BLOCK:  # a row wider than a block
+        if not shape or shape[1] >= _BLOCK:  # a row wider than a block
             return None
-        _, height, width = shape
+        height, width = shape
         per_block = _BLOCK // (width + 1)
         values: list[int] = []
         for done in range(0, height, per_block):
             rows = min(per_block, height - done)
             block = fh.read(rows * (width + 1))
             update(block)
-            converted = _strided(block.decode("ascii"), 0, rows, width)
+            converted = _strided(block.decode("ascii"), rows, width)
             if not converted:
                 return None
             values += converted
@@ -304,8 +290,10 @@ def _numbers(lines: list[str], k: int = 0) -> Iterator[int]:
 
 
 def _checked_rows(text: str, ternary: bool):
-    """What ``_plain_rows`` returns, for any table: each line stripped,
-    blank lines skipped, and each row checked symbol by symbol."""
+    """(rows, width, the lines after the rows, the number of the first of
+    them) for any table: each line stripped, blank lines skipped, and each
+    row checked symbol by symbol.  The rows are ints, or for ``ternary``
+    their symbols."""
     lines = text.splitlines()
     body = list(filter(None, map(str.strip, lines)))
     if not body:

@@ -40,8 +40,8 @@ CLI = "src/veclog/cli.py"
 COVER = "src/veclog/cover.py"
 LAMP = "src/veclog/lamp.py"
 VLCORE = "src/veclog/vlcore.py"
-STRIDE = ("tests/test_assoc.py::test_stride_path_leaves_other_texts_to_the_"
-          "row_by_row_parse")
+STRIDE = ("tests/test_assoc.py::test_bytes_not_in_the_plain_layout_parse_"
+          "row_by_row")
 MUTANTS = [
     Mutant("walk: one more settled iteration", LAMP,
            "last = min(count, (limit - steps) // size,",
@@ -123,34 +123,32 @@ MUTANTS = [
            ("tests/test_assoc.py::TestDiagnose::test_multiple",
             "tests/test_kernels.py::test_diagnose[64-DiagnosisMode.MULTIPLE]",
             "tests/test_golden.py::test_transcript[diagnose-multiple-110]")),
-    Mutant("stride: rows past the end of the text let through", ASSOC,
-           "len(buf) < end", "False",
-           (rf"{STRIDE}[99999999999999999999 3\n011\n]",)),
+    Mutant("diagnose: a mode name runs multiple mode", ASSOC,
+           "DiagnosisMode(mode) is", "mode is",
+           ("tests/test_assoc.py::TestDiagnose::test_mode_names_read_as_"
+            "their_members",)),
     Mutant("stride: newline positions unchecked", ASSOC,
-           'buf[at + width:end:stride] != "\\n" * rows', "False",
+           'block[width::stride] != "\\n" * rows', "False",
            (rf"{STRIDE}[2 3\n0110101\n]", rf"{STRIDE}[2 3\n011x101\n]")),
     Mutant("stride: first symbol unchecked", ASSOC,
-           'or "\\n" in buf[at:end:stride]', "or False",
+           'or "\\n" in block[::stride]', "or False",
            (rf"{STRIDE}[2 3\n\n01\n011\n]",)),
     Mutant("stride: last symbol unchecked", ASSOC,
-           'or "\\n" in buf[at + width - 1:end:stride]', "or False",
+           'or "\\n" in block[width - 1::stride]', "or False",
            (rf"{STRIDE}[2 3\n011\n10\n\n]",)),
     Mutant("stride: the header checked undecoded", ASSOC,
            'shape = _plain_header(header.decode("ascii"))',
            "shape = _plain_header(header)",
            ("tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
-            "[form-feed-ends-header]",)),
+            "[form-feed-ends-header]",
+            "tests/test_assoc.py::test_plain_layout_bytes_parse_by_stride"
+            "[bare-1-5]")),
     Mutant("stride: a header holding another line break let through", ASSOC,
            "header.splitlines() == [header]", "True",
            ("tests/test_assoc.py::test_header_and_trailer_bytes_read_as_text"
             "[form-feed-inside-header]",
-            "tests/test_assoc.py::test_parse_matches_reference_on_random_"
-            "texts",
             "tests/test_assoc.py::test_streamed_reads_match_whole_reads"
             "[default]")),
-    Mutant("stride: non-ASCII text let through", ASSOC,
-           "if at and text.isascii() else", "if at else",
-           (rf"{STRIDE}[2 3\n1\u06610\n011\n]",)),
     Mutant("stream: a non-ASCII tail let through", ASSOC,
            'tail.decode("ascii")', 'tail.decode("latin-1")',
            ("tests/test_golden.py::test_transcript[query-nonascii]",
@@ -171,7 +169,7 @@ MUTANTS = [
             "[3-rows]",
             "tests/test_golden.py::test_transcript[query-labels-1100]")),
     Mutant("stream: rows wider than a block read as a stream", ASSOC,
-           "if not shape or shape[2] >= _BLOCK:", "if not shape:",
+           "if not shape or shape[1] >= _BLOCK:", "if not shape:",
            ("tests/test_assoc.py::test_rows_wider_than_a_block_are_read_"
             "whole[100000000000000000000]",)),
     Mutant("read_table: the fall-back hashes the prefix again", ASSOC,
@@ -203,7 +201,7 @@ MUTANTS = [
            '_bB \\t', "_bB\\t",
            (rf"{STRIDE}[2 3\n 01\n011\n]", rf"{STRIDE}[2 3\n01 \n011\n]")),
     Mutant("stride: one symbol short per row", ASSOC,
-           "range(at, end, stride)", "range(at, end, width)",
+           "range(0, len(block), stride)", "range(0, len(block), width)",
            ("tests/test_assoc.py::test_plain_layout_parses_by_stride[bare-1-5]",
             "tests/test_assoc.py::test_parse_holds_no_string_per_line")),
     Mutant("greedy_cover: a row gains only what is covered", COVER,
@@ -328,6 +326,17 @@ RETIRED = [
             "first instruction: the walk then never runs an ENDLOOP, as the "
             "loop iteration it walks faults and a loop whose body holds a "
             "HALT halts or faults in its first iteration"),
+    Retired("stride: rows past the end of the text let through", ASSOC,
+            "len(buf) < end",
+            "deleted with parse_table's stride path over a whole text: the "
+            "stream reads a block of at most the rows it converts, and a "
+            "short block holds fewer than one \"\\n\" per row, which the "
+            "newline-position check turns away"),
+    Retired("stride: non-ASCII text let through", ASSOC, "text.isascii()",
+            "deleted with parse_table's stride path over a whole text: the "
+            "stream decodes the header and each block as ASCII before the "
+            "stride guard sees them, and the mutant 'stream: a non-ASCII "
+            "piece raises at its own position' checks that"),
 ]
 
 

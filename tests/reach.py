@@ -32,7 +32,6 @@ ALLOWED = {
     "assoc.AssociativeTable.__repr__": "README Library: tables print as "
                                        "AssociativeTable(2x3)",
     "assoc.AssociativeTable.widened": "criterion 9; README sim",
-    "assoc._plain_rows": "README Library: parse_table's row-stride reader",
     "assoc.parse_table": "README Library: parse_table reads a table's text",
     "cover.NotCovering.__init__": "README Library: repair_plan raises it",
     "cover.coverage_of": "criterion 8",

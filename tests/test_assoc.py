@@ -125,6 +125,18 @@ class TestDiagnose:
         assert out == bv("011")
         assert out.value
 
+    def test_mode_names_read_as_their_members(self):
+        """A mode given by its name runs that mode; any other name is a
+        ValueError, as it is for ``DiagnosisMode`` itself."""
+        t, response = table("110", "011", "000"), bv("110")
+        assert diagnose(t, response, "single") == \
+            diagnose(t, response, DiagnosisMode.SINGLE) == bv("010")
+        assert diagnose(t, response, "multiple") == \
+            diagnose(t, response, DiagnosisMode.MULTIPLE) == bv("111")
+        with pytest.raises(ValueError, match="'bogus' is not a valid "
+                                             "DiagnosisMode"):
+            diagnose(t, response, "bogus")
+
     def test_all_zero_response(self):
         t = table("110", "010")
         out = diagnose(t, bv("00"), DiagnosisMode.SINGLE)
@@ -372,13 +384,8 @@ class TestTableParsing:
 
 
 # ---------------------------------------------------------------------------
-# The row-stride parse against the row-by-row checked parse
-
-def row_by_row(text: str):
-    """``parse_table(text)``'s outcome with the stride path switched off."""
-    with mock.patch.object(assoc, "_strided", lambda *block: None):
-        return outcome(parse_table, text)
-
+# Tables in the plain layout, which a file's reader converts by row stride,
+# and the texts that are not
 
 def plain_text(height: int, width: int, seed: int = 0,
                trailer: str = "") -> tuple[str, list[int]]:
@@ -402,14 +409,19 @@ def labels_trailer(height: int, width: int) -> str:
 @pytest.mark.parametrize("trailer", ["", "\n\n \n", "labels"],
                          ids=["bare", "blank-lines", "labels"])
 def test_plain_layout_parses_by_stride(height, width, trailer):
+    """A text in the plain layout, read as ``io.BytesIO(text.encode())``,
+    is converted by the stream alone, with no row-by-row check, and hands
+    ``update`` each byte once, in order."""
     if trailer == "labels":
         trailer = "\n" + labels_trailer(height, width)
-    text, values = plain_text(height, width, height * width, trailer)
-    stride = assoc._plain_rows(text)
-    assert stride is not None
-    assert stride[:2] == (values, width)
-    assert parse_table(text) == row_by_row(text) == \
-        reference_parse_table(text)
+    text, _ = plain_text(height, width, height * width, trailer)
+    data, pieces = text.encode(), []
+    with mock.patch.object(assoc, "_checked_rows",
+                           wraps=assoc._checked_rows) as checked:
+        got = read_table(io.BytesIO(data), pieces.append)
+    assert not checked.called
+    assert b"".join(pieces) == data
+    assert got == parse_table(text)
 
 
 # texts not in the plain layout, or not a table at all
@@ -451,9 +463,9 @@ NOT_PLAIN = [
 
 @pytest.mark.parametrize("text", NOT_PLAIN)
 def test_stride_path_leaves_other_texts_to_the_row_by_row_parse(text):
-    assert assoc._plain_rows(text) is None
-    assert outcome(parse_table, text) == row_by_row(text) == \
-        outcome(reference_parse_table, text)
+    """``parse_table`` checks every text row by row, as the reference
+    does."""
+    assert outcome(parse_table, text) == outcome(reference_parse_table, text)
 
 
 # what the stride guard must turn away: symbols int() reads besides 0 and 1,
@@ -505,14 +517,6 @@ def table_texts(draw):
     return "\n".join(lines)
 
 
-@settings(max_examples=400)
-@given(table_texts())
-def test_stride_parse_matches_row_by_row_parse(text):
-    """Same table and labels, or the same exception, message, line and
-    column, with and without the stride path."""
-    assert outcome(parse_table, text) == row_by_row(text)
-
-
 @pytest.mark.parametrize("symbol", ["\x1c", "\x1d", "\x1e", "\x1f"])
 def test_int_rejects_the_separators_the_stride_guard_leaves_to_it(symbol):
     """``int(row, 2)`` rejects the ASCII file, group, record and unit
@@ -562,7 +566,8 @@ def test_plain_layout_bytes_parse_by_stride(height, width, trailer):
     stride = assoc._stream_rows(io.BytesIO(text.encode()), lambda piece: 0)
     assert stride is not None
     assert stride[:2] == (values, width)
-    assert read_bytes(text.encode()) == parse_table(text)
+    assert read_bytes(text.encode()) == parse_table(text) == \
+        outcome(reference_parse_table, text)
 
 
 @pytest.mark.parametrize("text", [t for t in NOT_PLAIN if t.isascii()])
@@ -589,17 +594,17 @@ def test_header_and_trailer_bytes_read_as_text(text):
 
 
 def test_parse_holds_no_string_per_line():
-    """A 4096x256 table parses beside its text in under half the text's
-    size: the rows are sliced out and converted one at a time."""
-    text, _ = plain_text(4096, 256)
-    parse_table(text)
+    """A 4096x256 table is read from its bytes beside them in under half
+    their size: the rows are sliced out and converted one at a time."""
+    data = plain_text(4096, 256)[0].encode()
+    read_table(io.BytesIO(data))
     tracemalloc.start()
     try:
-        parse_table(text)
+        read_table(io.BytesIO(data))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * len(text)
+    assert peak < 0.5 * len(data)
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +781,9 @@ def test_a_table_the_stream_gives_up_on_is_hashed_and_converted_once(
             hashed.update(piece)
         return SimpleNamespace(update=update, hexdigest=hashed.hexdigest)
 
-    def conversion(buf, at, height, width):
+    def conversion(block, height, width):
         converted.append(height)
-        return strided(buf, at, height, width)
+        return strided(block, height, width)
 
     monkeypatch.setattr(cli, "sha256", counted)
     monkeypatch.setattr(assoc, "_strided", conversion)
